@@ -9,7 +9,7 @@ full list of violations before any computation starts.  Reports are
 deterministic for a fixed (config, seed) pair: the JSON body contains
 no timings (those go to a sibling timings.json) and all floats pass
 through Python's repr.  Exit status is 0 iff every asserted criterion
-in the report passed.
+in the report passed, 1 if one failed, and 2 for invalid input.
 """
 
 from __future__ import annotations
@@ -445,9 +445,13 @@ def main(argv=None) -> int:
             report = run(cfg, seed)
         else:
             report = convergence_sweep(cfg, seed)
-    except ConfigError as err:
-        print(json.dumps({"schema": SCHEMA, "pass": False,
-                          "failures": err.violations}, indent=2))
+    except ValueError as err:
+        # every coskit error class (GridError, NotHyperbolicError, ...) is a ValueError
+        if isinstance(err, ConfigError):
+            failures = err.violations
+        else:
+            failures = [f"{type(err).__name__}: {err}"]
+        print(json.dumps({"schema": SCHEMA, "pass": False, "failures": failures}, indent=2))
         return 2
     path = write_report(report, out_dir, time.perf_counter() - t0)
     print(f"wrote {path}  pass={report['pass']}")

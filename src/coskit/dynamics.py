@@ -16,34 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cosymplectic import CompatibleMetric
-from .grids import Grid
+from .grids import Grid, _int_matmul, _int_matpow, _lift, _period_transport
 from .models import HyperbolicModel
 from .tensors import TensorField, sqrtm_spd, symmetric_eigen, tensor_norm2
 
 
 class NotHyperbolicTorsionError(ValueError):
     """Torsion not bounded away from zero: no hyperbolic splitting."""
-
-
-def _int_matmul(a, b):
-    return [[a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
-            [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]]]
-
-
-def _int_matpow(mat: np.ndarray, n: int) -> list[list[int]]:
-    """Exact integer power of a 2x2 unimodular matrix (negative n allowed)."""
-    m = [[int(mat[0, 0]), int(mat[0, 1])], [int(mat[1, 0]), int(mat[1, 1])]]
-    if n < 0:
-        m = [[m[1][1], -m[0][1]], [-m[1][0], m[0][0]]]   # adjugate = inverse, det 1
-        n = -n
-    out = [[1, 0], [0, 1]]
-    base = m
-    while n:
-        if n & 1:
-            out = _int_matmul(out, base)
-        base = _int_matmul(base, base)
-        n >>= 1
-    return out
 
 
 def reeb_flow(point, time: float, model: HyperbolicModel) -> np.ndarray:
@@ -53,13 +32,7 @@ def reeb_flow(point, time: float, model: HyperbolicModel) -> np.ndarray:
     after one period tau from (x, 0) at (L x mod 1, 0): the first-return
     map of the fiber is L itself.
     """
-    p = np.asarray(point, dtype=float)
-    total = p[0] + time / model.tau
-    crossings = int(np.floor(total))
-    t_new = total - crossings
-    ln = np.array(_int_matpow(model.matrix, crossings), dtype=float)
-    xy = (ln @ p[1:]) % 1.0
-    return np.array([t_new, xy[0], xy[1]])
+    return flow_transport(point, time, model)[0]
 
 
 def flow_transport(point, time: float, model: HyperbolicModel):
@@ -72,9 +45,8 @@ def flow_transport(point, time: float, model: HyperbolicModel):
     total = p[0] + time / model.tau
     crossings = int(np.floor(total))
     ln = _int_matpow(model.matrix, crossings)
-    a = np.eye(3)
-    a[1:, 1:] = np.array(ln, dtype=float)
-    return reeb_flow(point, time, model), a, crossings
+    xy = (np.array(ln, dtype=float) @ p[1:]) % 1.0
+    return np.array([total - crossings, xy[0], xy[1]]), _lift(ln), crossings
 
 
 @dataclass
@@ -102,9 +74,7 @@ class FlowCocycle:
         return cls(model, pts, blocks)
 
     def transport(self, i: int) -> np.ndarray:
-        a = np.eye(3)
-        a[1:, 1:] = np.array(self.torus_blocks[i], dtype=float)
-        return a
+        return _lift(self.torus_blocks[i])
 
     def composition_residual(self) -> int:
         """Defect of transport(i+j) = transport(i -> i+j) transport(j); zero exactly.
@@ -150,9 +120,7 @@ def lyapunov_exponents(model: HyperbolicModel, point=None, horizon: float | None
     g = np.asarray(metric_matrix(point), dtype=float)
     gs, gis = sqrtm_spd(g[None, None, None])
     gs, gis = gs[0, 0, 0], gis[0, 0, 0]
-    a = np.eye(3)
-    a[1:, 1:] = np.array(model.matrix, dtype=float)
-    m = gs @ a @ gis
+    m = gs @ _lift(model.matrix) @ gis
 
     q = np.eye(3)
     for _ in range(burn_in):
@@ -204,7 +172,6 @@ def anosov_splitting(metric: CompatibleMetric, torsion_threshold: float = 1e-8) 
     assigned by measuring the one-period pushforward contraction of
     each candidate line in the metric, not assumed from a formula.
     """
-    structure = metric.structure
     grid = metric.grid
     lg_norm2 = tensor_norm2(
         _lie_rg(metric), "dd", metric.g.data, metric.ginv)
@@ -220,8 +187,7 @@ def anosov_splitting(metric: CompatibleMetric, torsion_threshold: float = 1e-8) 
     v_minus = (u_plus - u_minus) / np.sqrt(2.0)
 
     # measure which bracket line contracts under the one-period pushforward
-    a = grid.gluing_jacobian
-    pi, pj = grid._torus_permutation(grid.monodromy)
+    a, (pi, pj) = _period_transport(grid, 1)
     g_img = metric.g.data[:, pi, pj]
 
     def growth(v):
@@ -234,12 +200,11 @@ def anosov_splitting(metric: CompatibleMetric, torsion_threshold: float = 1e-8) 
     gp, gm = growth(v_plus), growth(v_minus)
     if gp < 1.0 < gm:
         stable, unstable = v_plus, v_minus
-        heig_stable, heig_unstable = _hphi_eig(metric, v_plus), _hphi_eig(metric, v_minus)
     elif gm < 1.0 < gp:
         stable, unstable = v_minus, v_plus
-        heig_stable, heig_unstable = _hphi_eig(metric, v_minus), _hphi_eig(metric, v_plus)
     else:
         raise NotHyperbolicTorsionError("no contracting/expanding pair found")
+    heig_stable, heig_unstable = _hphi_eig(metric, stable), _hphi_eig(metric, unstable)
     return SplittingFrame(mu, tf(unstable), tf(stable), tf(v_plus), tf(v_minus),
                           tf(u_plus), tf(u_minus), heig_stable, heig_unstable)
 
@@ -284,11 +249,8 @@ def refine_splitting(frame: SplittingFrame, metric: CompatibleMetric,
     the pair's global sign behavior are preserved.
     """
     grid = metric.grid
-    a = grid.gluing_jacobian
-    a_inv = np.linalg.inv(a)
-    pi_f, pj_f = grid._torus_permutation(grid.monodromy)
-    lmat_inv = np.array(_int_matpow(grid.monodromy, -1))
-    pi_b, pj_b = grid._torus_permutation(lmat_inv)
+    a, (pi_f, pj_f) = _period_transport(grid, 1)
+    a_inv, (pi_b, pj_b) = _period_transport(grid, -1)
     g = metric.g.data
 
     def normalize(v):
@@ -333,10 +295,7 @@ def splitting_invariance_residual(frame: SplittingFrame, metric: CompatibleMetri
     worst = 0.0
     for n in range(1, n_periods + 1):
         for field, sgn in ((frame.e_unstable, 1), (frame.e_stable, -1)):
-            ln = np.array(_int_matpow(grid.monodromy, sgn * n))
-            a = np.eye(3)
-            a[1:, 1:] = ln
-            pin, pjn = grid._torus_permutation(ln)
+            a, (pin, pjn) = _period_transport(grid, sgn * n)
             g_img = metric.g.data[:, pin, pjn]
             v = field.data
             av = np.einsum("ij,...j->...i", a, v)
@@ -362,10 +321,7 @@ def contraction_law_residual(frame: SplittingFrame, metric: CompatibleMetric,
     for n in range(1, n_periods + 1):
         # v_plus is stable (forward-contracting): push backward; v_minus forward.
         for field, sgn in ((frame.v_plus, -1), (frame.v_minus, 1)):
-            ln = np.array(_int_matpow(grid.monodromy, sgn * n))
-            a = np.eye(3)
-            a[1:, 1:] = ln
-            pin, pjn = grid._torus_permutation(ln)
+            a, (pin, pjn) = _period_transport(grid, sgn * n)
             g_img = metric.g.data[:, pin, pjn]
             v = field.data
             av = np.einsum("ij,...j->...i", a, v)
@@ -384,8 +340,13 @@ def bracket_residuals(metric: CompatibleMetric, frame: SplittingFrame) -> dict[s
 
     [R, v_pm] = pm mu v_pm, [v_+, v_-] = 0, and the h-eigenframe
     relations [R, u_pm] = mu u_mp; residuals in the metric norm.
+    Refuses gluings with lambda < 0: there the pair v_pm flips sign
+    across the seam, so their stencil derivatives are not defined.
     """
     from .tensors import lie_bracket
+    if np.trace(metric.grid.monodromy) < 0:
+        raise ValueError("out of scope: lambda < 0 flips the sign of v_pm across the seam; "
+                         "bracket residuals need the double-cover gluing")
     structure = metric.structure
     g, ginv = metric.g.data, metric.ginv
     mu = frame.mu

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cosymplectic import CompatibleMetric, Structure, certify_compatible
-from .grids import Grid
+from .grids import Grid, _contract_slots, _lift
 from .tensors import TensorField
 
 
@@ -211,17 +211,11 @@ def change_frame(field: TensorField, model: HyperbolicModel, to: str) -> TensorF
         raise ValueError(f"unknown frame {to!r}")
     if field.frame == to:
         return field
-    p = np.eye(3)
-    p[1:, 1:] = model.eigenbasis
-    if to == "eigenframe":
-        mat_u, mat_d = np.linalg.inv(p), p.T
-    else:
-        mat_u, mat_d = p, np.linalg.inv(p).T
-    data = field.data
-    for slot, kind in enumerate(field.sig):
-        mat = mat_u if kind == "u" else mat_d
-        data = np.moveaxis(np.moveaxis(data, 3 + slot, -1) @ mat.T, -1, 3 + slot)
-    return TensorField(field.grid, data, field.sig, to)
+    p = _lift(model.eigenbasis)
+    p_inv = np.linalg.inv(p)
+    mat, mat_inv = (p_inv, p) if to == "eigenframe" else (p, p_inv)
+    return TensorField(field.grid, _contract_slots(field.data, field.sig, mat, mat_inv),
+                       field.sig, to)
 
 
 def flat_cokahler(grid: Grid) -> tuple[Structure, CompatibleMetric]:

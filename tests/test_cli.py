@@ -67,6 +67,22 @@ def test_invalid_config_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("cfg, error", [
+    (dict(BASE, model={"model": "hyperbolic", "matrix": [1, 1, 0, 1]}), "NotHyperbolicError"),
+    (dict(BASE, grid={"n_torus": "abc"}), "ValueError"),
+    (dict(BASE, grid={"n_torus": 4}), "GridError"),
+    (dict(BASE, experiment="lyapunov", dynamics={"horizon": 0.3}), "ValueError"),
+], ids=["non_hyperbolic", "n_torus_not_int", "n_torus_too_small", "horizon_below_tau"])
+def test_value_error_exit_code(tmp_path, capsys, cfg, error):
+    path = write_cfg(tmp_path, cfg)
+    rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False
+    assert doc["failures"][0].startswith(f"{error}: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_reports_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")])

@@ -161,6 +161,16 @@ def test_bracket_perturbation_sensitivity(model, crit32):
     assert values[2] / values[1] == pytest.approx(2.0, rel=0.3)
 
 
+def test_bracket_residuals_refuse_negative_lambda():
+    # v_pm flip sign across the seam when lambda < 0, so stencil brackets
+    # of them are O(1) at the seam; the check refuses rather than report that
+    model = ck.build_hyperbolic_model([[-2, 1], [1, -1]])
+    _, metric = ck.critical_metric(model, Grid(16, 16, model.matrix))
+    frame = dy.anosov_splitting(metric)
+    with pytest.raises(ValueError, match="lambda < 0"):
+        dy.bracket_residuals(metric, frame)
+
+
 def test_sol_bracket_relations():
     res = dy.sol_bracket_residuals(ck.sol_box_grid(8, 48))
     assert res["y_x_plus"] < 1e-5

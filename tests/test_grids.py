@@ -181,15 +181,68 @@ def test_seam_transport_roundtrip(model, grid32):
     assert np.max(np.abs(back - data)) < 1e-12
 
 
-def test_shift_fetch_rule_at_seam(model, grid32):
-    # row M-1 shifted by +1 must equal the monodromy-fetched row 0
+# two gluings with lambda > 0 (one whose float inverse is inexact) and one with lambda < 0
+GLUINGS = ([[2, 1], [1, 1]], [[-2, 1], [1, -1]], [[3, 1], [2, 1]])
+GLUING_IDS = ["2,1,1,1", "-2,1,1,-1", "3,1,2,1"]
+
+
+def _lift(block):
+    a = np.eye(3)
+    a[1:, 1:] = block
+    return a
+
+
+def _adjugate(mat):
+    (a, b), (c, d) = mat
+    return [[d, -b], [-c, a]]
+
+
+@pytest.mark.parametrize("mat", GLUINGS, ids=GLUING_IDS)
+def test_shift_fetch_rule_at_seam(mat):
+    # row M-1 shifted by +1 must equal row 0 fetched at L p and carried
+    # back by A^{-1} = diag(1, adj L), exactly
+    grid = Grid(32, 32, np.array(mat))
     rng = np.random.default_rng(2)
-    v = rng.random(grid32.shape + (3,))
-    shifted = shift(v, "u", grid32, 0, 1)
-    pi, pj = grid32._torus_permutation(grid32.monodromy)
-    a_inv = np.linalg.inv(grid32.gluing_jacobian)
-    expected = np.einsum("ij,xyj->xyi", a_inv, v[0][pi, pj])
-    assert np.max(np.abs(shifted[-1] - expected)) < 1e-14
+    v = rng.random(grid.shape + (3,))
+    shifted = shift(v, "u", grid, 0, 1)
+    pi, pj = grid._torus_permutation(grid.monodromy)
+    expected = v[0][pi, pj] @ _lift(_adjugate(mat)).T
+    assert np.array_equal(shifted[-1], expected)
+
+
+def _reference_shift(data, sig, grid, axis, s):
+    """np.roll plus an explicit seam fetch with integer L^{+-1} (the stencil's spec)."""
+    out = np.roll(data, -s, axis=axis)
+    if axis != 0 or s == 0:
+        return out
+    m, n = grid.n_fiber, grid.n_torus
+    mat = grid.monodromy.tolist()
+    if s > 0:       # rows past t = 1: fetch at L p, carry by diag(1, L^{-1})
+        fetch, carry, src, dst = mat, _adjugate(mat), slice(0, s), slice(m - s, m)
+    else:           # rows before t = 0: fetch at L^{-1} p, carry by diag(1, L)
+        fetch, carry, src, dst = _adjugate(mat), mat, slice(m + s, m), slice(0, -s)
+    i, j = np.arange(n).reshape(n, 1), np.arange(n).reshape(1, n)
+    pi = (fetch[0][0] * i + fetch[0][1] * j) % n
+    pj = (fetch[1][0] * i + fetch[1][1] * j) % n
+    slab = data[src][:, pi, pj]
+    for slot, kind in enumerate(sig):
+        # a covariant slot takes the inverse-transpose of the carry matrix
+        c = _lift(carry) if kind == "u" else _lift(fetch).T
+        slab = np.moveaxis(np.moveaxis(slab, 3 + slot, -1) @ c.T, -1, 3 + slot)
+    out[dst] = slab
+    return out
+
+
+@pytest.mark.parametrize("mat", GLUINGS, ids=GLUING_IDS)
+@pytest.mark.parametrize("sig", ["", "u", "dd"])
+def test_partial_derivative_matches_exact_seam_reference(mat, sig):
+    grid = Grid(8, 16, np.array(mat))
+    rng = np.random.default_rng(5)
+    data = rng.standard_normal(grid.shape + (3,) * len(sig))
+    for axis in range(3):
+        f = lambda s: _reference_shift(data, sig, grid, axis, s)
+        expected = (8.0 * (f(1) - f(-1)) - (f(2) - f(-2))) / (12.0 * grid.spacing[axis])
+        assert np.array_equal(partial_derivative(data, sig, grid, axis), expected)
 
 
 def test_discrete_divergence_theorem(model, grid32):
