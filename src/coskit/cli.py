@@ -80,13 +80,22 @@ def validate_config(cfg: dict) -> list[str]:
     return bad
 
 
+def _int_value(section: dict, key: str, default: int, name: str) -> int:
+    """section[key] (or default) as an int; ConfigError naming the key otherwise."""
+    value = section.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError([f"{name} must be an integer, got {value!r}"]) from None
+
+
 def _build(cfg: dict):
     """Returns (kind, model_or_none, structure, metric) for the configured chart."""
     mcfg = dict(cfg.get("model", {}))
     kind = mcfg.get("model", "hyperbolic")
     gcfg = cfg.get("grid", {})
-    n_torus = int(gcfg.get("n_torus", 32))
-    n_fiber = int(gcfg.get("n_fiber", n_torus))
+    n_torus = _int_value(gcfg, "n_torus", 32, "grid.n_torus")
+    n_fiber = _int_value(gcfg, "n_fiber", n_torus, "grid.n_fiber")
     if kind == "hyperbolic":
         matrix = np.asarray(mcfg.get("matrix", [2, 1, 1, 1]), dtype=np.int64).reshape(2, 2)
         model = build_hyperbolic_model(matrix, float(mcfg.get("tau", 1.0)),
@@ -436,11 +445,13 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
-    cfg = json.loads(args.config.read_text())
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    out_dir = args.out or Path(cfg.get("out", "coskit_out"))
     t0 = time.perf_counter()
     try:
+        cfg = json.loads(args.config.read_text())
+        if not isinstance(cfg, dict):
+            raise ConfigError(validate_config(cfg))
+        seed = args.seed if args.seed is not None else _int_value(cfg, "seed", 0, "seed")
+        out_dir = args.out or Path(cfg.get("out", "coskit_out"))
         if args.command == "run":
             report = run(cfg, seed)
         else:

@@ -68,8 +68,7 @@ class Structure:
         out = {
             "alpha_of_reeb": float(np.max(np.abs(
                 np.einsum("...i,...i->...", self.alpha.data, self.reeb.data) - 1.0))),
-            "reeb_in_kernel_of_beta": float(np.max(np.abs(
-                np.einsum("...ij,...i->...j", self.beta.data, self.reeb.data)))),
+            "reeb_in_kernel_of_beta": _sup(self.reeb.data[..., None, :] @ self.beta.data),
         }
         if self.flavor == "cosymplectic":
             out["d_alpha"] = _sup(exterior_derivative(self.alpha).data)
@@ -154,34 +153,31 @@ def certify_compatible(structure: Structure, g: TensorField) -> CompatibleMetric
     tensors.check_positive_definite(g.data)
     if _sup(g.data - np.swapaxes(g.data, -1, -2)) > 1e-12 * max(1.0, _sup(g.data)):
         raise StructureError("metric is not symmetric")
-    grid = structure.grid
-    alpha, beta, reeb = structure.alpha.data, structure.beta.data, structure.reeb.data
-    ginv = inverse_metric(g.data)
-    phi = np.einsum("...kl,...lj->...kj", ginv, beta)
-
-    phi2 = np.einsum("...ik,...kj->...ij", phi, phi)
-    proj = -np.eye(3) + np.einsum("...j,...i->...ij", alpha, reeb)
-    r_low = np.einsum("...ij,...j->...i", g.data, reeb)
-    r_norm = np.sqrt(np.einsum("...i,...i->...", r_low, reeb))
-    g_phiphi = np.einsum("...kl,...ki,...lj->...ij", g.data, phi, phi)
+    grid, gd = structure.grid, g.data
+    beta = structure.beta.data
+    # alpha as a row vector, R as a column vector
+    alpha, reeb = structure.alpha.data[..., None, :], structure.reeb.data[..., :, None]
+    ginv = inverse_metric(gd)
+    phi = ginv @ beta
+    phi_t = np.swapaxes(phi, -1, -2)
+    r_low = (gd @ reeb)[..., 0]
 
     cert = {
-        "phi_squared": _sup(phi2 - proj),
-        "beta_from_g_phi": _sup(beta - np.einsum("...ik,...kj->...ij", g.data, phi)),
-        "alpha_metric_dual": _sup(alpha - r_low),
-        "reeb_unit_norm": _sup(r_norm - 1.0),
-        "alpha_circ_phi": _sup(np.einsum("...i,...ij->...j", alpha, phi)),
-        "phi_of_reeb": _sup(np.einsum("...ij,...j->...i", phi, reeb)),
+        "phi_squared": _sup(phi @ phi + np.eye(3) - reeb * alpha),
+        "beta_from_g_phi": _sup(beta - gd @ phi),
+        "alpha_metric_dual": _sup(alpha[..., 0, :] - r_low),
+        "reeb_unit_norm": _sup(np.sqrt(np.sum(r_low * reeb[..., 0], axis=-1)) - 1.0),
+        "alpha_circ_phi": _sup(alpha @ phi),
+        "phi_of_reeb": _sup(phi @ reeb),
         "metric_reconstruction": _sup(
-            g.data - g_phiphi - np.einsum("...i,...j->...ij", alpha, alpha)),
+            gd - phi_t @ gd @ phi - np.swapaxes(alpha, -1, -2) * alpha),
         "hodge_alpha_beta": _sup(
-            hodge_star(structure.alpha, g.data, structure.orientation).data - beta),
+            hodge_star(structure.alpha, gd, structure.orientation, ginv=ginv).data - beta),
     }
+    del ginv
     if structure.flavor != "cosymplectic":
         dalpha = exterior_derivative(structure.alpha).data
-        anti = (np.einsum("...kj,...ki->...ij", dalpha, phi)
-                + np.einsum("...ik,...kj->...ij", dalpha, phi))
-        cert["d_alpha_phi_antisymmetry"] = _sup(anti)
+        cert["d_alpha_phi_antisymmetry"] = _sup(phi_t @ dalpha + dalpha @ phi)
     return CompatibleMetric(structure, g,
                             TensorField(grid, phi, "ud", g.frame), cert)
 
@@ -192,7 +188,7 @@ def d_alpha_plus(metric: CompatibleMetric) -> TensorField:
     Vanishes on cosymplectic charts and equals phi on contact charts.
     """
     dalpha = exterior_derivative(metric.structure.alpha).data
-    plus = np.einsum("...kl,...lj->...kj", metric.ginv, dalpha)
+    plus = metric.ginv @ dalpha
     return TensorField(metric.grid, plus, "ud", metric.g.frame)
 
 
@@ -219,12 +215,13 @@ def polar_compatible_metric(structure: Structure, k: TensorField) -> CompatibleM
 
     drop = np.argmax(np.abs(alpha), axis=-1)
     kept = _KEPT_AXES[drop]                                    # (..., 2)
-    cand = np.eye(3) - np.einsum("...i,...a->...ia", reeb, alpha)
+    cand = np.eye(3) - reeb[..., :, None] * alpha[..., None, :]
     idx = np.broadcast_to(kept[..., None, :], kept.shape[:-1] + (3, 2))
     b = np.take_along_axis(cand, idx, axis=-1)                 # (..., 3, 2)
 
-    k_hat = np.einsum("...ia,...ij,...jb->...ab", b, k.data, b)
-    b_hat = np.einsum("...ia,...ij,...jb->...ab", b, structure.beta.data, b)
+    b_t = np.swapaxes(b, -1, -2)
+    k_hat = b_t @ k.data @ b
+    b_hat = b_t @ structure.beta.data @ b
     w = b_hat[..., 0, 1]
     if np.min(np.abs(w)) < 1e-14:
         raise StructureError("beta degenerate on ker(alpha): polar operator singular")
@@ -245,6 +242,6 @@ def polar_compatible_metric(structure: Structure, k: TensorField) -> CompatibleM
     block = np.zeros(grid.shape + (3, 3))
     block[..., 0, 0] = 1.0
     block[..., 1:, 1:] = g_hat
-    g = np.einsum("...ai,...ab,...bj->...ij", coframe, block, coframe)
+    g = np.swapaxes(coframe, -1, -2) @ block @ coframe
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
     return certify_compatible(structure, TensorField(grid, g, "dd", k.frame))

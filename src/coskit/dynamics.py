@@ -204,7 +204,7 @@ def anosov_splitting(metric: CompatibleMetric, torsion_threshold: float = 1e-8) 
         stable, unstable = v_minus, v_plus
     else:
         raise NotHyperbolicTorsionError("no contracting/expanding pair found")
-    heig_stable, heig_unstable = _hphi_eig(metric, stable), _hphi_eig(metric, unstable)
+    heig_stable, heig_unstable = _hphi_eig(metric, h, stable), _hphi_eig(metric, h, unstable)
     return SplittingFrame(mu, tf(unstable), tf(stable), tf(v_plus), tf(v_minus),
                           tf(u_plus), tf(u_minus), heig_stable, heig_unstable)
 
@@ -214,8 +214,8 @@ def _lie_rg(metric: CompatibleMetric) -> np.ndarray:
     return lie_derivative(metric.g, metric.structure.reeb).data
 
 
-def _hphi_eig(metric: CompatibleMetric, v: np.ndarray) -> float:
-    hphi = np.einsum("...ik,...kj->...ij", metric.h_tensor().data, metric.phi.data)
+def _hphi_eig(metric: CompatibleMetric, h: TensorField, v: np.ndarray) -> float:
+    hphi = h.data @ metric.phi.data
     hv = np.einsum("...ij,...j->...i", hphi, v)
     num = np.einsum("...ij,...i,...j->...", metric.g.data, hv, v)
     den = np.einsum("...ij,...i,...j->...", metric.g.data, v, v)

@@ -62,14 +62,34 @@ class TensorField:
 
 def gradient(data: np.ndarray, sig: str, grid: Grid) -> np.ndarray:
     """All three partials, stacked into a new leading derivative slot."""
-    parts = [partial_derivative(data, sig, grid, ax) for ax in range(3)]
-    return np.stack(parts, axis=3)
+    out = np.empty(data.shape[:3] + (3,) + data.shape[3:])
+    for ax in range(3):
+        out[:, :, :, ax] = partial_derivative(data, sig, grid, ax)
+    return out
 
 
 # -- pointwise linear algebra -------------------------------------------
 
+_CYCLIC = ((1, 2), (2, 0), (0, 1))
+
+
 def inverse_metric(g: np.ndarray) -> np.ndarray:
-    return np.linalg.inv(g)
+    """Batched inverse of a (..., 3, 3) field: adjugate over determinant.
+
+    With cyclic index pairs the cofactor C_ij = g[i1,j1] g[i2,j2] -
+    g[i1,j2] g[i2,j1] carries its own sign, and the inverse is C^T / det.
+    The inverse of an exactly symmetric g is exactly symmetric.
+    """
+    inv = np.empty(np.shape(g))
+    for i, (i1, i2) in enumerate(_CYCLIC):
+        for j, (j1, j2) in enumerate(_CYCLIC):
+            inv[..., j, i] = g[..., i1, j1] * g[..., i2, j2] - g[..., i1, j2] * g[..., i2, j1]
+    det = g[..., 0, 0] * inv[..., 0, 0] + g[..., 0, 1] * inv[..., 1, 0] \
+        + g[..., 0, 2] * inv[..., 2, 0]
+    if not np.all(det):
+        raise TensorCalculusError("matrix field is singular at a grid point")
+    inv /= det[..., None, None]
+    return inv
 
 
 def sqrtm_spd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -77,26 +97,29 @@ def sqrtm_spd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(m)
     if np.any(w <= 0):
         raise TensorCalculusError("matrix field is not positive definite")
-    r = np.sqrt(w)
-    sq = np.einsum("...ij,...j,...kj->...ik", v, r, v)
-    isq = np.einsum("...ij,...j,...kj->...ik", v, 1.0 / r, v)
-    return sq, isq
+    r = np.sqrt(w)[..., None, :]
+    vt = np.swapaxes(v, -1, -2)
+    return (v * r) @ vt, (v / r) @ vt
 
 
 def tensor_norm2(data: np.ndarray, sig: str, g: np.ndarray,
                  ginv: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise squared norm by full index contraction with g, g^{-1}."""
+    """Pointwise squared norm by full index contraction with g, g^{-1}.
+
+    Each slot in turn is contracted with its (symmetric) metric by one
+    matmul, the other slots flattened into the columns; the result is
+    then paired with the data.
+    """
     if ginv is None:
         ginv = inverse_metric(g)
     r = len(sig)
-    grid_ax = [0, 1, 2]
-    sub_a = grid_ax + list(range(3, 3 + r))
-    sub_b = grid_ax + list(range(3 + r, 3 + 2 * r))
-    operands = [data, sub_a, data, sub_b]
+    out = data
     for s, kind in enumerate(sig):
         metric = g if kind == "u" else ginv
-        operands += [metric, grid_ax + [3 + s, 3 + r + s]]
-    return np.einsum(*operands, grid_ax)
+        moved = np.moveaxis(out, 3 + s, 3)
+        flat = moved.reshape(moved.shape[:4] + (-1,))
+        out = np.moveaxis((metric @ flat).reshape(moved.shape), 3, 3 + s)
+    return np.sum(out * data, axis=tuple(range(3, 3 + r)))
 
 
 def frame_matrix(t2: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -104,7 +127,7 @@ def frame_matrix(t2: np.ndarray, frame: np.ndarray) -> np.ndarray:
 
     frame has shape (..., 3, 3) with frame vectors as columns.
     """
-    return np.einsum("...ij,...ia,...jb->...ab", t2, frame, frame)
+    return np.swapaxes(frame, -1, -2) @ t2 @ frame
 
 
 # -- exterior derivative -------------------------------------------------
@@ -191,9 +214,11 @@ def christoffel(g: TensorField) -> Connection:
     """Levi-Civita Gamma^k_{ij} = (1/2) g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij})."""
     check_positive_definite(g.data)
     grad = gradient(g.data, g.sig, g.grid)          # [a, i, j] = d_a g_{ij}
-    b = grad + np.swapaxes(grad, 3, 4) - np.moveaxis(grad, 3, 5)
-    ginv = inverse_metric(g.data)
-    gamma = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, b)
+    b = grad + np.swapaxes(grad, 3, 4)
+    b -= np.moveaxis(grad, 3, 5)
+    del grad
+    gamma = np.einsum("...kl,...ijl->...kij", inverse_metric(g.data), b)
+    gamma *= 0.5
     return Connection(g.grid, gamma, g.data)
 
 
@@ -220,23 +245,28 @@ def covariant_derivative(t: TensorField, conn: Connection,
 
 # -- Hodge star -----------------------------------------------------------
 
-def hodge_star(omega: TensorField, g: np.ndarray, orientation: float = 1.0) -> TensorField:
+def hodge_star(omega: TensorField, g: np.ndarray, orientation: float = 1.0,
+               ginv: np.ndarray | None = None) -> TensorField:
     """Star of a 1-form in dimension 3: (*w)_{jk} = s sqrt(g) eps_{ljk} w^l.
 
     orientation is +1 when dt^dx^dy is positively oriented for the
     chart's volume form, -1 otherwise.  Star is an involution on
-    1-forms and a pointwise g-isometry onto 2-forms.
+    1-forms and a pointwise g-isometry onto 2-forms.  ginv, when given,
+    is used for raising the 1-form's index instead of inverting g again.
     """
+    eps = _EPS3.reshape(3, 9)
     if omega.sig == "d":
+        if ginv is None:
+            ginv = inverse_metric(g)
         sqg = orientation * np.sqrt(np.linalg.det(g))
-        wup = np.einsum("...lk,...k->...l", inverse_metric(g), omega.data)
-        star = np.einsum("ljk,...l,...->...jk", _EPS3, wup, sqg)
+        wup = (ginv @ omega.data[..., None])[..., 0]
+        star = (wup @ eps).reshape(wup.shape + (3,)) * sqg[..., None, None]
         return TensorField(omega.grid, star, "dd", omega.frame)
     if omega.sig == "dd":
         # inverse direction, for the involution check
         sqg = orientation * np.sqrt(np.linalg.det(g))
-        comp = 0.5 * np.einsum("ljk,...jk->...l", _EPS3, omega.data)
-        low = np.einsum("...lk,...l,...->...k", g, comp, 1.0 / sqg)
+        comp = 0.5 * (omega.data.reshape(omega.data.shape[:-2] + (9,)) @ eps.T)
+        low = (g @ comp[..., None])[..., 0] / sqg[..., None]
         return TensorField(omega.grid, low, "d", omega.frame)
     raise TensorCalculusError("hodge_star implemented for 1- and 2-forms in dim 3")
 

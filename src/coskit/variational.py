@@ -26,11 +26,16 @@ from .cosymplectic import CompatibleMetric, Structure, certify_compatible, d_alp
 from .grids import Grid, partial_derivative
 from .models import HyperbolicModel, critical_frame
 from .tensors import TensorField, covariant_derivative, frame_matrix, \
-    lie_derivative, sqrtm_spd, tensor_norm2
+    lie_derivative, tensor_norm2
 
 
 def _sup(a) -> float:
     return float(np.max(np.abs(a)))
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise outer product a_i b_j of two vector fields."""
+    return a[..., :, None] * b[..., None, :]
 
 
 def reeb_derivative(scalar: np.ndarray, structure: Structure) -> np.ndarray:
@@ -102,8 +107,9 @@ def euler_lagrange_residual(metric: CompatibleMetric) -> TensorField:
     lg = lie_derivative(metric.g, structure.reeb)
     nabla = covariant_derivative(lg, metric.connection, structure.reeb)
     dap = d_alpha_plus(metric)
-    cross = np.einsum("...ik,...kj->...ij", lg.data, dap.data)
-    return TensorField(metric.grid, nabla.data - cross, "dd", metric.g.frame)
+    el = nabla.data
+    el -= lg.data @ dap.data
+    return TensorField(metric.grid, el, "dd", metric.g.frame)
 
 
 def euler_lagrange_supnorm(metric: CompatibleMetric) -> float:
@@ -123,10 +129,9 @@ def nabla_r_h_residual(metric: CompatibleMetric) -> float:
 
 def tangent_residuals(h_field: TensorField, metric: CompatibleMetric) -> dict[str, float]:
     reeb, phi = metric.structure.reeb.data, metric.phi.data
-    ir = np.einsum("...ij,...i->...j", h_field.data, reeb)
-    sym = (np.einsum("...kj,...ki->...ij", h_field.data, phi)
-           - np.einsum("...ik,...kj->...ij", h_field.data, phi))
-    return {"iota_reeb": _sup(ir), "phi_symmetry": _sup(sym)}
+    h = h_field.data
+    return {"iota_reeb": _sup(reeb[..., None, :] @ h),
+            "phi_symmetry": _sup(np.swapaxes(phi, -1, -2) @ h - h @ phi)}
 
 
 def tangent_project(h_raw: TensorField, metric: CompatibleMetric) -> TensorField:
@@ -140,12 +145,11 @@ def tangent_project(h_raw: TensorField, metric: CompatibleMetric) -> TensorField
     h = 0.5 * (h_raw.data + np.swapaxes(h_raw.data, -1, -2))
     alpha, reeb, phi = (metric.structure.alpha.data, metric.structure.reeb.data,
                         metric.phi.data)
-    omega = np.einsum("...ij,...i->...j", h, reeb)
+    omega = (reeb[..., None, :] @ h)[..., 0, :]
     c = np.einsum("...i,...i->...", omega, reeb)
-    h1 = (h - np.einsum("...i,...j->...ij", alpha, omega)
-          - np.einsum("...i,...j->...ij", omega, alpha)
-          + c[..., None, None] * np.einsum("...i,...j->...ij", alpha, alpha))
-    h_phiphi = np.einsum("...kl,...ki,...lj->...ij", h1, phi, phi)
+    h1 = (h - _outer(alpha, omega) - _outer(omega, alpha)
+          + c[..., None, None] * _outer(alpha, alpha))
+    h_phiphi = np.swapaxes(phi, -1, -2) @ h1 @ phi
     return TensorField(metric.grid, 0.5 * (h1 - h_phiphi), "dd", metric.g.frame)
 
 
@@ -154,20 +158,23 @@ def exponential_curve(metric: CompatibleMetric, h_field: TensorField,
     """g(s) = g0(e^{s H+} ., .) with H+ = g0^{-1} H, computed pointwise.
 
     Stays inside the compatible metrics for every s (H tangent); the
-    returned metric carries a fresh certificate.  The exponential is by
-    symmetric eigendecomposition; overflow for huge |s| |H| raises.
+    returned metric carries a fresh certificate.  The exponential comes
+    from one Cholesky-reduced symmetric eigendecomposition (Golub & Van
+    Loan, Matrix Computations, sec. 8.7): with g0 = C C^T,
+    B = C^{-1} H C^{-T} = V e^W V^T is similar to H+, and
+    g(s) = (C V) e^{s W} (C V)^T.  C^{-1} = C^T g0^{-1} needs no second
+    inversion.  Overflow for huge |s| |H+| raises.
     """
-    hplus = np.einsum("...ik,...kj->...ij", metric.ginv, h_field.data)
-    gsq, gisq = sqrtm_spd(metric.g.data)
-    b = gsq @ hplus @ gisq
-    b = 0.5 * (b + np.swapaxes(b, -1, -2))
-    w, v = np.linalg.eigh(b)
+    c = np.linalg.cholesky(metric.g.data)
+    c_inv = np.swapaxes(c, -1, -2) @ metric.ginv
+    b = c_inv @ h_field.data @ np.swapaxes(c_inv, -1, -2)
+    w, v = np.linalg.eigh(0.5 * (b + np.swapaxes(b, -1, -2)))
     if _sup(s * w) > 200.0:
         raise OverflowError("operator exponential overflow: |s| |H+| too large")
-    exp_b = np.einsum("...ij,...j,...kj->...ik", v, np.exp(s * w), v)
-    exp_h = gisq @ exp_b @ gsq
-    g_s = np.einsum("...ik,...kj->...ij", metric.g.data, exp_h)
+    cv = c @ v
+    g_s = (cv * np.exp(s * w)[..., None, :]) @ np.swapaxes(cv, -1, -2)
     g_s = 0.5 * (g_s + np.swapaxes(g_s, -1, -2))
+    del c, c_inv, b, v, cv   # released before the certification allocates
     return certify_compatible(metric.structure,
                               TensorField(metric.grid, g_s, "dd", metric.g.frame))
 
@@ -183,8 +190,7 @@ def first_variation(metric: CompatibleMetric, h_field: TensorField) -> float:
     """
     el = euler_lagrange_residual(metric)
     ginv = metric.ginv
-    pairing = np.einsum("...ia,...jb,...ij,...ab->...",
-                        ginv, ginv, el.data, h_field.data)
+    pairing = np.sum((ginv @ el.data @ ginv) * h_field.data, axis=(-2, -1))
     return -2.0 * metric.structure.integrate(pairing)
 
 
@@ -241,7 +247,7 @@ def deformation_chart(model: HyperbolicModel, grid: Grid) -> DeformationChart:
     from .models import critical_metric
     structure, metric = critical_metric(model, grid)
     v_plus, v_minus, _, _ = critical_frame(model, grid)
-    lower = lambda v: np.einsum("...ij,...j->...i", metric.g.data, v.data)
+    lower = lambda v: (metric.g.data @ v.data[..., None])[..., 0]
     return DeformationChart(model, structure, metric, v_plus, v_minus,
                             lower(v_plus), lower(v_minus))
 
@@ -251,12 +257,10 @@ def deform(chart: DeformationChart, d: Deformation) -> CompatibleMetric:
     p, q, r = d.p, d.q, d.r
     alpha = chart.structure.alpha.data
     vp, vm = chart.vp_flat, chart.vm_flat
-    sym = lambda a, b: (np.einsum("...i,...j->...ij", a, b)
-                        + np.einsum("...i,...j->...ij", b, a))
-    g = (np.einsum("...i,...j->...ij", alpha, alpha)
-         + q[..., None, None] * np.einsum("...i,...j->...ij", vp, vp)
-         + r[..., None, None] * sym(vp, vm)
-         + p[..., None, None] * np.einsum("...i,...j->...ij", vm, vm))
+    g = (_outer(alpha, alpha)
+         + q[..., None, None] * _outer(vp, vp)
+         + r[..., None, None] * (_outer(vp, vm) + _outer(vm, vp))
+         + p[..., None, None] * _outer(vm, vm))
     return certify_compatible(chart.structure, TensorField(chart.grid, g, "dd"))
 
 
@@ -431,7 +435,7 @@ def random_tangent(metric: CompatibleMetric, rng: np.random.Generator,
         for a in range(3):
             for b in range(a, 3):
                 s = random_global_scalar(grid, rng, 1.0, max_mode)
-                term = np.einsum("...i,...j->...ij", covs[a], covs[b])
+                term = _outer(covs[a], covs[b])
                 raw += s[..., None, None] * (term + np.swapaxes(term, -1, -2))
     h = tangent_project(TensorField(grid, raw, "dd"), metric)
     sup = _sup(h.data)

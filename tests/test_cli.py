@@ -67,19 +67,37 @@ def test_invalid_config_exit_code(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("cfg, error", [
-    (dict(BASE, model={"model": "hyperbolic", "matrix": [1, 1, 0, 1]}), "NotHyperbolicError"),
-    (dict(BASE, grid={"n_torus": "abc"}), "ValueError"),
-    (dict(BASE, grid={"n_torus": 4}), "GridError"),
-    (dict(BASE, experiment="lyapunov", dynamics={"horizon": 0.3}), "ValueError"),
-], ids=["non_hyperbolic", "n_torus_not_int", "n_torus_too_small", "horizon_below_tau"])
-def test_value_error_exit_code(tmp_path, capsys, cfg, error):
+# a domain error is reported as "<ErrorClass>: <message>"; a bad config
+# value as a ConfigError violation that names its key
+@pytest.mark.parametrize("cfg, start", [
+    (dict(BASE, model={"model": "hyperbolic", "matrix": [1, 1, 0, 1]}), "NotHyperbolicError: "),
+    (dict(BASE, grid={"n_torus": "abc"}), "grid.n_torus must be an integer, got 'abc'"),
+    (dict(BASE, grid={"n_torus": 16, "n_fiber": "abc"}),
+     "grid.n_fiber must be an integer, got 'abc'"),
+    (dict(BASE, grid={"n_torus": 4}), "GridError: "),
+    (dict(BASE, experiment="lyapunov", dynamics={"horizon": 0.3}), "ValueError: "),
+    (dict(BASE, seed="x"), "seed must be an integer, got 'x'"),
+    ([BASE], "config root must be a JSON object"),
+], ids=["non_hyperbolic", "n_torus_not_int", "n_fiber_not_int", "n_torus_too_small",
+        "horizon_below_tau", "seed_not_int", "root_not_object"])
+def test_value_error_exit_code(tmp_path, capsys, cfg, start):
     path = write_cfg(tmp_path, cfg)
     rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["pass"] is False
-    assert doc["failures"][0].startswith(f"{error}: ")
+    assert doc["failures"][0].startswith(start)
+    assert not (tmp_path / "out").exists()
+
+
+def test_truncated_config_exit_code(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BASE)[:-7])
+    rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False
+    assert doc["failures"][0].startswith("JSONDecodeError: ")
     assert not (tmp_path / "out").exists()
 
 

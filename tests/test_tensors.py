@@ -4,8 +4,10 @@ import pytest
 import coskit as ck
 from coskit.grids import Grid
 from coskit.tensors import TensorField, TensorCalculusError, christoffel, \
-    covariant_derivative, exterior_derivative, hodge_star, lie_bracket, \
-    lie_derivative, nijenhuis, symmetric_eigen, tensor_norm2
+    covariant_derivative, exterior_derivative, frame_matrix, hodge_star, \
+    inverse_metric, lie_bracket, lie_derivative, nijenhuis, sqrtm_spd, \
+    symmetric_eigen, tensor_norm2
+from coskit import variational as va
 from coskit.variational import random_global_scalar
 
 
@@ -291,3 +293,80 @@ def test_symmetric_eigen_rejects_nonselfadjoint(flat16):
     bad[..., 0, 1] = 1.0
     with pytest.raises(TensorCalculusError):
         symmetric_eigen(TensorField(metric.grid, bad, "ud"), metric.g.data)
+
+
+# -- closed-form pointwise 3x3 algebra -----------------------------------------
+# each kernel against a test-local LAPACK / einsum reference; the
+# summation order differs, so agreement is to roundoff, not bit for bit
+
+
+def random_spd_field(shape, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape + (3, 3))
+    return a @ np.swapaxes(a, -1, -2) + 0.5 * np.eye(3)
+
+
+@pytest.fixture(scope="module")
+def deformed_l2_metric():
+    model = ck.build_hyperbolic_model([[3, 1], [2, 1]], tau=1.0, area=1.0)
+    grid = Grid(16, 16, model.matrix)
+    chart = va.deformation_chart(model, grid)
+    return va.deform(chart, va.random_deformation(grid, seed=3, amplitude=0.25))
+
+
+def assert_inverse_matches_lapack(g):
+    ginv = inverse_metric(g)
+    ref = np.linalg.inv(g)
+    assert sup(ginv - ref) <= 1e-13 * sup(ref)
+    assert sup(ginv @ g - np.eye(3)) <= 1e-13
+
+
+def test_inverse_metric_random_spd():
+    assert_inverse_matches_lapack(random_spd_field((16, 16, 16), seed=0))
+
+
+def test_inverse_metric_deformed_l2(deformed_l2_metric):
+    g = deformed_l2_metric.g.data
+    assert_inverse_matches_lapack(g)
+    ginv = inverse_metric(g)
+    assert np.array_equal(ginv, np.swapaxes(ginv, -1, -2))   # adjugate keeps symmetry
+
+
+def test_inverse_metric_rejects_singular():
+    g = random_spd_field((4, 4, 4), seed=4)
+    g[1, 2, 3] = np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(TensorCalculusError):
+        inverse_metric(g)
+
+
+def test_sqrtm_spd_matches_einsum():
+    m = random_spd_field((8, 8, 8), seed=1)
+    sq, isq = sqrtm_spd(m)
+    w, v = np.linalg.eigh(m)
+    ref = np.einsum("...ij,...j,...kj->...ik", v, np.sqrt(w), v)
+    iref = np.einsum("...ij,...j,...kj->...ik", v, 1.0 / np.sqrt(w), v)
+    assert sup(sq - ref) <= 1e-13 * sup(ref)
+    assert sup(isq - iref) <= 1e-13 * sup(iref)
+
+
+@pytest.mark.parametrize("sig", ["", "d", "u", "dd", "ud", "udd"])
+def test_tensor_norm2_matches_einsum(sig):
+    rng = np.random.default_rng(2)
+    g = random_spd_field((6, 6, 6), seed=2)
+    ginv = np.linalg.inv(g)
+    data = rng.standard_normal(g.shape[:3] + (3,) * len(sig))
+    r = len(sig)
+    operands = [data, [0, 1, 2] + list(range(3, 3 + r)),
+                data, [0, 1, 2] + list(range(3 + r, 3 + 2 * r))]
+    for k, kind in enumerate(sig):
+        operands += [g if kind == "u" else ginv, [0, 1, 2, 3 + k, 3 + r + k]]
+    ref = np.einsum(*operands, [0, 1, 2])
+    assert sup(tensor_norm2(data, sig, g) - ref) <= 1e-13 * sup(ref)
+
+
+def test_frame_matrix_matches_einsum():
+    rng = np.random.default_rng(3)
+    t2 = rng.standard_normal((6, 6, 6, 3, 3))
+    frame = rng.standard_normal((6, 6, 6, 3, 3))
+    ref = np.einsum("...ij,...ia,...jb->...ab", t2, frame, frame)
+    assert sup(frame_matrix(t2, frame) - ref) <= 1e-13 * sup(ref)

@@ -200,6 +200,53 @@ def test_first_variation_matches_centered_differences(chart_kind, model):
         assert abs(fv - fd) / (abs(fd) + 1e-30) < 1e-3
 
 
+# -- closed-form kernels against test-local references ------------------------------
+# the summation order differs from the references, so agreement is to
+# roundoff, not bit for bit
+
+
+@pytest.fixture(scope="module")
+def curve_bases(model):
+    grid = Grid(16, 16, model.matrix)
+    chart = va.deformation_chart(model, grid)
+    hyper = va.deform(chart, va.random_deformation(grid, seed=5, amplitude=0.25))
+    rng = np.random.default_rng(17)
+    _, contact0 = ck.contact_t3_testbed(1, Grid(16, 16))   # critical: moved off it
+    contact = va.exponential_curve(contact0, va.random_tangent(contact0, rng, 0.3), 1.0)
+    return [(hyper, va.random_tangent(hyper, rng, 0.1, model=model)),
+            (contact, va.random_tangent(contact, rng, 0.1))]
+
+
+def two_eigh_exponential(metric, h, s):
+    """g0 e^{s g0^{-1} H} through g0^{1/2}, g0^{-1/2} and a second eigh."""
+    g = metric.g.data
+    w, v = np.linalg.eigh(g)
+    gsq = np.einsum("...ij,...j,...kj->...ik", v, np.sqrt(w), v)
+    gisq = np.einsum("...ij,...j,...kj->...ik", v, 1.0 / np.sqrt(w), v)
+    hplus = np.einsum("...ik,...kj->...ij", np.linalg.inv(g), h.data)
+    b = gsq @ hplus @ gisq
+    w, v = np.linalg.eigh(0.5 * (b + np.swapaxes(b, -1, -2)))
+    exp_b = np.einsum("...ij,...j,...kj->...ik", v, np.exp(s * w), v)
+    g_s = np.einsum("...ik,...kj->...ij", g, gisq @ exp_b @ gsq)
+    return 0.5 * (g_s + np.swapaxes(g_s, -1, -2))
+
+
+@pytest.mark.parametrize("s", [2e-3, -2e-3, 0.5, 1.0])
+def test_exponential_curve_matches_two_eigh_reference(curve_bases, s):
+    for metric, h in curve_bases:
+        ref = two_eigh_exponential(metric, h, s)
+        assert sup(va.exponential_curve(metric, h, s).g.data - ref) <= 1e-13 * sup(ref)
+
+
+def test_first_variation_pairing_matches_einsum(curve_bases):
+    for metric, h in curve_bases:
+        el = va.euler_lagrange_residual(metric).data
+        ginv = np.linalg.inv(metric.g.data)
+        ref = -2.0 * metric.structure.integrate(
+            np.einsum("...ia,...jb,...ij,...ab->...", ginv, ginv, el, h.data))
+        assert abs(va.first_variation(metric, h) - ref) <= 1e-13 * abs(ref)
+
+
 # -- the coframe deformation ------------------------------------------------------------
 
 
