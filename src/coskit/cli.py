@@ -110,7 +110,8 @@ def _build(cfg: dict):
         structure, metric = flat_cokahler(Grid(n_torus, n_fiber))
         return kind, None, structure, metric
     if kind == "contact_t3":
-        structure, metric = contact_t3_testbed(int(mcfg.get("n", 1)), Grid(n_torus, n_fiber))
+        structure, metric = contact_t3_testbed(_int_value(mcfg, "n", 1, "model.n"),
+                                               Grid(n_torus, n_fiber))
         return kind, None, structure, metric
     if kind == "sol":
         structure, metric = sol_model(float(mcfg.get("mu", 1.0)),
@@ -179,12 +180,12 @@ def _run_energy(cfg, seed):
 
 
 def _run_lyapunov(cfg, seed):
+    dcfg = cfg.get("dynamics", {})
+    n_seeds = _int_value(dcfg, "seeds", 10, "dynamics.seeds")
     kind, model, structure, metric = _build(cfg)
     if kind != "hyperbolic":
         return {"scalars": {"exponents": [0.0, 0.0, 0.0]}, "failures": []}
-    dcfg = cfg.get("dynamics", {})
     horizon = float(dcfg.get("horizon", 50.0)) * model.tau
-    n_seeds = int(dcfg.get("seeds", 10))
     rng = np.random.default_rng(seed)
     mu = model.mu
     rows, worst, spread = [], 0.0, 0.0
@@ -219,11 +220,11 @@ def _run_betti(cfg, seed):
 
 
 def _run_first_variation(cfg, seed):
-    kind, model, structure, metric = _build(cfg)
     dcfg = cfg.get("deformation", {})
-    count = int(dcfg.get("count", 10))
+    count = _int_value(dcfg, "count", 10, "deformation.count")
+    rng = np.random.default_rng(_int_value(dcfg, "seed", seed, "deformation.seed"))
+    kind, model, structure, metric = _build(cfg)
     amplitude = float(dcfg.get("amplitude", 0.1))
-    rng = np.random.default_rng(int(dcfg.get("seed", seed)))
     if kind == "hyperbolic":
         chart = variational.deformation_chart(model, structure.grid)
         base = variational.deform(
@@ -257,18 +258,18 @@ def _run_first_variation(cfg, seed):
 
 
 def _run_gap_identity(cfg, seed):
+    dcfg = cfg.get("deformation", {})
+    count = _int_value(dcfg, "count", 20, "deformation.count")
+    base_seed = _int_value(dcfg, "seed", seed, "deformation.seed")
     kind, model, structure, metric = _build(cfg)
     if kind != "hyperbolic":
         raise ConfigError(["gap_identity requires the hyperbolic model"])
-    dcfg = cfg.get("deformation", {})
-    count = int(dcfg.get("count", 20))
     amplitude = float(dcfg.get("amplitude", 0.3))
     chart = variational.deformation_chart(model, structure.grid)
     e0 = variational.energy(chart.metric)
     rows, worst_gap, min_gap, worst_div = [], 0.0, np.inf, 0.0
     for k in range(count):
-        d = variational.random_deformation(structure.grid, int(dcfg.get("seed", seed)) + k,
-                                           amplitude=amplitude)
+        d = variational.random_deformation(structure.grid, base_seed + k, amplitude=amplitude)
         rep = variational.energy_gap(d, chart.mu, structure)
         direct = variational.energy_gap_direct(chart, d)
         rows.append([rep.gap, direct, abs(rep.gap - direct) / e0])
@@ -286,16 +287,18 @@ def _run_gap_identity(cfg, seed):
 
 
 def _run_optimize(cfg, seed):
+    dcfg = cfg.get("deformation", {})
+    ocfg = cfg.get("optimizer", {})
+    d_seed = _int_value(dcfg, "seed", seed, "deformation.seed")
+    steps = _int_value(ocfg, "steps", 1500, "optimizer.steps")
     kind, model, structure, metric = _build(cfg)
     if kind != "hyperbolic":
         raise ConfigError(["optimize requires the hyperbolic model"])
-    dcfg = cfg.get("deformation", {})
-    ocfg = cfg.get("optimizer", {})
     chart = variational.deformation_chart(model, structure.grid)
-    d0 = variational.random_deformation(structure.grid, int(dcfg.get("seed", seed)),
+    d0 = variational.random_deformation(structure.grid, d_seed,
                                         amplitude=float(dcfg.get("amplitude", 0.3)))
     result = variational.minimize_energy(
-        d0, chart.mu, structure, steps=int(ocfg.get("steps", 1500)),
+        d0, chart.mu, structure, steps=steps,
         tolerance=float(ocfg.get("tolerance", 0.0)))
     reduction = result.gap_history[0] / max(result.gap_history[-1], 1e-300)
     failures = []
@@ -435,6 +438,19 @@ def write_report(report: dict, out_dir: Path, elapsed: float) -> Path:
     return path
 
 
+def _load_config(path: Path) -> dict:
+    """The parsed config file; ConfigError if it cannot be read or its root is
+    not an object, JSONDecodeError (a ValueError) if it is not JSON."""
+    try:
+        text = path.read_text()
+    except OSError as err:
+        raise ConfigError([f"{type(err).__name__}: {err}"]) from None
+    cfg = json.loads(text)
+    if not isinstance(cfg, dict):
+        raise ConfigError(validate_config(cfg))
+    return cfg
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="coskit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -447,9 +463,7 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
-        cfg = json.loads(args.config.read_text())
-        if not isinstance(cfg, dict):
-            raise ConfigError(validate_config(cfg))
+        cfg = _load_config(args.config)
         seed = args.seed if args.seed is not None else _int_value(cfg, "seed", 0, "seed")
         out_dir = args.out or Path(cfg.get("out", "coskit_out"))
         if args.command == "run":

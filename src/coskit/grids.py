@@ -24,6 +24,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,12 +124,7 @@ class Grid:
 
     def _torus_permutation(self, mat) -> tuple[np.ndarray, np.ndarray]:
         """Index arrays realizing (i, j) -> mat @ (i, j) mod N on the torus grid."""
-        n = self.n_torus
-        i = np.arange(n).reshape(n, 1)
-        j = np.arange(n).reshape(1, n)
-        pi = (mat[0][0] * i + mat[0][1] * j) % n
-        pj = (mat[1][0] * i + mat[1][1] * j) % n
-        return pi, pj
+        return _torus_permutation(self.n_torus, mat)
 
     def refine(self, factor: int = 2) -> "Grid":
         return Grid(self.n_torus * factor, self.n_fiber * factor, self.monodromy.copy(),
@@ -170,6 +166,18 @@ def _int_matpow(mat, n: int) -> list[list[int]]:
     return out
 
 
+def _torus_permutation(n: int, mat) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays realizing (i, j) -> mat @ (i, j) mod n on an n x n torus grid.
+
+    The entries are reduced mod n first (exact), so powers L^k whose
+    entries exceed the int64 range stay in range.
+    """
+    m = [[int(mat[r][c]) % n for c in range(2)] for r in range(2)]
+    i = np.arange(n).reshape(n, 1)
+    j = np.arange(n).reshape(1, n)
+    return (m[0][0] * i + m[0][1] * j) % n, (m[1][0] * i + m[1][1] * j) % n
+
+
 def _lift(block) -> np.ndarray:
     """The 3x3 matrix diag(1, block) acting on (t, x, y) components."""
     a = np.eye(3)
@@ -179,9 +187,22 @@ def _lift(block) -> np.ndarray:
 
 def _period_transport(grid: Grid, n: int):
     """(diag(1, L^n), torus permutation of L^n): the chart differential of n
-    periods of the flow and the grid index map of its base point, exactly."""
-    ln = _int_matpow(grid.monodromy, n)
-    return _lift(ln), grid._torus_permutation(ln)
+    periods of the flow and the grid index map of its base point, exactly.
+
+    Memoized per (N, L, n); the arrays are shared and read-only.
+    """
+    mono = tuple(tuple(row) for row in grid.monodromy.tolist())
+    return _cached_period_transport(grid.n_torus, mono, n)
+
+
+@functools.lru_cache(maxsize=128)
+def _cached_period_transport(n_torus: int, mono: tuple, n: int):
+    ln = _int_matpow(mono, n)
+    a = _lift(ln)
+    pi, pj = _torus_permutation(n_torus, ln)
+    for arr in (a, pi, pj):
+        arr.flags.writeable = False
+    return a, (pi, pj)
 
 
 def _contract_slots(data: np.ndarray, index_sig: str, mat: np.ndarray,

@@ -318,11 +318,21 @@ def symmetric_eigen(a: TensorField, g: np.ndarray, tol: float = 1e-6,
     eigenvalue gaps are simple the eigenvector fields are sign-aligned
     by a deterministic grid sweep; on (near-)degenerate spectra only the
     eigenvalue fields are meaningful and ``aligned`` is False.
+
+    One symmetric ``eigh`` by the Cholesky reduction (Golub & Van Loan,
+    Matrix Computations, sec. 8.7): with g = C C^T, the g-self-adjoint
+    operator is similar to the symmetric B = C^T a C^{-T}, and B u = w u
+    gives the eigenvectors C^{-T} u.  C^{-T} = g^{-1} C needs no
+    triangular solve.  Self-adjointness is checked on B.
     """
     if a.sig != "ud":
         raise TensorCalculusError("symmetric_eigen expects an operator (1,1) field")
-    gsq, gisq = sqrtm_spd(g)
-    b = gsq @ a.data @ gisq
+    try:
+        c = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        raise TensorCalculusError("matrix field is not positive definite") from None
+    c_inv_t = inverse_metric(g) @ c
+    b = np.swapaxes(c, -1, -2) @ a.data @ c_inv_t
     asym = np.max(np.abs(b - np.swapaxes(b, -1, -2)))
     scale = max(1.0, float(np.max(np.abs(b))))
     if asym > tol * scale:
@@ -332,7 +342,7 @@ def symmetric_eigen(a: TensorField, g: np.ndarray, tol: float = 1e-6,
     w, u = np.linalg.eigh(b)
     w = w[..., ::-1]
     u = u[..., ::-1]
-    vecs = gisq @ u
+    vecs = c_inv_t @ u
     gaps = np.min(np.abs(np.diff(np.sort(w, axis=-1), axis=-1)))
     scale_w = max(float(np.max(np.abs(w))), 1e-30)
     aligned = bool(gaps > degenerate_gap * scale_w)

@@ -5,6 +5,8 @@ import coskit as ck
 from coskit import variational as va
 
 CAT = [[2, 1], [1, 1]]
+# both trace signs and larger multipliers, for the splitting and eigen checks
+HYPERBOLIC_GLUINGS = ([[2, 1], [1, 1]], [[-2, 1], [1, -1]], [[3, 1], [2, 1]], [[5, 2], [2, 1]])
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +32,14 @@ def crit32(model, grid32):
 @pytest.fixture(scope="session")
 def crit64(model, grid64):
     return ck.critical_metric(model, grid64)
+
+
+@pytest.fixture(scope="session", params=HYPERBOLIC_GLUINGS,
+                ids=lambda m: ",".join(str(v) for row in m for v in row))
+def crit16_gluing(request):
+    """(model, critical metric) at 16^3 for each gluing in HYPERBOLIC_GLUINGS."""
+    model = ck.build_hyperbolic_model(request.param)
+    return model, ck.critical_metric(model, ck.Grid(16, 16, model.matrix))[1]
 
 
 @pytest.fixture(scope="session")

@@ -78,8 +78,19 @@ def test_invalid_config_exit_code(tmp_path):
     (dict(BASE, experiment="lyapunov", dynamics={"horizon": 0.3}), "ValueError: "),
     (dict(BASE, seed="x"), "seed must be an integer, got 'x'"),
     ([BASE], "config root must be a JSON object"),
+    (dict(BASE, model={"model": "contact_t3", "n": "x"}), "model.n must be an integer, got 'x'"),
+    (dict(BASE, experiment="lyapunov", dynamics={"seeds": "x"}),
+     "dynamics.seeds must be an integer, got 'x'"),
+    (dict(BASE, experiment="first_variation", deformation={"count": "x"}),
+     "deformation.count must be an integer, got 'x'"),
+    (dict(BASE, experiment="gap_identity", deformation={"seed": "x"}),
+     "deformation.seed must be an integer, got 'x'"),
+    (dict(BASE, experiment="optimize", optimizer={"steps": "x"}),
+     "optimizer.steps must be an integer, got 'x'"),
 ], ids=["non_hyperbolic", "n_torus_not_int", "n_fiber_not_int", "n_torus_too_small",
-        "horizon_below_tau", "seed_not_int", "root_not_object"])
+        "horizon_below_tau", "seed_not_int", "root_not_object", "model_n_not_int",
+        "dynamics_seeds_not_int", "deformation_count_not_int", "deformation_seed_not_int",
+        "optimizer_steps_not_int"])
 def test_value_error_exit_code(tmp_path, capsys, cfg, start):
     path = write_cfg(tmp_path, cfg)
     rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -98,6 +109,16 @@ def test_truncated_config_exit_code(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["pass"] is False
     assert doc["failures"][0].startswith("JSONDecodeError: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_config_exit_code(tmp_path, capsys):
+    rc = cli.main(["run", "--config", str(tmp_path / "missing.json"),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False
+    assert doc["failures"][0].startswith("FileNotFoundError: ")
     assert not (tmp_path / "out").exists()
 
 

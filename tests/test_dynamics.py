@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import coskit as ck
 from coskit import dynamics as dy
 from coskit.grids import Grid
-from coskit.tensors import lie_bracket
+from coskit.tensors import TensorField, lie_bracket
 
 
 def sup(a):
@@ -116,6 +118,66 @@ def test_splitting_invariance(frame32, crit32):
 def test_contraction_law(frame32, crit32, model):
     _, metric = crit32
     assert dy.contraction_law_residual(frame32, metric, model, n_periods=10) < 1e-9
+
+
+def _sweep_reference(frame, metric, iterations):
+    """The graph transform one normalized period at a time, paired by the
+    three-operand einsum: the loop that refine_splitting composes."""
+    grid, g = metric.grid, metric.g.data
+    (p, q), (r, s) = grid.monodromy.tolist()
+    lmat, linv = [[p, q], [r, s]], [[s, -q], [-r, p]]
+    a, a_inv = np.eye(3), np.eye(3)
+    a[1:, 1:], a_inv[1:, 1:] = lmat, linv
+    pi_f, pj_f = grid._torus_permutation(lmat)
+    pi_b, pj_b = grid._torus_permutation(linv)
+    gdot = lambda u, v: np.einsum("...ij,...i,...j->...", g, u, v)
+    norm = lambda v: v / np.sqrt(gdot(v, v))[..., None]
+    unstable, stable = frame.e_unstable.data, frame.e_stable.data
+    for _ in range(iterations):
+        unstable = norm(np.einsum("ij,...j->...i", a, unstable[:, pi_b, pj_b]))
+        stable = norm(np.einsum("ij,...j->...i", a_inv, stable[:, pi_f, pj_f]))
+    resign = lambda v, seed: v * np.sign(gdot(v, seed))[..., None]
+    return resign(unstable, frame.e_unstable.data), resign(stable, frame.e_stable.data)
+
+
+@pytest.mark.parametrize("iterations", [3, 40])
+def test_refine_matches_sweep_loop(crit16_gluing, iterations):
+    # the seed is perturbed pointwise, so a few sweeps leave lines that
+    # still vary over the torus and depend on where each sweep gathers
+    _, metric = crit16_gluing
+    frame = dy.anosov_splitting(metric)
+    rng = np.random.default_rng(7)
+    noisy = lambda f: TensorField(f.grid, f.data + 0.1 * rng.standard_normal(f.data.shape), "u")
+    frame = dataclasses.replace(frame, e_unstable=noisy(frame.e_unstable),
+                                e_stable=noisy(frame.e_stable))
+    refined = dy.refine_splitting(frame, metric, iterations)
+    for got, ref in zip((refined.e_unstable.data, refined.e_stable.data),
+                        _sweep_reference(frame, metric, iterations)):
+        sin = np.linalg.norm(np.cross(got, ref), axis=-1) / (
+            np.linalg.norm(got, axis=-1) * np.linalg.norm(ref, axis=-1))
+        assert sup(sin) <= 1e-14
+        # lengths agree only as far as the g-pairing resolves a unit vector:
+        # on [[5,2],[2,1]] cond(g) reaches 743 and both sides are g-unit to ~1e-14
+        assert sup(got - ref) <= 1e-13 * sup(ref)
+
+
+def test_refine_many_iterations_in_blocks():
+    # 500 periods of [[5,2],[2,1]] overflow a float L^500; refine goes in
+    # blocks of 100 periods and normalizes between them
+    model = ck.build_hyperbolic_model([[5, 2], [2, 1]])
+    _, metric = ck.critical_metric(model, Grid(16, 16, model.matrix))
+    refined = dy.refine_splitting(dy.anosov_splitting(metric), metric, iterations=500)
+    for field in (refined.e_unstable, refined.e_stable, refined.v_plus, refined.v_minus):
+        assert np.all(np.isfinite(field.data))
+    assert dy.splitting_invariance_residual(refined, metric, n_periods=10) < 1e-8
+
+
+def test_splitting_invariance_over_long_horizon():
+    # L^n has entries beyond int64 from n = 34 on for [[3,1],[2,1]]
+    model = ck.build_hyperbolic_model([[3, 1], [2, 1]])
+    _, metric = ck.critical_metric(model, Grid(16, 16, model.matrix))
+    frame = dy.refine_splitting(dy.anosov_splitting(metric), metric)
+    assert dy.splitting_invariance_residual(frame, metric, n_periods=40) < 1e-8
 
 
 def test_splitting_rejects_flat(flat16):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import coskit as ck
-from coskit.grids import Grid, GridError, grid_from_config, grid_sum, integrate, \
-    partial_derivative, seam_transport, shift
+from coskit.grids import Grid, GridError, _period_transport, grid_from_config, grid_sum, \
+    integrate, partial_derivative, seam_transport, shift
 
 
 def test_grid_validation():
@@ -243,6 +243,43 @@ def test_partial_derivative_matches_exact_seam_reference(mat, sig):
         f = lambda s: _reference_shift(data, sig, grid, axis, s)
         expected = (8.0 * (f(1) - f(-1)) - (f(2) - f(-2))) / (12.0 * grid.spacing[axis])
         assert np.array_equal(partial_derivative(data, sig, grid, axis), expected)
+
+
+def _power(mat, n):
+    """L^n by repeated multiplication in Python ints (negative n by the adjugate)."""
+    step = mat if n >= 0 else _adjugate(mat)
+    out = [[1, 0], [0, 1]]
+    for _ in range(abs(n)):
+        out = [[sum(out[r][k] * step[k][c] for k in range(2)) for c in range(2)]
+               for r in range(2)]
+    return out
+
+
+@pytest.mark.parametrize("mat", GLUINGS, ids=GLUING_IDS)
+def test_torus_permutation_of_large_power_composes(mat):
+    # for [[3,1],[2,1]] the entries of L^40 exceed int64; reduced mod N the
+    # permutation stays exact and equals 40 steps of the L permutation
+    grid = Grid(16, 16, np.array(mat))
+    step_i, step_j = grid._torus_permutation(grid.monodromy)
+    pi, pj = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
+    for _ in range(40):
+        pi, pj = step_i[pi, pj], step_j[pi, pj]
+    big_i, big_j = grid._torus_permutation(_power(mat, 40))
+    assert np.array_equal(big_i, pi)
+    assert np.array_equal(big_j, pj)
+
+
+@pytest.mark.parametrize("mat", GLUINGS, ids=GLUING_IDS)
+def test_period_transport_is_shared_and_read_only(mat):
+    grid = Grid(16, 16, np.array(mat))
+    for n in (-40, -2, -1, 0, 1, 2, 40):
+        a, (pi, pj) = _period_transport(grid, n)
+        ref_i, ref_j = grid._torus_permutation(_power(mat, n))
+        assert np.array_equal(a, _lift(_power(mat, n)))
+        assert np.array_equal(pi, ref_i) and np.array_equal(pj, ref_j)
+        assert not (a.flags.writeable or pi.flags.writeable or pj.flags.writeable)
+        # memoized per (N, L, n): an equal grid gets the same arrays
+        assert _period_transport(Grid(16, 8, np.array(mat)), n)[0] is a
 
 
 def test_discrete_divergence_theorem(model, grid32):

@@ -295,6 +295,25 @@ def test_symmetric_eigen_rejects_nonselfadjoint(flat16):
         symmetric_eigen(TensorField(metric.grid, bad, "ud"), metric.g.data)
 
 
+def test_symmetric_eigen_matches_sqrtm_reduction(crit16_gluing):
+    # reference: the similarity by g^{1/2}, two eigh of the field
+    _, metric = crit16_gluing
+    h, g = metric.h_tensor(), metric.g.data
+    gsq, gisq = sqrtm_spd(g)
+    b = gsq @ h.data @ gisq
+    w_ref, u_ref = np.linalg.eigh(0.5 * (b + np.swapaxes(b, -1, -2)))
+    w_ref, v_ref = w_ref[..., ::-1], (gisq @ u_ref)[..., ::-1]
+    w, v, aligned = symmetric_eigen(h, g)
+    assert aligned
+    assert sup(w - w_ref) <= 1e-13 * sup(w_ref)
+    signs = np.sign(np.sum(v * v_ref, axis=-2, keepdims=True))
+    assert sup(v - signs * v_ref) <= 1e-12 * sup(v_ref)
+    bad = h.data.copy()
+    bad[..., 0, 1] += 1e-3
+    with pytest.raises(TensorCalculusError):
+        symmetric_eigen(TensorField(metric.grid, bad, "ud"), g)
+
+
 # -- closed-form pointwise 3x3 algebra -----------------------------------------
 # each kernel against a test-local LAPACK / einsum reference; the
 # summation order differs, so agreement is to roundoff, not bit for bit
