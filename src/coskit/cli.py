@@ -124,6 +124,21 @@ def _tol(cfg, name, default):
     return float(cfg.get("tolerances", {}).get(name, default))
 
 
+def _roundoff_scale(metric) -> float:
+    """eps max|g| max|g^-1| max|R|^2 / h^2, h the finest grid spacing.
+
+    The size of float roundoff in a second Reeb derivative of the metric
+    (the Euler-Lagrange field, nabla_R h) measured in the metric norm:
+    rounding errors of size eps max|g| in the coordinate components are
+    weighed by g^-1 and divided twice by the stencil step along R.
+    Carried in runner bodies for the convergence sweep's floor; run()
+    leaves it out of report.json.
+    """
+    reeb = np.max(np.abs(metric.structure.reeb.data))
+    return float(np.finfo(float).eps * np.max(np.abs(metric.g.data))
+                 * np.max(np.abs(metric.ginv)) * reeb ** 2 / min(metric.grid.spacing) ** 2)
+
+
 # -- experiments ---------------------------------------------------------------
 
 
@@ -154,7 +169,8 @@ def _run_verify(cfg, seed):
         mu2 = model.mu ** 2
         if scalars["euler_lagrange_supnorm"] > 1e-4 * mu2:
             failures.append("euler_lagrange_supnorm above 1e-4 * mu^2")
-    return {"residuals": residuals, "scalars": scalars, "failures": failures}
+    return {"residuals": residuals, "scalars": scalars, "failures": failures,
+            "_roundoff_scale": _roundoff_scale(metric)}
 
 
 def _run_energy(cfg, seed):
@@ -164,7 +180,7 @@ def _run_energy(cfg, seed):
                        "torsion_mean": float(np.mean(rep.torsion_field)),
                        "torsion_constancy": rep.constancy if rep.energy > 0 else 0.0,
                        "first_integral_residual": rep.first_integral_residual},
-           "failures": []}
+           "failures": [], "_roundoff_scale": _roundoff_scale(metric)}
     if kind == "hyperbolic":
         expected = 8.0 * model.area * model.log_lambda ** 2 / model.tau
         rel = abs(rep.energy - expected) / expected
@@ -204,7 +220,8 @@ def _run_lyapunov(cfg, seed):
         failures.append("lyapunov sum not zero")
     return {"scalars": {"mu": mu, "max_error": worst, "max_sum": sum_abs,
                         "base_point_spread": spread},
-            "tables": {"exponents": rows}, "failures": failures}
+            "tables": {"exponents": rows}, "failures": failures,
+            "_roundoff_scale": _roundoff_scale(metric)}
 
 
 def _run_betti(cfg, seed):
@@ -343,11 +360,15 @@ def run(cfg: dict, seed: int = 0) -> dict:
         "seed": seed,
         "pass": not body.get("failures"),
     }
-    report.update(body)
+    report.update({k: v for k, v in body.items() if not k.startswith("_")})
     return report
 
 
 # -- convergence sweeps ---------------------------------------------------------
+
+# the machine floor is this many roundoff scales; the critical metrics'
+# residuals sit at 0.09 to 0.53 scales over gluings, tau and V
+_FLOOR_FACTOR = 4.0
 
 _SWEEP_METRICS = {
     "verify": ("euler_lagrange_supnorm", "nabla_r_h_supnorm", "torsion_constancy"),
@@ -360,11 +381,14 @@ def convergence_sweep(cfg: dict, seed: int = 0, scheme_order: float = 4.0,
                       floor: float = 1e-11) -> dict:
     """Run an experiment across resolutions and fit the error order.
 
-    Metrics whose errors sit below the floor at every resolution are
-    marked machine_floor (exact quantities stay flat); otherwise a
+    Metrics whose errors sit below the machine floor at every resolution
+    are marked machine_floor (exact quantities stay flat); otherwise a
     log-log fit must give at least scheme_order - 0.5 and the errors
     must decrease monotonically, else the metric is flagged as failed,
-    not silently passed.
+    not silently passed.  The floor at each resolution is the larger of
+    the absolute ``floor`` and _FLOOR_FACTOR times the run's own
+    roundoff scale (see _roundoff_scale), which grows like 1/h^2 and
+    with the conditioning of the metric.
     """
     violations = validate_config(cfg)
     if violations:
@@ -373,18 +397,19 @@ def convergence_sweep(cfg: dict, seed: int = 0, scheme_order: float = 4.0,
     metrics = _SWEEP_METRICS.get(cfg["experiment"])
     if metrics is None:
         raise ConfigError([f"no convergence sweep for {cfg['experiment']!r}"])
-    table = {}
+    table, floors = {}, []
     for n in resolutions:
         sub = dict(cfg)
         sub.pop("resolutions", None)
         body = _RUNNERS[cfg["experiment"]](sub | {"grid": {"n_torus": n, "n_fiber": n}}, seed)
+        floors.append(max(floor, _FLOOR_FACTOR * body.get("_roundoff_scale", 0.0)))
         for name in metrics:
             table.setdefault(name, []).append(float(body["scalars"][name]))
     fits, failures = {}, []
     logh = np.log(1.0 / np.asarray(resolutions, dtype=float))
     for name, errs in table.items():
         errs_arr = np.asarray(errs)
-        if np.all(errs_arr <= floor):
+        if np.all(errs_arr <= floors):
             fits[name] = {"status": "machine_floor", "errors": errs}
             continue
         if np.any(errs_arr <= 0.0):

@@ -173,14 +173,13 @@ def anosov_splitting(metric: CompatibleMetric, torsion_threshold: float = 1e-8) 
     assigned by measuring the one-period pushforward contraction of
     each candidate line in the metric, not assumed from a formula.
     """
-    grid = metric.grid
-    lg_norm2 = tensor_norm2(
-        _lie_rg(metric), "dd", metric.g.data, metric.ginv)
+    grid, ginv = metric.grid, metric.ginv
+    lg_norm2 = tensor_norm2(_lie_rg(metric), "dd", metric.g.data, ginv)
     if float(np.min(lg_norm2)) < torsion_threshold:
         raise NotHyperbolicTorsionError(
             f"torsion minimum {float(np.min(lg_norm2)):.3e} below threshold")
     h = metric.h_tensor()
-    evals, evecs, aligned = symmetric_eigen(h, metric.g.data)
+    evals, evecs, aligned = symmetric_eigen(h, metric.g.data, ginv=ginv)
     mu = float(np.mean(evals[..., 0]))
     u_plus = evecs[..., :, 0]
     u_minus = np.einsum("...ij,...j->...i", metric.phi.data, u_plus)
@@ -226,18 +225,20 @@ def _hphi_eig(metric: CompatibleMetric, h: TensorField, v: np.ndarray) -> float:
     return float(np.mean(_gdot(g, hv, v) / _gdot(g, v, v)))
 
 
-def _sin_angle(g: np.ndarray, u: np.ndarray, v: np.ndarray, nv2: np.ndarray) -> np.ndarray:
+def _sin_angle(g: np.ndarray, gv: np.ndarray, nv2: np.ndarray, v: np.ndarray,
+               u: np.ndarray) -> np.ndarray:
     """Pointwise sin of the angle between the lines of u and v, stable near 0.
 
-    nv2 is g(v, v).  Splits u into components along and orthogonal to v
-    in the metric g; resolves angles down to machine precision (a
-    1 - cos^2 formula floors near sqrt(eps)).
+    gv is g v and nv2 is g(v, v).  Splits u into components along and
+    orthogonal to v in the metric g, with g perp = g u - c g v; resolves
+    angles down to machine precision (a 1 - cos^2 formula floors near
+    sqrt(eps)).
     """
     gu = np.einsum("...ij,...j->...i", g, u)
-    dot = np.einsum("...i,...i->...", gu, v)
     nu2 = np.einsum("...i,...i->...", gu, u)
-    perp = u - (dot / nv2)[..., None] * v
-    return np.sqrt(np.maximum(_gdot(g, perp, perp), 0.0) / nu2)
+    c = (np.einsum("...i,...i->...", gu, v) / nv2)[..., None]
+    perp2 = np.einsum("...i,...i->...", gu - c * gv, u - c * v)
+    return np.sqrt(np.maximum(perp2, 0.0) / nu2)
 
 
 def refine_splitting(frame: SplittingFrame, metric: CompatibleMetric,
@@ -307,12 +308,15 @@ def splitting_invariance_residual(frame: SplittingFrame, metric: CompatibleMetri
     grid, g = metric.grid, metric.g.data
     worst = 0.0
     for field, sgn in ((frame.e_unstable, 1), (frame.e_stable, -1)):
+        # evaluated at the image points q: u(q) = A v(Phi^{-n tau} q) against
+        # v(q) in g(q), so only v is gathered and g v is formed once
         v = field.data
-        # g_img(v_img, v_img) is g(v, v) gathered at the image point
-        nv2 = _gdot(g, v, v)
+        gv = np.einsum("...ij,...j->...i", g, v)
+        nv2 = np.einsum("...i,...i->...", gv, v)
         for n in range(1, n_periods + 1):
-            a, (pin, pjn) = _period_transport(grid, sgn * n)
-            sin = _sin_angle(g[:, pin, pjn], v @ a.T, v[:, pin, pjn], nv2[:, pin, pjn])
+            a, _ = _period_transport(grid, sgn * n)
+            _, (pib, pjb) = _period_transport(grid, -sgn * n)
+            sin = _sin_angle(g, gv, nv2, v, v[:, pib, pjb] @ a.T)
             worst = max(worst, float(np.max(sin)))
     return worst
 

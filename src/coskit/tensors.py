@@ -161,23 +161,49 @@ def lie_derivative(t: TensorField, x: TensorField) -> TensorField:
     """Coordinate Cartan formula for L_X T, any tensor type.
 
     (L_X T) = X^c d_c T - sum_up T^{..c..} d_c X^a + sum_down T_{..c..} d_b X^c
+
+    Only exact zeros are skipped: T is stenciled only along the axes c
+    where X^c is nonzero somewhere, and the d X terms are dropped when
+    the stencil gradient of X is exactly zero (a constant field such as
+    the suspension Reeb field (1/tau) d_t).  The result is the full sum
+    bit for bit.
     """
     if x.sig != "u":
         raise TensorCalculusError("Lie derivative direction must be a vector field")
     grid = t.grid
     r = len(t.sig)
-    grad_t = gradient(t.data, t.sig, grid)      # [c, slots...]
+    out = _along_field(t, x, lambda c: partial_derivative(t.data, t.sig, grid, c))
     grad_x = gradient(x.data, x.sig, grid)      # [c, a] = d_c X^a
-    gax = [0, 1, 2]
-    slots = list(range(4, 4 + r))
-    out = np.einsum(grad_t, gax + [3] + slots, x.data, gax + [3], gax + slots)
-    for s, kind in enumerate(t.sig):
-        t_subs = gax + slots[:s] + [3] + slots[s + 1:]
-        if kind == "u":
-            out -= np.einsum(t.data, t_subs, grad_x, gax + [3, slots[s]], gax + slots)
-        else:
-            out += np.einsum(t.data, t_subs, grad_x, gax + [slots[s], 3], gax + slots)
+    if np.any(grad_x):
+        gax = [0, 1, 2]
+        slots = list(range(4, 4 + r))
+        for s, kind in enumerate(t.sig):
+            t_subs = gax + slots[:s] + [3] + slots[s + 1:]
+            if kind == "u":
+                out -= np.einsum(t.data, t_subs, grad_x, gax + [3, slots[s]], gax + slots)
+            else:
+                out += np.einsum(t.data, t_subs, grad_x, gax + [slots[s], 3], gax + slots)
     return TensorField(grid, out, t.sig, t.frame)
+
+
+def _along_field(t: TensorField, x: TensorField, term) -> np.ndarray:
+    """sum_c X^c term(c) over the axes c where X^c is nonzero somewhere.
+
+    The sum runs in axis order, as the contraction of the stacked terms
+    does, so skipping the identically zero components changes no bit.
+    """
+    out = None
+    for c in range(3):
+        xc = x.data[..., c]
+        if not np.any(xc):
+            continue
+        d = term(c)
+        d *= xc.reshape(xc.shape + (1,) * len(t.sig))
+        if out is None:
+            out = d
+        else:
+            out += d
+    return np.zeros(t.data.shape) if out is None else out
 
 
 def lie_bracket(x: TensorField, y: TensorField) -> TensorField:
@@ -224,23 +250,36 @@ def christoffel(g: TensorField) -> Connection:
 
 def covariant_derivative(t: TensorField, conn: Connection,
                          x: TensorField | None = None) -> TensorField:
-    """nabla T, with a new leading covariant slot; contracted with X if given."""
+    """nabla T, with a new leading covariant slot; contracted with X if given.
+
+    Each axis a contributes d_a T + Gamma-terms, formed from the slice
+    Gamma^k_{a j}.  With X given, nabla_X T = sum_a X^a (d_a T + ...) is
+    accumulated only over the axes where X^a is nonzero somewhere, and
+    the rank+1 array nabla T is never built; the result is the full
+    contraction bit for bit.
+    """
     grid = t.grid
-    r = len(t.sig)
     gamma = conn.christoffel
-    out = gradient(t.data, t.sig, grid)             # [a, slots...]
     gax = [0, 1, 2]
-    slots = list(range(5, 5 + r))
-    for s, kind in enumerate(t.sig):
-        t_subs = gax + slots[:s] + [4] + slots[s + 1:]
-        if kind == "u":
-            out += np.einsum(gamma, gax + [slots[s], 3, 4], t.data, t_subs, gax + [3] + slots)
-        else:
-            out -= np.einsum(gamma, gax + [4, 3, slots[s]], t.data, t_subs, gax + [3] + slots)
-    if x is None:
-        return TensorField(grid, out, "d" + t.sig, t.frame)
-    contracted = np.einsum(out, gax + [3] + slots, x.data, gax + [3], gax + slots)
-    return TensorField(grid, contracted, t.sig, t.frame)
+    slots = list(range(4, 4 + len(t.sig)))
+
+    def along(a):
+        d = partial_derivative(t.data, t.sig, grid, a)
+        gamma_a = gamma[..., :, a, :]                # Gamma^k_{a j}
+        for s, kind in enumerate(t.sig):
+            t_subs = gax + slots[:s] + [3] + slots[s + 1:]
+            if kind == "u":
+                d += np.einsum(gamma_a, gax + [slots[s], 3], t.data, t_subs, gax + slots)
+            else:
+                d -= np.einsum(gamma_a, gax + [3, slots[s]], t.data, t_subs, gax + slots)
+        return d
+
+    if x is not None:
+        return TensorField(grid, _along_field(t, x, along), t.sig, t.frame)
+    out = np.empty(t.data.shape[:3] + (3,) + t.data.shape[3:])
+    for a in range(3):
+        out[:, :, :, a] = along(a)
+    return TensorField(grid, out, "d" + t.sig, t.frame)
 
 
 # -- Hodge star -----------------------------------------------------------
@@ -309,7 +348,7 @@ def _align_eigenvector_field(vec: np.ndarray) -> np.ndarray:
 
 
 def symmetric_eigen(a: TensorField, g: np.ndarray, tol: float = 1e-6,
-                    degenerate_gap: float = 1e-6):
+                    degenerate_gap: float = 1e-6, ginv: np.ndarray | None = None):
     """Eigen-data of a pointwise g-self-adjoint operator field.
 
     Returns (eigenvalues, eigenvectors, aligned): eigenvalues sorted
@@ -323,7 +362,8 @@ def symmetric_eigen(a: TensorField, g: np.ndarray, tol: float = 1e-6,
     Matrix Computations, sec. 8.7): with g = C C^T, the g-self-adjoint
     operator is similar to the symmetric B = C^T a C^{-T}, and B u = w u
     gives the eigenvectors C^{-T} u.  C^{-T} = g^{-1} C needs no
-    triangular solve.  Self-adjointness is checked on B.
+    triangular solve; ginv, when given, is used instead of inverting g
+    again.  Self-adjointness is checked on B.
     """
     if a.sig != "ud":
         raise TensorCalculusError("symmetric_eigen expects an operator (1,1) field")
@@ -331,7 +371,9 @@ def symmetric_eigen(a: TensorField, g: np.ndarray, tol: float = 1e-6,
         c = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         raise TensorCalculusError("matrix field is not positive definite") from None
-    c_inv_t = inverse_metric(g) @ c
+    if ginv is None:
+        ginv = inverse_metric(g)
+    c_inv_t = ginv @ c
     b = np.swapaxes(c, -1, -2) @ a.data @ c_inv_t
     asym = np.max(np.abs(b - np.swapaxes(b, -1, -2)))
     scale = max(1.0, float(np.max(np.abs(b))))

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+import coskit as ck
 from coskit import cli
 
 
@@ -194,3 +196,35 @@ def test_grid_model_monodromy_conflict():
            "grid": {"n_torus": 16, "n_fiber": 16, "monodromy": [1, 0, 0, 1]}}
     with pytest.raises(cli.ConfigError):
         cli.run(cfg)
+
+
+def test_sweep_verify_small_area_at_floor(tmp_path):
+    # at V = 0.5 the roundoff of the critical metric's EL residual reaches
+    # 2.4e-11 at 64^3, above an absolute 1e-11 floor; the floor scales with
+    # the run's own roundoff scale, so the sweep reports machine_floor
+    cfg = write_cfg(tmp_path, {
+        "experiment": "verify",
+        "model": {"model": "hyperbolic", "matrix": [2, 1, 1, 1], "V": 0.5},
+        "resolutions": [16, 32, 64]})
+    rc = cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    for name in ("euler_lagrange_supnorm", "nabla_r_h_supnorm"):
+        assert report["fits"][name]["status"] == "machine_floor"
+    assert max(report["fits"]["euler_lagrange_supnorm"]["errors"]) > 1e-11
+
+
+def test_sweep_floor_is_pinned_multiple_of_roundoff_scale():
+    # c = 4: the critical metrics' EL and nabla_R h residuals sit at 0.09 to
+    # 0.53 roundoff scales over gluings, tau in [0.5, 2] and V in [0.5, 2]
+    assert cli._FLOOR_FACTOR == 4.0
+    model = ck.build_hyperbolic_model([[2, 1], [1, 1]], tau=0.5, area=0.5)
+    _, metric = ck.critical_metric(model, ck.Grid(16, 16, model.matrix))
+    g = metric.g.data
+    expected = np.finfo(float).eps * np.max(np.abs(g)) * np.max(np.abs(metric.ginv)) \
+        * (1.0 / 0.5) ** 2 * 16 ** 2
+    assert cli._roundoff_scale(metric) == pytest.approx(expected, rel=1e-12)
+    report = cli.run({"experiment": "verify",
+                      "model": {"model": "hyperbolic", "matrix": [2, 1, 1, 1]},
+                      "grid": {"n_torus": 16}})
+    assert not any(k.startswith("_") for k in report)

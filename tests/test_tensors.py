@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import coskit as ck
+from coskit import tensors
 from coskit.grids import Grid
 from coskit.tensors import TensorField, TensorCalculusError, christoffel, \
     covariant_derivative, exterior_derivative, frame_matrix, hodge_star, \
@@ -194,6 +195,100 @@ def test_covariant_derivative_linear_in_direction(crit32):
     assert sup(dc - da - 2.0 * db) < 1e-12
 
 
+# -- restriction to the direction's nonzero axes ---------------------------------
+# the kernels skip only exact zeros, so along any direction they must equal
+# the full-gradient contraction bit for bit; the references below are that
+# formula, stacking all three partials and contracting with einsum
+
+
+def lie_reference(t, x):
+    grad_t = tensors.gradient(t.data, t.sig, t.grid)
+    grad_x = tensors.gradient(x.data, x.sig, t.grid)
+    gax, slots = [0, 1, 2], list(range(4, 4 + len(t.sig)))
+    out = np.einsum(grad_t, gax + [3] + slots, x.data, gax + [3], gax + slots)
+    for s, kind in enumerate(t.sig):
+        t_subs = gax + slots[:s] + [3] + slots[s + 1:]
+        if kind == "u":
+            out -= np.einsum(t.data, t_subs, grad_x, gax + [3, slots[s]], gax + slots)
+        else:
+            out += np.einsum(t.data, t_subs, grad_x, gax + [slots[s], 3], gax + slots)
+    return out
+
+
+def covariant_reference(t, conn, x):
+    gamma = conn.christoffel
+    out = tensors.gradient(t.data, t.sig, t.grid)
+    gax, slots = [0, 1, 2], list(range(5, 5 + len(t.sig)))
+    for s, kind in enumerate(t.sig):
+        t_subs = gax + slots[:s] + [4] + slots[s + 1:]
+        if kind == "u":
+            out += np.einsum(gamma, gax + [slots[s], 3, 4], t.data, t_subs, gax + [3] + slots)
+        else:
+            out -= np.einsum(gamma, gax + [4, 3, slots[s]], t.data, t_subs, gax + [3] + slots)
+    return np.einsum(out, gax + [3] + slots, x.data, gax + [3], gax + slots)
+
+
+RESTRICTION_GLUINGS = {"L0": [[2, 1], [1, 1]], "L1": [[-2, 1], [1, -1]], "L2": [[3, 1], [2, 1]]}
+
+
+@pytest.fixture(scope="module", params=[f"{name}-{kind}" for name in RESTRICTION_GLUINGS
+                                        for kind in ("critical", "deformed")]
+                + ["contact", "sol"])
+def reeb_case(request):
+    """A compatible metric per chart: suspension charts, contact testbed, Sol box."""
+    if request.param == "contact":
+        return ck.contact_t3_testbed(1, Grid(16, 16))[1]
+    if request.param == "sol":
+        return ck.sol_model(1.0, ck.sol_box_grid(8, 24))[1]
+    name, kind = request.param.split("-")
+    model = ck.build_hyperbolic_model(RESTRICTION_GLUINGS[name], tau=0.7, area=2.0)
+    grid = Grid(16, 16, model.matrix)
+    if kind == "critical":
+        return ck.critical_metric(model, grid)[1]
+    chart = va.deformation_chart(model, grid)
+    return va.deform(chart, va.random_deformation(grid, seed=5, amplitude=0.25))
+
+
+def test_reeb_kernels_bit_identical_to_full_gradient(reeb_case):
+    metric = reeb_case
+    reeb = metric.structure.reeb
+    lg = lie_derivative(metric.g, reeb)
+    assert np.all(lg.data == lie_reference(metric.g, reeb))
+    assert np.all(lie_derivative(metric.phi, reeb).data == lie_reference(metric.phi, reeb))
+    nabla = covariant_derivative(lg, metric.connection, reeb)
+    assert np.all(nabla.data == covariant_reference(lg, metric.connection, reeb))
+
+
+@pytest.mark.parametrize("chart, calls", [("suspension", 1), ("contact", 2), ("tilted", 3)])
+def test_reeb_kernels_stencil_only_nonzero_axes(monkeypatch, chart, calls):
+    # (1/tau) d_t on a suspension, cos d_x + sin d_y on the contact testbed,
+    # and the contact R tilted by d_t: one, two and three nonzero axes
+    if chart == "suspension":
+        model = ck.build_hyperbolic_model([[2, 1], [1, 1]])
+        metric = ck.critical_metric(model, Grid(16, 16, model.matrix))[1]
+    else:
+        metric = ck.contact_t3_testbed(1, Grid(16, 16))[1]
+    reeb = metric.structure.reeb
+    if chart == "tilted":
+        reeb = TensorField(reeb.grid, reeb.data + np.array([1.0, 0.0, 0.0]), "u")
+    lg = lie_derivative(metric.g, reeb)
+    conn = metric.connection
+    seen = []
+
+    def counting(data, *args):
+        seen.append(data)
+        return ck.partial_derivative(data, *args)
+
+    monkeypatch.setattr(tensors, "partial_derivative", counting)
+    lie_derivative(metric.g, reeb)
+    assert sum(d is metric.g.data for d in seen) == calls
+    seen.clear()
+    covariant_derivative(lg, conn, reeb)
+    assert sum(d is lg.data for d in seen) == calls
+
+
+
+
 # -- Hodge star ---------------------------------------------------------------
 
 
@@ -312,6 +407,15 @@ def test_symmetric_eigen_matches_sqrtm_reduction(crit16_gluing):
     bad[..., 0, 1] += 1e-3
     with pytest.raises(TensorCalculusError):
         symmetric_eigen(TensorField(metric.grid, bad, "ud"), g)
+
+
+
+def test_symmetric_eigen_given_ginv_identical(crit16_gluing):
+    _, metric = crit16_gluing
+    h, g = metric.h_tensor(), metric.g.data
+    w, v, aligned = symmetric_eigen(h, g)
+    w_i, v_i, aligned_i = symmetric_eigen(h, g, ginv=metric.ginv)
+    assert np.array_equal(w, w_i) and np.array_equal(v, v_i) and aligned == aligned_i
 
 
 # -- closed-form pointwise 3x3 algebra -----------------------------------------
