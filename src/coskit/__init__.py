@@ -6,8 +6,7 @@ energy functional and its Euler-Lagrange residual, runs the suspension
 flow exactly, and minimizes the energy over compatible deformations.
 """
 
-from .grids import Grid, GridError, grid_from_config, integrate, partial_derivative, \
-    seam_transport, shift
+from .grids import Grid, GridError, integrate, partial_derivative, seam_transport, shift
 from .tensors import Connection, TensorCalculusError, TensorField, christoffel, \
     covariant_derivative, exterior_derivative, hodge_star, lie_bracket, \
     lie_derivative, nijenhuis, symmetric_eigen, tensor_norm2

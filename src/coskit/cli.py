@@ -4,7 +4,8 @@ Usage:
     coskit run   --config experiment.json [--out DIR] [--seed N]
     coskit sweep --config experiment.json [--out DIR] [--seed N]
 
-The config is strict JSON; unknown keys anywhere are rejected with a
+The config is strict JSON, resolved against one table (CONFIG_SCHEMA):
+unknown keys and values of the wrong kind anywhere are rejected with a
 full list of violations before any computation starts.  Reports are
 deterministic for a fixed (config, seed) pair: the JSON body contains
 no timings (those go to a sibling timings.json) and all floats pass
@@ -33,13 +34,12 @@ SCHEMA = "coskit-report/1"
 EXPERIMENTS = ("verify", "energy", "optimize", "lyapunov", "betti",
                "first_variation", "gap_identity")
 
-_TOP_KEYS = {"experiment", "model", "grid", "seed", "out", "tolerances",
-             "dynamics", "deformation", "optimizer", "resolutions"}
-_MODEL_KEYS = {"model", "matrix", "tau", "V", "mu", "n"}
-_GRID_KEYS = {"n_torus", "n_fiber", "monodromy"}
-_DYNAMICS_KEYS = {"horizon", "seeds"}
-_DEFORMATION_KEYS = {"seed", "amplitude", "count"}
-_OPTIMIZER_KEYS = {"steps", "tolerance"}
+# the experiments a convergence sweep runs, and the scalars it fits
+_SWEEP_METRICS = {
+    "verify": ("euler_lagrange_supnorm", "nabla_r_h_supnorm", "torsion_constancy"),
+    "energy": ("relative_error", "torsion_constancy"),
+    "lyapunov": ("max_error",),
+}
 
 
 class ConfigError(ValueError):
@@ -48,83 +48,149 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-def validate_config(cfg: dict) -> list[str]:
-    bad = []
+# -- config schema ----------------------------------------------------------------
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    # the comparison is False for NaN and exact for ints too large for a float
+    return (_is_integer(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(_is_integer, value))
+
+
+def _choice(*options: str) -> tuple:
+    return str, (f"one of {options}", lambda v: isinstance(v, str) and v in options)
+
+
+# a kind: the conversion to the value the runners read, then the checks a
+# given value must pass in turn, each named by what it asks ("<key> must
+# be <name>, got <value>" reports the first one failed)
+INTEGER = (int, ("an integer", _is_integer))
+COUNT = (int, ("an integer", _is_integer), ("positive", lambda v: v > 0))
+REAL = (float, ("a finite real number", _is_real))
+NONNEGATIVE = (float, ("a finite real number", _is_real), ("non-negative", lambda v: v >= 0))
+STRING = (str, ("a string", lambda v: isinstance(v, str)))
+MATRIX = (lambda v: np.asarray(v, dtype=np.int64).reshape(2, 2),
+          ("4 integers, row-major", lambda v: _is_int_list(v) and len(v) == 4))
+RESOLUTIONS = (list, ("at least 3 integers", lambda v: _is_int_list(v) and len(v) >= 3),
+               ("strictly increasing", lambda v: all(a < b for a, b in zip(v, v[1:]))))
+
+
+class SameAs(str):
+    """A default that is the resolved value of the key named, an earlier row."""
+
+
+_BUILT = tuple(e for e in EXPERIMENTS if e != "betti")
+_DEFORMED = ("optimize", "first_variation", "gap_identity")
+
+# dotted key: (kind, default, the experiments that read it), in resolution
+# order.  A default is a value; SameAs(key); {experiment: value, "*": value
+# for the others}; or None for a required key.  Domain rules that a
+# constructor enforces with a named error class (Grid's N >= 5, det and
+# trace of L, tau, V > 0, mu != 0, winding != 0, a horizon of at least one
+# period) are left to it.
+CONFIG_SCHEMA = {
+    "experiment": (_choice(*EXPERIMENTS), None, EXPERIMENTS),
+    "seed": (INTEGER, 0, EXPERIMENTS),
+    "out": (STRING, "coskit_out", EXPERIMENTS),
+    "resolutions": (RESOLUTIONS, [16, 32, 64], tuple(_SWEEP_METRICS)),
+    "model.model": (_choice("hyperbolic", "flat_cokahler", "contact_t3", "sol"),
+                    "hyperbolic", _BUILT),
+    "model.matrix": (MATRIX, [2, 1, 1, 1], EXPERIMENTS),
+    "model.tau": (REAL, 1.0, _BUILT),
+    "model.V": (REAL, 1.0, _BUILT),
+    "model.mu": (REAL, 1.0, _BUILT),
+    "model.n": (INTEGER, 1, _BUILT),
+    "grid.n_torus": (INTEGER, 32, _BUILT),
+    "grid.n_fiber": (INTEGER, SameAs("grid.n_torus"), _BUILT),
+    "grid.monodromy": (MATRIX, SameAs("model.matrix"), _BUILT),
+    "dynamics.horizon": (REAL, 50.0, ("lyapunov",)),
+    "dynamics.seeds": (COUNT, 10, ("lyapunov",)),
+    "deformation.seed": (INTEGER, SameAs("seed"), _DEFORMED),
+    "deformation.amplitude": (REAL, {"first_variation": 0.1, "*": 0.3}, _DEFORMED),
+    "deformation.count": (COUNT, {"first_variation": 10, "*": 20},
+                          ("first_variation", "gap_identity")),
+    "optimizer.steps": (COUNT, 1500, ("optimize",)),
+    "optimizer.tolerance": (NONNEGATIVE, 0.0, ("optimize",)),
+    "tolerances.exact": (NONNEGATIVE, 1e-8, ("verify",)),
+    "tolerances.fd_scale": (NONNEGATIVE, 10.0, ("verify",)),
+    "tolerances.energy_rel": (NONNEGATIVE, 1e-6, ("energy",)),
+    "tolerances.lyapunov_abs": (NONNEGATIVE, 1e-9, ("lyapunov",)),
+    "tolerances.lyapunov_sum": (NONNEGATIVE, 1e-12, ("lyapunov",)),
+    "tolerances.first_variation_rel": (NONNEGATIVE, 1e-3, ("first_variation",)),
+    "tolerances.gap_rel": (NONNEGATIVE, 1e-6, ("gap_identity",)),
+}
+
+_SECTIONS = {key.split(".")[0] for key in CONFIG_SCHEMA if "." in key}
+
+
+def resolve_config(cfg, seed: int | None = None) -> dict:
+    """The values the configured experiment reads, by dotted key, defaults filled in.
+
+    Every key of ``cfg`` is checked against CONFIG_SCHEMA, whichever experiment reads it,
+    and ConfigError lists every violation.  A given ``seed`` replaces the config's, once checked.
+    """
     if not isinstance(cfg, dict):
-        return ["config root must be a JSON object"]
-    bad += [f"unknown key {k!r}" for k in sorted(set(cfg) - _TOP_KEYS)]
-    if "experiment" not in cfg:
-        bad.append("missing key 'experiment'")
-    elif cfg["experiment"] not in EXPERIMENTS:
-        bad.append(f"unknown experiment {cfg['experiment']!r}; one of {EXPERIMENTS}")
-    for section, keys in (("model", _MODEL_KEYS), ("grid", _GRID_KEYS),
-                          ("dynamics", _DYNAMICS_KEYS),
-                          ("deformation", _DEFORMATION_KEYS),
-                          ("optimizer", _OPTIMIZER_KEYS)):
-        sub = cfg.get(section, {})
-        if not isinstance(sub, dict):
-            bad.append(f"section {section!r} must be an object")
-            continue
-        bad += [f"unknown key {section}.{k}" for k in sorted(set(sub) - keys)]
-    model = cfg.get("model", {})
-    if isinstance(model, dict):
-        kind = model.get("model", "hyperbolic")
-        if kind not in ("hyperbolic", "flat_cokahler", "contact_t3", "sol"):
-            bad.append(f"unknown model kind {kind!r}")
-        if kind == "hyperbolic" and "matrix" in model and len(model["matrix"]) != 4:
-            bad.append("model.matrix must be 4 integers, row-major")
-    if "resolutions" in cfg:
-        res = cfg["resolutions"]
-        if not isinstance(res, list) or len(res) < 3:
-            bad.append("resolutions must list at least 3 grid sizes")
-    return bad
+        raise ConfigError(["config root must be a JSON object"])
+    given, bad = {}, []
+    for name, value in cfg.items():
+        if name not in _SECTIONS:
+            given[name] = value
+        elif isinstance(value, dict):
+            given.update((f"{name}.{key}", v) for key, v in value.items())
+        else:
+            bad.append(f"section {name!r} must be an object")
+    bad += [f"unknown key {key!r}" for key in given if key not in CONFIG_SCHEMA]
+    values = {}
+    for key, ((convert, *checks), default, _) in CONFIG_SCHEMA.items():
+        if key in given:
+            unmet = next((name for name, test in checks if not test(given[key])), None)
+            if unmet is None:
+                values[key] = convert(given[key])
+            else:
+                bad.append(f"{key} must be {unmet}, got {given[key]!r}")
+        elif isinstance(default, SameAs):
+            values[key] = values.get(default)       # None if that key is bad
+        elif isinstance(default, dict):
+            values[key] = convert(default.get(values.get("experiment"), default["*"]))
+        elif default is None:
+            bad.append(f"missing key {key!r}")
+        else:
+            values[key] = convert(default)
+        if key == "seed" and seed is not None:
+            values[key] = seed
+    if bad:
+        raise ConfigError(bad)
+    return {key: values[key] for key, (_, _, readers) in CONFIG_SCHEMA.items()
+            if values["experiment"] in readers}
 
 
-def _int_value(section: dict, key: str, default: int, name: str) -> int:
-    """section[key] (or default) as an int; ConfigError naming the key otherwise."""
-    value = section.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError([f"{name} must be an integer, got {value!r}"]) from None
-
-
-def _build(cfg: dict):
-    """Returns (kind, model_or_none, structure, metric) for the configured chart."""
-    mcfg = dict(cfg.get("model", {}))
-    kind = mcfg.get("model", "hyperbolic")
-    gcfg = cfg.get("grid", {})
-    n_torus = _int_value(gcfg, "n_torus", 32, "grid.n_torus")
-    n_fiber = _int_value(gcfg, "n_fiber", n_torus, "grid.n_fiber")
+def _build(p: dict):
+    """(kind, model or None, structure, metric) for the chart of the resolved config p."""
+    kind, n_torus, n_fiber = p["model.model"], p["grid.n_torus"], p["grid.n_fiber"]
     if kind == "hyperbolic":
-        matrix = np.asarray(mcfg.get("matrix", [2, 1, 1, 1]), dtype=np.int64).reshape(2, 2)
-        model = build_hyperbolic_model(matrix, float(mcfg.get("tau", 1.0)),
-                                       float(mcfg.get("V", 1.0)))
-        if "monodromy" in gcfg and not np.array_equal(
-                np.asarray(gcfg["monodromy"]).reshape(2, 2), matrix):
+        matrix = p["model.matrix"]
+        if not np.array_equal(p["grid.monodromy"], matrix):
             raise ConfigError(["grid.monodromy conflicts with model.matrix"])
-        grid = Grid(n_torus, n_fiber, matrix)
-        structure, metric = critical_metric(model, grid)
+        model = build_hyperbolic_model(matrix, p["model.tau"], p["model.V"])
+        structure, metric = critical_metric(model, Grid(n_torus, n_fiber, matrix))
         return kind, model, structure, metric
     if kind == "flat_cokahler":
         structure, metric = flat_cokahler(Grid(n_torus, n_fiber))
-        return kind, None, structure, metric
-    if kind == "contact_t3":
-        structure, metric = contact_t3_testbed(_int_value(mcfg, "n", 1, "model.n"),
-                                               Grid(n_torus, n_fiber))
-        return kind, None, structure, metric
-    if kind == "sol":
-        structure, metric = sol_model(float(mcfg.get("mu", 1.0)),
-                                      sol_box_grid(n_torus, n_fiber))
-        return kind, None, structure, metric
-    raise ConfigError([f"unknown model kind {kind!r}"])
+    elif kind == "contact_t3":
+        structure, metric = contact_t3_testbed(p["model.n"], Grid(n_torus, n_fiber))
+    else:
+        structure, metric = sol_model(p["model.mu"], sol_box_grid(n_torus, n_fiber))
+    return kind, None, structure, metric
 
 
-def _tol(cfg, name, default):
-    return float(cfg.get("tolerances", {}).get(name, default))
-
-
-def _roundoff_scale(metric) -> float:
+def _roundoff_scale(metric, ginv_max: float) -> float:
     """eps max|g| max|g^-1| max|R|^2 / h^2, h the finest grid spacing.
 
     The size of float roundoff in a second Reeb derivative of the metric
@@ -132,21 +198,32 @@ def _roundoff_scale(metric) -> float:
     rounding errors of size eps max|g| in the coordinate components are
     weighed by g^-1 and divided twice by the stencil step along R.
     Carried in runner bodies for the convergence sweep's floor; run()
-    leaves it out of report.json.
+    leaves it out of report.json.  ``ginv_max`` is max|g^-1|.
     """
     reeb = np.max(np.abs(metric.structure.reeb.data))
     return float(np.finfo(float).eps * np.max(np.abs(metric.g.data))
-                 * np.max(np.abs(metric.ginv)) * reeb ** 2 / min(metric.grid.spacing) ** 2)
+                 * ginv_max * reeb ** 2 / min(metric.grid.spacing) ** 2)
 
 
 # -- experiments ---------------------------------------------------------------
 
+# the algebraic certificate entries of critical metrics sit at up to
+# 2.9 eps max|g|^2 max|g^-1| over 400 random hyperbolic gluings with
+# entries up to 28, tau = 1 and V in {0.5, 1}
+_CERT_FACTOR = 16.0
 
-def _run_verify(cfg, seed):
-    kind, model, structure, metric = _build(cfg)
+
+def _run_verify(p):
+    kind, model, structure, metric = _build(p)
     h = structure.grid.spacing[0]
-    tol_exact = _tol(cfg, "exact", 1e-8)
-    tol_fd = _tol(cfg, "fd_scale", 10.0) * h ** 4
+    ginv_max = np.max(np.abs(metric.ginv))
+    tol_exact = p["tolerances.exact"]
+    # the pointwise identities multiply g, g^-1 and g again: their roundoff
+    # grows like eps max|g|^2 max|g^-1| and on an ill-conditioned metric
+    # exceeds an absolute tol_exact
+    tol_cert = max(tol_exact, _CERT_FACTOR * np.finfo(float).eps
+                   * np.max(np.abs(metric.g.data)) ** 2 * ginv_max)
+    tol_fd = p["tolerances.fd_scale"] * h ** 4
     residuals = dict(metric.certificate)
     residuals.update({f"structure.{k}": v for k, v in structure.residuals().items()})
     scalars = {}
@@ -161,7 +238,7 @@ def _run_verify(cfg, seed):
         scalars.update({f"sol_bracket.{k}": v for k, v in
                         dynamics.sol_bracket_residuals(structure.grid).items()})
     exact_bad = [k for k in ALGEBRAIC_CERT_KEYS
-                 if k in residuals and residuals[k] > tol_exact]
+                 if k in residuals and residuals[k] > tol_cert]
     fd_bad = [k for k, v in residuals.items()
               if k not in ALGEBRAIC_CERT_KEYS and v > max(tol_fd, tol_exact)]
     failures = [f"residual {k} above tolerance" for k in exact_bad + fd_bad]
@@ -170,23 +247,23 @@ def _run_verify(cfg, seed):
         if scalars["euler_lagrange_supnorm"] > 1e-4 * mu2:
             failures.append("euler_lagrange_supnorm above 1e-4 * mu^2")
     return {"residuals": residuals, "scalars": scalars, "failures": failures,
-            "_roundoff_scale": _roundoff_scale(metric)}
+            "_roundoff_scale": _roundoff_scale(metric, ginv_max)}
 
 
-def _run_energy(cfg, seed):
-    kind, model, structure, metric = _build(cfg)
+def _run_energy(p):
+    kind, model, structure, metric = _build(p)
     rep = variational.torsion_report(metric)
     out = {"scalars": {"energy": rep.energy,
                        "torsion_mean": float(np.mean(rep.torsion_field)),
                        "torsion_constancy": rep.constancy if rep.energy > 0 else 0.0,
                        "first_integral_residual": rep.first_integral_residual},
-           "failures": [], "_roundoff_scale": _roundoff_scale(metric)}
+           "failures": [], "_roundoff_scale": _roundoff_scale(metric, np.max(np.abs(metric.ginv)))}
     if kind == "hyperbolic":
         expected = 8.0 * model.area * model.log_lambda ** 2 / model.tau
         rel = abs(rep.energy - expected) / expected
         out["scalars"]["expected_energy"] = expected
         out["scalars"]["relative_error"] = rel
-        if rel > _tol(cfg, "energy_rel", 1e-6):
+        if rel > p["tolerances.energy_rel"]:
             out["failures"].append("energy relative error above tolerance")
     elif kind == "flat_cokahler":
         out["scalars"]["expected_energy"] = 0.0
@@ -195,38 +272,35 @@ def _run_energy(cfg, seed):
     return out
 
 
-def _run_lyapunov(cfg, seed):
-    dcfg = cfg.get("dynamics", {})
-    n_seeds = _int_value(dcfg, "seeds", 10, "dynamics.seeds")
-    kind, model, structure, metric = _build(cfg)
+def _run_lyapunov(p):
+    kind, model, structure, metric = _build(p)
     if kind != "hyperbolic":
         return {"scalars": {"exponents": [0.0, 0.0, 0.0]}, "failures": []}
-    horizon = float(dcfg.get("horizon", 50.0)) * model.tau
-    rng = np.random.default_rng(seed)
+    horizon = p["dynamics.horizon"] * model.tau
+    rng = np.random.default_rng(p["seed"])
     mu = model.mu
     rows, worst, spread = [], 0.0, 0.0
     base = dynamics.lyapunov_exponents(model, horizon=horizon)
-    for _ in range(n_seeds):
-        p = rng.random(3)
-        ly = dynamics.lyapunov_exponents(model, p, horizon=horizon)
+    for _ in range(p["dynamics.seeds"]):
+        point = rng.random(3)
+        ly = dynamics.lyapunov_exponents(model, point, horizon=horizon)
         rows.append([float(v) for v in ly])
         worst = max(worst, float(np.max(np.abs(ly - np.array([mu, 0.0, -mu])))))
         spread = max(spread, float(np.max(np.abs(ly - base))))
     sum_abs = max(abs(sum(r)) for r in rows)
     failures = []
-    if worst > _tol(cfg, "lyapunov_abs", 1e-9):
+    if worst > p["tolerances.lyapunov_abs"]:
         failures.append("lyapunov exponent error above tolerance")
-    if sum_abs > _tol(cfg, "lyapunov_sum", 1e-12):
+    if sum_abs > p["tolerances.lyapunov_sum"]:
         failures.append("lyapunov sum not zero")
     return {"scalars": {"mu": mu, "max_error": worst, "max_sum": sum_abs,
                         "base_point_spread": spread},
             "tables": {"exponents": rows}, "failures": failures,
-            "_roundoff_scale": _roundoff_scale(metric)}
+            "_roundoff_scale": _roundoff_scale(metric, np.max(np.abs(metric.ginv)))}
 
 
-def _run_betti(cfg, seed):
-    mcfg = cfg.get("model", {})
-    matrix = np.asarray(mcfg.get("matrix", [2, 1, 1, 1]), dtype=np.int64).reshape(2, 2)
+def _run_betti(p):
+    matrix = p["model.matrix"]
     betti = topology.betti_numbers_mapping_torus(matrix)
     verdict = topology.critical_metric_obstruction(matrix)
     return {"scalars": {"b0": betti[0], "b1": betti[1], "b2": betti[2], "b3": betti[3],
@@ -236,23 +310,20 @@ def _run_betti(cfg, seed):
             "failures": []}
 
 
-def _run_first_variation(cfg, seed):
-    dcfg = cfg.get("deformation", {})
-    count = _int_value(dcfg, "count", 10, "deformation.count")
-    rng = np.random.default_rng(_int_value(dcfg, "seed", seed, "deformation.seed"))
-    kind, model, structure, metric = _build(cfg)
-    amplitude = float(dcfg.get("amplitude", 0.1))
+def _run_first_variation(p):
+    rng = np.random.default_rng(p["deformation.seed"])
+    kind, model, structure, metric = _build(p)
     if kind == "hyperbolic":
         chart = variational.deformation_chart(model, structure.grid)
         base = variational.deform(
-            chart, variational.random_deformation(structure.grid, seed, amplitude=0.25))
+            chart, variational.random_deformation(structure.grid, p["seed"], amplitude=0.25))
     else:
         h0 = variational.random_tangent(metric, rng, 0.3)
         base = variational.exponential_curve(metric, h0, 1.0)
     step = 2e-3
     rows, worst = [], 0.0
-    for _ in range(count):
-        h = variational.random_tangent(base, rng, amplitude, model=model)
+    for _ in range(p["deformation.count"]):
+        h = variational.random_tangent(base, rng, p["deformation.amplitude"], model=model)
         fv = variational.first_variation(base, h)
         fd = (variational.energy(variational.exponential_curve(base, h, step))
               - variational.energy(variational.exponential_curve(base, h, -step))) / (2 * step)
@@ -260,12 +331,12 @@ def _run_first_variation(cfg, seed):
         rows.append([fv, fd, rel])
         worst = max(worst, rel)
     failures = []
-    if worst > _tol(cfg, "first_variation_rel", 1e-3):
+    if worst > p["tolerances.first_variation_rel"]:
         failures.append("first variation does not match centered differences")
     out = {"scalars": {"max_relative_error": worst},
            "tables": {"formula_fd_rel": rows}, "failures": failures}
     if kind == "hyperbolic":
-        h = variational.random_tangent(metric, rng, amplitude, model=model)
+        h = variational.random_tangent(metric, rng, p["deformation.amplitude"], model=model)
         crit_val = abs(variational.first_variation(metric, h))
         e0 = variational.energy(metric)
         out["scalars"]["critical_point_value"] = crit_val
@@ -274,19 +345,16 @@ def _run_first_variation(cfg, seed):
     return out
 
 
-def _run_gap_identity(cfg, seed):
-    dcfg = cfg.get("deformation", {})
-    count = _int_value(dcfg, "count", 20, "deformation.count")
-    base_seed = _int_value(dcfg, "seed", seed, "deformation.seed")
-    kind, model, structure, metric = _build(cfg)
-    if kind != "hyperbolic":
+def _run_gap_identity(p):
+    if p["model.model"] != "hyperbolic":
         raise ConfigError(["gap_identity requires the hyperbolic model"])
-    amplitude = float(dcfg.get("amplitude", 0.3))
+    _, model, structure, metric = _build(p)
     chart = variational.deformation_chart(model, structure.grid)
     e0 = variational.energy(chart.metric)
     rows, worst_gap, min_gap, worst_div = [], 0.0, np.inf, 0.0
-    for k in range(count):
-        d = variational.random_deformation(structure.grid, base_seed + k, amplitude=amplitude)
+    for k in range(p["deformation.count"]):
+        d = variational.random_deformation(structure.grid, p["deformation.seed"] + k,
+                                           amplitude=p["deformation.amplitude"])
         rep = variational.energy_gap(d, chart.mu, structure)
         direct = variational.energy_gap_direct(chart, d)
         rows.append([rep.gap, direct, abs(rep.gap - direct) / e0])
@@ -294,7 +362,7 @@ def _run_gap_identity(cfg, seed):
         min_gap = min(min_gap, rep.gap)
         worst_div = max(worst_div, abs(rep.divergence_residual))
     failures = []
-    if worst_gap > _tol(cfg, "gap_rel", 1e-6):
+    if worst_gap > p["tolerances.gap_rel"]:
         failures.append("gap identity mismatch above tolerance")
     if min_gap < -1e-10:
         failures.append("negative energy gap")
@@ -303,20 +371,15 @@ def _run_gap_identity(cfg, seed):
             "tables": {"gap_direct_rel": rows}, "failures": failures}
 
 
-def _run_optimize(cfg, seed):
-    dcfg = cfg.get("deformation", {})
-    ocfg = cfg.get("optimizer", {})
-    d_seed = _int_value(dcfg, "seed", seed, "deformation.seed")
-    steps = _int_value(ocfg, "steps", 1500, "optimizer.steps")
-    kind, model, structure, metric = _build(cfg)
-    if kind != "hyperbolic":
+def _run_optimize(p):
+    if p["model.model"] != "hyperbolic":
         raise ConfigError(["optimize requires the hyperbolic model"])
+    _, model, structure, metric = _build(p)
     chart = variational.deformation_chart(model, structure.grid)
-    d0 = variational.random_deformation(structure.grid, d_seed,
-                                        amplitude=float(dcfg.get("amplitude", 0.3)))
-    result = variational.minimize_energy(
-        d0, chart.mu, structure, steps=steps,
-        tolerance=float(ocfg.get("tolerance", 0.0)))
+    d0 = variational.random_deformation(structure.grid, p["deformation.seed"],
+                                        amplitude=p["deformation.amplitude"])
+    result = variational.minimize_energy(d0, chart.mu, structure, steps=p["optimizer.steps"],
+                                         tolerance=p["optimizer.tolerance"])
     reduction = result.gap_history[0] / max(result.gap_history[-1], 1e-300)
     failures = []
     if reduction < 1e4:
@@ -348,14 +411,12 @@ _RUNNERS = {
 
 
 def run(cfg: dict, seed: int = 0) -> dict:
-    """Validate, dispatch, and assemble a deterministic report."""
-    violations = validate_config(cfg)
-    if violations:
-        raise ConfigError(violations)
-    body = _RUNNERS[cfg["experiment"]](cfg, seed)
+    """Resolve, dispatch, and assemble a deterministic report."""
+    p = resolve_config(cfg, seed)
+    body = _RUNNERS[p["experiment"]](p)
     report = {
         "schema": SCHEMA,
-        "experiment": cfg["experiment"],
+        "experiment": p["experiment"],
         "config": cfg,
         "seed": seed,
         "pass": not body.get("failures"),
@@ -369,12 +430,6 @@ def run(cfg: dict, seed: int = 0) -> dict:
 # the machine floor is this many roundoff scales; the critical metrics'
 # residuals sit at 0.09 to 0.53 scales over gluings, tau and V
 _FLOOR_FACTOR = 4.0
-
-_SWEEP_METRICS = {
-    "verify": ("euler_lagrange_supnorm", "nabla_r_h_supnorm", "torsion_constancy"),
-    "energy": ("relative_error", "torsion_constancy"),
-    "lyapunov": ("max_error",),
-}
 
 
 def convergence_sweep(cfg: dict, seed: int = 0, scheme_order: float = 4.0,
@@ -390,23 +445,18 @@ def convergence_sweep(cfg: dict, seed: int = 0, scheme_order: float = 4.0,
     roundoff scale (see _roundoff_scale), which grows like 1/h^2 and
     with the conditioning of the metric.
     """
-    violations = validate_config(cfg)
-    if violations:
-        raise ConfigError(violations)
-    resolutions = cfg.get("resolutions", [16, 32, 64])
-    metrics = _SWEEP_METRICS.get(cfg["experiment"])
+    p = resolve_config(cfg, seed)
+    metrics = _SWEEP_METRICS.get(p["experiment"])
     if metrics is None:
-        raise ConfigError([f"no convergence sweep for {cfg['experiment']!r}"])
+        raise ConfigError([f"no convergence sweep for {p['experiment']!r}"])
     table, floors = {}, []
-    for n in resolutions:
-        sub = dict(cfg)
-        sub.pop("resolutions", None)
-        body = _RUNNERS[cfg["experiment"]](sub | {"grid": {"n_torus": n, "n_fiber": n}}, seed)
+    for n in p["resolutions"]:
+        body = _RUNNERS[p["experiment"]](p | {"grid.n_torus": n, "grid.n_fiber": n})
         floors.append(max(floor, _FLOOR_FACTOR * body.get("_roundoff_scale", 0.0)))
         for name in metrics:
             table.setdefault(name, []).append(float(body["scalars"][name]))
     fits, failures = {}, []
-    logh = np.log(1.0 / np.asarray(resolutions, dtype=float))
+    logh = np.log(1.0 / np.asarray(p["resolutions"], dtype=float))
     for name, errs in table.items():
         errs_arr = np.asarray(errs)
         if np.all(errs_arr <= floors):
@@ -423,8 +473,8 @@ def convergence_sweep(cfg: dict, seed: int = 0, scheme_order: float = 4.0,
                       "errors": errs}
         if not ok:
             failures.append(f"{name}: order {order:.2f} / monotone {monotone}")
-    return {"schema": SCHEMA, "experiment": cfg["experiment"] + "_sweep",
-            "config": cfg, "seed": seed, "resolutions": list(resolutions),
+    return {"schema": SCHEMA, "experiment": p["experiment"] + "_sweep",
+            "config": cfg, "seed": seed, "resolutions": p["resolutions"],
             "fits": fits, "failures": failures, "pass": not failures}
 
 
@@ -464,16 +514,12 @@ def write_report(report: dict, out_dir: Path, elapsed: float) -> Path:
 
 
 def _load_config(path: Path) -> dict:
-    """The parsed config file; ConfigError if it cannot be read or its root is
-    not an object, JSONDecodeError (a ValueError) if it is not JSON."""
+    """The parsed config; ConfigError if unreadable, JSONDecodeError if not JSON."""
     try:
         text = path.read_text()
     except OSError as err:
         raise ConfigError([f"{type(err).__name__}: {err}"]) from None
-    cfg = json.loads(text)
-    if not isinstance(cfg, dict):
-        raise ConfigError(validate_config(cfg))
-    return cfg
+    return json.loads(text)
 
 
 def main(argv=None) -> int:
@@ -489,12 +535,9 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else _int_value(cfg, "seed", 0, "seed")
-        out_dir = args.out or Path(cfg.get("out", "coskit_out"))
-        if args.command == "run":
-            report = run(cfg, seed)
-        else:
-            report = convergence_sweep(cfg, seed)
+        params = resolve_config(cfg, args.seed)
+        out_dir = args.out or Path(params["out"])
+        report = (run if args.command == "run" else convergence_sweep)(cfg, params["seed"])
     except ValueError as err:
         # every coskit error class (GridError, NotHyperbolicError, ...) is a ValueError
         if isinstance(err, ConfigError):

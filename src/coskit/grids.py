@@ -131,19 +131,6 @@ class Grid:
                     self.open_t, self.t_min, self.t_extent)
 
 
-def grid_from_config(cfg: dict) -> Grid:
-    """Build a grid from config keys n_torus, n_fiber, monodromy (row-major)."""
-    known = {"n_torus", "n_fiber", "monodromy"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise GridError(f"unknown grid config keys: {sorted(unknown)}")
-    mono = cfg.get("monodromy", [1, 0, 0, 1])
-    if len(mono) != 4:
-        raise GridError("monodromy must be 4 integers, row-major")
-    return Grid(int(cfg["n_torus"]), int(cfg["n_fiber"]),
-                np.asarray(mono, dtype=np.int64).reshape(2, 2))
-
-
 # -- exact monodromy algebra and slot transport ---------------------------
 
 def _int_matmul(a, b) -> list[list[int]]:

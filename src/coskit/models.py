@@ -96,8 +96,9 @@ class HyperbolicModel:
 def build_hyperbolic_model(matrix, tau: float = 1.0, area: float = 1.0) -> HyperbolicModel:
     """Validate and diagonalize an SL(2,Z) gluing matrix.
 
-    Rejects det != 1 and |trace| <= 2; chooses the eigenvalue with
-    |lambda| > 1 and normalizes the eigenvectors per the module rules.
+    Rejects det != 1, |trace| <= 2, and tau or V not positive and finite;
+    chooses the eigenvalue with |lambda| > 1 and normalizes the
+    eigenvectors per the module rules.
     """
     mat = np.asarray(matrix, dtype=np.int64)
     if mat.shape != (2, 2):
@@ -108,8 +109,8 @@ def build_hyperbolic_model(matrix, tau: float = 1.0, area: float = 1.0) -> Hyper
     tr = int(mat[0, 0] + mat[1, 1])
     if abs(tr) <= 2:
         raise NotHyperbolicError(f"|trace| = {abs(tr)} <= 2: eigenvalues on the unit circle")
-    if tau <= 0 or area <= 0:
-        raise ValueError("tau and V must be positive")
+    if not (0 < tau < np.inf and 0 < area < np.inf):
+        raise ValueError("tau and V must be positive and finite")
     disc = np.sqrt(tr * tr - 4.0)
     lam = (tr + disc) / 2.0 if tr > 0 else (tr - disc) / 2.0
 
@@ -261,8 +262,8 @@ def sol_model(mu: float, grid: Grid) -> tuple[Structure, CompatibleMetric]:
     invariant frame (d_t, e^{pm t} d_{x pm}) satisfies the sol bracket
     relations.  The chart is an open box used for local checks only.
     """
-    if mu == 0:
-        raise ValueError("mu must be nonzero")
+    if mu == 0 or not np.isfinite(mu):
+        raise ValueError("mu must be nonzero and finite")
     if not grid.open_t:
         raise ValueError("sol model lives on an open box chart")
     model = SolModel(float(mu))

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,15 +54,21 @@ def test_run_energy_flat_zero(tmp_path):
 
 def test_invalid_config_lists_all_violations():
     bad = {"experiment": "nonsense", "bogus": 1,
-           "model": {"model": "hyperbolic", "matrix": [1, 2, 3], "junk": 0}}
+           "model": {"model": "hyperbolic", "matrix": [1, 2, 3], "junk": 0},
+           "grid": {"n_torus": "abc"}, "dynamics": {"seeds": 0},
+           "tolerances": {"gap_rel": -1.0}, "deformation": 3}
     with pytest.raises(cli.ConfigError) as err:
         cli.run(bad)
     msgs = err.value.violations
-    assert len(msgs) >= 4
+    assert len(msgs) >= 8
     assert any("bogus" in m for m in msgs)
     assert any("nonsense" in m for m in msgs)
     assert any("junk" in m for m in msgs)
     assert any("matrix" in m for m in msgs)
+    assert "grid.n_torus must be an integer, got 'abc'" in msgs
+    assert "dynamics.seeds must be positive, got 0" in msgs
+    assert "tolerances.gap_rel must be non-negative, got -1.0" in msgs
+    assert "section 'deformation' must be an object" in msgs
 
 
 def test_invalid_config_exit_code(tmp_path):
@@ -89,13 +97,54 @@ def test_invalid_config_exit_code(tmp_path):
      "deformation.seed must be an integer, got 'x'"),
     (dict(BASE, experiment="optimize", optimizer={"steps": "x"}),
      "optimizer.steps must be an integer, got 'x'"),
+    (dict(BASE, model=dict(BASE["model"], tau=float("nan"))),
+     "model.tau must be a finite real number, got nan"),
+    (dict(BASE, experiment="energy", tolerances={"energy_rel": float("nan")}),
+     "tolerances.energy_rel must be a finite real number, got nan"),
+    (dict(BASE, experiment="first_variation", deformation={"count": 0}),
+     "deformation.count must be positive, got 0"),
+    (dict(BASE, experiment="energy", tolerances={"energy_rell": 1e-3}),
+     "unknown key 'tolerances.energy_rell'"),
+    (dict(BASE, model=dict(BASE["model"], matrix=[2.5, 1, 1, 1])),
+     "model.matrix must be 4 integers, row-major, got [2.5, 1, 1, 1]"),
+    (dict(BASE, grid={"n_torus": 8.9}), "grid.n_torus must be an integer, got 8.9"),
+    (dict(BASE, seed=True), "seed must be an integer, got True"),
+    (dict(BASE, model=dict(BASE["model"], matrix=5)),
+     "model.matrix must be 4 integers, row-major, got 5"),
+    (dict(BASE, model=dict(BASE["model"], tau=None)),
+     "model.tau must be a finite real number, got None"),
+    (dict(BASE, tolerances=3), "section 'tolerances' must be an object"),
+    (dict(BASE, out=5), "out must be a string, got 5"),
+    (dict(BASE, experiment="lyapunov", dynamics={"seeds": 0}),
+     "dynamics.seeds must be positive, got 0"),
 ], ids=["non_hyperbolic", "n_torus_not_int", "n_fiber_not_int", "n_torus_too_small",
         "horizon_below_tau", "seed_not_int", "root_not_object", "model_n_not_int",
         "dynamics_seeds_not_int", "deformation_count_not_int", "deformation_seed_not_int",
-        "optimizer_steps_not_int"])
+        "optimizer_steps_not_int", "tau_nan", "energy_rel_nan", "deformation_count_zero",
+        "tolerance_key_misspelt", "matrix_not_int", "n_torus_not_whole", "seed_bool",
+        "matrix_scalar", "tau_null", "tolerances_not_object", "out_not_string",
+        "dynamics_seeds_zero"])
 def test_value_error_exit_code(tmp_path, capsys, cfg, start):
     path = write_cfg(tmp_path, cfg)
     rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False
+    assert doc["failures"][0].startswith(start)
+    assert not (tmp_path / "out").exists()
+
+
+# the sweep overrides only grid.n_torus and grid.n_fiber per resolution
+@pytest.mark.parametrize("cfg, start", [
+    (dict(BASE, resolutions=[16, 16, 16]), "resolutions must be strictly increasing, got [16, 16, 16]"),
+    (dict(BASE, resolutions=[32, 16, 24]), "resolutions must be strictly increasing, got [32, 16, 24]"),
+    (dict(BASE, resolutions=[8, "a", 16]), "resolutions must be at least 3 integers, got [8, 'a', 16]"),
+    (dict(BASE, resolutions=[8, 10, 12], grid={"monodromy": [1, 0, 0, 1]}),
+     "grid.monodromy conflicts with model.matrix"),
+], ids=["repeated", "unordered", "not_int", "monodromy_conflict"])
+def test_sweep_value_error_exit_code(tmp_path, capsys, cfg, start):
+    path = write_cfg(tmp_path, cfg)
+    rc = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["pass"] is False
@@ -141,6 +190,15 @@ def test_seed_flag_overrides_config(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["seed"] == 7
+
+
+def test_seed_flag_still_checks_config_seed(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dict(BASE, seed="x"))
+    rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                   "--seed", "7"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["failures"] == [
+        "seed must be an integer, got 'x'"]
 
 
 def test_optimize_writes_gap_history_csv(tmp_path):
@@ -223,8 +281,93 @@ def test_sweep_floor_is_pinned_multiple_of_roundoff_scale():
     g = metric.g.data
     expected = np.finfo(float).eps * np.max(np.abs(g)) * np.max(np.abs(metric.ginv)) \
         * (1.0 / 0.5) ** 2 * 16 ** 2
-    assert cli._roundoff_scale(metric) == pytest.approx(expected, rel=1e-12)
+    assert cli._roundoff_scale(metric, np.max(np.abs(metric.ginv))) \
+        == pytest.approx(expected, rel=1e-12)
     report = cli.run({"experiment": "verify",
                       "model": {"model": "hyperbolic", "matrix": [2, 1, 1, 1]},
                       "grid": {"n_torus": 16}})
     assert not any(k.startswith("_") for k in report)
+
+
+# -- the config schema --------------------------------------------------------
+
+CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+
+
+def test_grid_keys_resolve_against_schema():
+    p = cli.resolve_config({"experiment": "verify",
+                            "grid": {"n_torus": 16, "n_fiber": 8, "monodromy": [2, 1, 1, 1]}})
+    assert (p["grid.n_torus"], p["grid.n_fiber"]) == (16, 8)
+    assert np.array_equal(p["grid.monodromy"], [[2, 1], [1, 1]])
+    for grid, violation in (({"n_torus": 16, "n_fiber": 8, "bogus": 1},
+                             "unknown key 'grid.bogus'"),
+                            ({"n_torus": 16, "n_fiber": 8, "monodromy": [1, 0, 0]},
+                             "grid.monodromy must be 4 integers, row-major, got [1, 0, 0]")):
+        with pytest.raises(cli.ConfigError) as err:
+            cli.resolve_config({"experiment": "verify", "grid": grid})
+        assert err.value.violations == [violation]
+
+
+def test_schema_defaults():
+    p = cli.resolve_config({"experiment": "first_variation", "seed": 7, "grid": {"n_torus": 12}})
+    assert (p["grid.n_fiber"], p["deformation.seed"]) == (12, 7)
+    assert (p["deformation.amplitude"], p["deformation.count"]) == (0.1, 10)
+    p = cli.resolve_config({"experiment": "gap_identity"})
+    assert (p["deformation.amplitude"], p["deformation.count"]) == (0.3, 20)
+    assert cli.resolve_config({"experiment": "optimize"})["optimizer.steps"] == 1500
+    # each experiment gets only the keys it reads
+    assert set(cli.resolve_config({"experiment": "betti"})) == {
+        "experiment", "seed", "out", "model.matrix"}
+    with pytest.raises(cli.ConfigError, match="missing key 'experiment'"):
+        cli.resolve_config({})
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_configs_resolve(path):
+    cfg = json.loads(path.read_text())
+    assert cli.resolve_config(cfg)["experiment"] == cfg["experiment"]
+
+
+def test_readme_config_lists_every_key_and_default():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("Annotated config")[1].split("```")[1]
+    flat = {}
+    for section, value in json.loads(re.sub(r"#.*", "", block)).items():
+        if isinstance(value, dict):
+            flat.update((f"{section}.{k}", v) for k, v in value.items())
+        else:
+            flat[section] = value
+    assert set(flat) == set(cli.CONFIG_SCHEMA)
+
+    def annotated(key, text):
+        return any(f'"{key.split(".")[-1]}"' in line and text in line
+                   for line in block.splitlines())
+
+    for key, (_, default, _) in cli.CONFIG_SCHEMA.items():
+        if isinstance(default, cli.SameAs):
+            assert flat[key] == flat[default] and annotated(key, f"default: {default}")
+        elif isinstance(default, dict):
+            assert flat[key] == default["*"]
+            assert all(annotated(key, f"{v} for {e}") for e, v in default.items() if e != "*")
+        elif default is not None:
+            assert flat[key] == default, key
+
+
+def test_verify_certificate_floor_is_pinned(crit16_gluing):
+    # c = 16: the algebraic certificate entries sit at up to 2.9 of
+    # eps max|g|^2 max|g^-1| over 400 random gluings with entries up to 28;
+    # on these four gluings the effective tolerance is the absolute 1e-8
+    assert cli._CERT_FACTOR == 16.0
+    _, metric = crit16_gluing
+    g = metric.g.data
+    floor = np.finfo(float).eps * np.max(np.abs(g)) ** 2 * np.max(np.abs(metric.ginv))
+    assert cli._CERT_FACTOR * floor < 1e-8
+
+
+def test_verify_passes_ill_conditioned_gluing():
+    # max|g| max|g^-1| = 1.8e6: metric_reconstruction is roundoff above 1e-8
+    report = cli.run({"experiment": "verify",
+                      "model": {"model": "hyperbolic", "matrix": [-3, 1, -28, 9], "V": 0.5},
+                      "grid": {"n_torus": 16}})
+    assert report["residuals"]["metric_reconstruction"] > 1e-8
+    assert report["pass"], report["failures"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import coskit as ck
-from coskit.grids import Grid, GridError, _period_transport, grid_from_config, grid_sum, \
+from coskit.grids import Grid, GridError, _period_transport, grid_sum, \
     integrate, partial_derivative, seam_transport, shift
 
 
@@ -15,16 +15,6 @@ def test_grid_validation():
         Grid(4, 32)                                      # too coarse for stencil
     with pytest.raises(GridError):
         Grid(32, 32, np.array([[2, 1], [1, 1]]), open_t=True)
-
-
-def test_grid_from_config():
-    g = grid_from_config({"n_torus": 16, "n_fiber": 8, "monodromy": [2, 1, 1, 1]})
-    assert g.shape == (8, 16, 16)
-    assert np.array_equal(g.monodromy, [[2, 1], [1, 1]])
-    with pytest.raises(GridError):
-        grid_from_config({"n_torus": 16, "n_fiber": 8, "bogus": 1})
-    with pytest.raises(GridError):
-        grid_from_config({"n_torus": 16, "n_fiber": 8, "monodromy": [1, 0, 0]})
 
 
 def test_derivative_of_constant_is_zero():

@@ -38,6 +38,13 @@ def test_determinant_rejected():
         build_hyperbolic_model([[2, 1], [1, 0]])      # det -1
 
 
+@pytest.mark.parametrize("tau, area", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
+                                       (1.0, np.inf), (-1.0, 1.0), (1.0, 0.0)])
+def test_non_positive_or_non_finite_scales_rejected(tau, area):
+    with pytest.raises(ValueError, match="tau and V must be positive and finite"):
+        build_hyperbolic_model([[2, 1], [1, 1]], tau, area)
+
+
 def test_eigenvector_normalization():
     for mat, v in (([[2, 1], [1, 1]], 1.0), ([[3, 2], [1, 1]], 2.5)):
         m = build_hyperbolic_model(mat, area=v)
@@ -161,6 +168,12 @@ def test_sol_rejects_zero_mu_and_closed_grid(model):
         ck.sol_model(0.0, ck.sol_box_grid(8, 16))
     with pytest.raises(ValueError):
         ck.sol_model(1.0, Grid(8, 16))
+
+
+@pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
+def test_sol_rejects_non_finite_mu(mu):
+    with pytest.raises(ValueError, match="mu must be nonzero and finite"):
+        ck.sol_model(mu, ck.sol_box_grid(8, 16))
 
 
 # -- flat co-Kaehler -----------------------------------------------------------------
