@@ -395,7 +395,10 @@ def _run_optimize(p):
                         "converged": result.converged,
                         "final_sup_r": result.final_sup_r,
                         "final_sup_ru": result.final_sup_ru},
-            "series": {"gap_history": [float(v) for v in result.gap_history]},
+            "series": {"gap_history": [float(v) for v in result.gap_history],
+                       "step_size": result.step_sizes,
+                       "backtracks": result.backtracks,
+                       "grad_norm2": result.grad_norm2},
             "failures": failures}
 
 

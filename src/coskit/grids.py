@@ -126,9 +126,19 @@ class Grid:
         """Index arrays realizing (i, j) -> mat @ (i, j) mod N on the torus grid."""
         return _torus_permutation(self.n_torus, mat)
 
-    def refine(self, factor: int = 2) -> "Grid":
-        return Grid(self.n_torus * factor, self.n_fiber * factor, self.monodromy.copy(),
-                    self.open_t, self.t_min, self.t_extent)
+    # written out: the dataclass-generated equality compares the monodromy
+    # arrays, which is ambiguous, and the generated hash cannot hash them
+    def _key(self) -> tuple:
+        return (self.n_torus, self.n_fiber, tuple(self.monodromy.ravel().tolist()),
+                self.open_t, self.t_min, self.t_extent)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Grid):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 # -- exact monodromy algebra and slot transport ---------------------------

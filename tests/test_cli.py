@@ -213,6 +213,11 @@ def test_optimize_writes_gap_history_csv(tmp_path):
     lines = (tmp_path / "out" / "gap_history.csv").read_text().strip().splitlines()
     assert lines[0] == "step,value"
     assert len(lines) > 100
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    for name in ("step_size", "backtracks", "grad_norm2"):
+        rows = (tmp_path / "out" / f"{name}.csv").read_text().strip().splitlines()
+        assert rows[0] == "step,value"
+        assert len(rows) == report["scalars"]["steps"] + 1 == len(lines) - 1
 
 
 def test_sweep_energy_fits_fourth_order(tmp_path):

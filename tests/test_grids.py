@@ -296,3 +296,13 @@ def test_open_t_axis_derivative():
     assert np.max(np.abs(df - 2.0 * f)) < 2e-6
     with pytest.raises(GridError):
         shift(f, "", g, 0, 1)
+
+
+def test_grid_equality_and_hash_compare_monodromy_by_value():
+    a = Grid(8, 8, np.array([[2, 1], [1, 1]]))
+    b = Grid(8, 8, [[2, 1], [1, 1]])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Grid(8, 8, [[3, 1], [2, 1]])
+    assert a != Grid(8, 8) and a != Grid(8, 16, [[2, 1], [1, 1]])
+    assert Grid(8, 8, open_t=True) != Grid(8, 8)
+    assert a != "grid"

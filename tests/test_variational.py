@@ -384,3 +384,113 @@ def test_minimize_two_starts_reach_global_floor(fiber_chart):
         res = va.minimize_energy(d0, fiber_chart.mu, fiber_chart.structure, steps=2500)
         finals.append(res.gap_history[-1])
     assert max(finals) < 1e-6
+
+
+# The optimizer before its objective was fused: u and r as separate arrays,
+# four reeb_derivative calls and a gradient for every trial.  The fused
+# optimizer must reproduce it bit for bit.
+
+def _reference_gap_and_gradient(u, r, mu, structure, weight):
+    ru = va.reeb_derivative(u, structure)
+    rr = va.reeb_derivative(r, structure)
+    a = 2.0 * mu * r + r * ru - rr
+    gap = float(np.sum(2.0 * a ** 2 + 2.0 * ru ** 2) * weight)
+    grad_u = -weight * va.reeb_derivative(4.0 * a * r + 4.0 * ru, structure)
+    grad_r = weight * (4.0 * a * (2.0 * mu + ru) + va.reeb_derivative(4.0 * a, structure))
+    return gap, grad_u, grad_r
+
+
+def _reference_minimize(initial, mu, structure, steps, tolerance=0.0, step0=1e-2):
+    grid = structure.grid
+    dens = structure.volume_density
+    ht, hx, hy = grid.spacing
+    weight = abs(float(dens.flat[0])) * ht * hx * hy
+    u, r = initial.u.copy(), initial.r.copy()
+    gap, gu, gr = _reference_gap_and_gradient(u, r, mu, structure, weight)
+    history = [gap]
+    step = step0
+    prev = None
+    converged = False
+    n_done = 0
+    for n in range(steps):
+        if prev is not None:
+            du, dr = u - prev[0], r - prev[1]
+            dgu, dgr = gu - prev[2], gr - prev[3]
+            denom = float(np.sum(du * dgu) + np.sum(dr * dgr))
+            if denom > 0:
+                step = float((np.sum(du * du) + np.sum(dr * dr)) / denom)
+        gnorm2 = float(np.sum(gu * gu) + np.sum(gr * gr))
+        if gnorm2 == 0.0:
+            converged = True
+            break
+        trial = step
+        for _ in range(60):
+            u_t, r_t = u - trial * gu, r - trial * gr
+            gap_t, gu_t, gr_t = _reference_gap_and_gradient(u_t, r_t, mu, structure, weight)
+            if gap_t <= gap - 1e-4 * trial * gnorm2:
+                break
+            trial *= 0.5
+        else:
+            converged = True
+            break
+        if gap - gap_t <= tolerance * max(gap, 1e-300):
+            u, r, gap = u_t, r_t, gap_t
+            history.append(gap)
+            n_done = n + 1
+            converged = True
+            break
+        prev = (u, r, gu, gr)
+        u, r, gap, gu, gr = u_t, r_t, gap_t, gu_t, gr_t
+        history.append(gap)
+        n_done = n + 1
+    return history, u, r, n_done, converged
+
+
+@pytest.mark.parametrize("mat, seed, steps, tolerance", [
+    ([[2, 1], [1, 1]], 31, 150, 0.0),
+    ([[-2, 1], [1, -1]], 32, 150, 0.0),
+    ([[3, 1], [2, 1]], 33, 150, 0.0),
+    ([[2, 1], [1, 1]], 34, 400, 1e-2),
+], ids=["L0", "L1", "L2", "L0-tolerance"])
+def test_minimize_bit_identical_to_unfused_reference(mat, seed, steps, tolerance):
+    model = ck.build_hyperbolic_model(mat, tau=0.7, area=2.0)
+    grid = Grid(8, 256, model.matrix)
+    structure = ck.suspension_structure(model, grid)
+    d0 = va.random_deformation(grid, seed, amplitude=0.3)
+    res = va.minimize_energy(d0, model.mu, structure, steps=steps, tolerance=tolerance)
+    history, u, r, n_done, converged = _reference_minimize(d0, model.mu, structure, steps,
+                                                           tolerance)
+    assert res.gap_history == history
+    assert np.array_equal(res.deformation.u, u)
+    assert np.array_equal(res.deformation.r, r)
+    assert res.steps_taken == n_done
+    assert res.converged == converged
+    assert res.final_sup_r == sup(r)
+    assert res.final_sup_ru == sup(va.reeb_derivative(u, structure))
+    if tolerance > 0.0:
+        assert converged and n_done < steps   # the tolerance stopped this run
+
+
+def test_minimize_rejects_non_constant_reeb_field():
+    # the contact testbed's alpha ^ beta density is constant, its Reeb field is not
+    structure, _ = ck.contact_t3_testbed(1, Grid(16, 16))
+    with pytest.raises(ValueError, match="Reeb field with constant components"):
+        va.minimize_energy(va.Deformation.zero(structure.grid), 1.0, structure, steps=5)
+
+
+def test_minimize_rejects_deformation_on_another_grid(fiber_chart):
+    other = Grid(8, 256, [[3, 1], [2, 1]])   # same shape, another gluing
+    d0 = va.random_deformation(other, seed=1, amplitude=0.3)
+    with pytest.raises(ValueError, match="different grid"):
+        va.minimize_energy(d0, fiber_chart.mu, fiber_chart.structure, steps=5)
+
+
+def test_minimize_records_telemetry_per_accepted_step(fiber_chart):
+    d0 = va.random_deformation(fiber_chart.grid, seed=12, amplitude=0.3)
+    res = va.minimize_energy(d0, fiber_chart.mu, fiber_chart.structure, steps=60)
+    assert res.steps_taken == 60
+    assert len(res.step_sizes) == len(res.backtracks) == len(res.grad_norm2) == 60
+    assert all(s > 0.0 for s in res.step_sizes)
+    assert all(isinstance(b, int) and 0 <= b < 60 for b in res.backtracks)
+    assert any(b > 0 for b in res.backtracks)
+    assert all(g > 0.0 for g in res.grad_norm2)
