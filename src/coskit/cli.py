@@ -76,8 +76,10 @@ COUNT = (int, ("an integer", _is_integer), ("positive", lambda v: v > 0))
 REAL = (float, ("a finite real number", _is_real))
 NONNEGATIVE = (float, ("a finite real number", _is_real), ("non-negative", lambda v: v >= 0))
 STRING = (str, ("a string", lambda v: isinstance(v, str)))
+_INT64 = np.iinfo(np.int64)
 MATRIX = (lambda v: np.asarray(v, dtype=np.int64).reshape(2, 2),
-          ("4 integers, row-major", lambda v: _is_int_list(v) and len(v) == 4))
+          ("4 integers, row-major", lambda v: _is_int_list(v) and len(v) == 4),
+          ("within the int64 range", lambda v: all(_INT64.min <= x <= _INT64.max for x in v)))
 RESOLUTIONS = (list, ("at least 3 integers", lambda v: _is_int_list(v) and len(v) >= 3),
                ("strictly increasing", lambda v: all(a < b for a, b in zip(v, v[1:]))))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cosymplectic import CompatibleMetric
-from .grids import Grid, _int_matmul, _int_matpow, _lift, _period_transport
+from .grids import Grid, _int_det, _int_matmul, _int_matpow, _lift, _transported
 from .models import HyperbolicModel
 from .tensors import TensorField, sqrtm_spd, symmetric_eigen, tensor_norm2
 
@@ -93,8 +93,7 @@ class FlowCocycle:
         return worst
 
     def determinant_defect(self) -> int:
-        return max(abs(b[0][0] * b[1][1] - b[0][1] * b[1][0] - 1)
-                   for b in self.torus_blocks)
+        return max(abs(_int_det(b) - 1) for b in self.torus_blocks)
 
 
 def lyapunov_exponents(model: HyperbolicModel, point=None, horizon: float | None = None,
@@ -131,11 +130,6 @@ def lyapunov_exponents(model: HyperbolicModel, point=None, horizon: float | None
         q, r = np.linalg.qr(m @ q)
         sums += np.log(np.abs(np.diag(r)))
     return np.sort(sums / (n_steps * model.tau))[::-1]
-
-
-def flat_lyapunov_exponents() -> np.ndarray:
-    """Suspension by the identity: the differential is constant, all rates zero."""
-    return np.zeros(3)
 
 
 # -- Anosov splitting from the h-tensor ---------------------------------------
@@ -186,13 +180,13 @@ def anosov_splitting(metric: CompatibleMetric, torsion_threshold: float = 1e-8) 
     v_plus = (u_plus + u_minus) / np.sqrt(2.0)
     v_minus = (u_plus - u_minus) / np.sqrt(2.0)
 
-    # measure which bracket line contracts under the one-period pushforward
-    a, (pi, pj) = _period_transport(grid, 1)
-    g_img = metric.g.data[:, pi, pj]
+    # measure which bracket line contracts under the one-period pushforward:
+    # |A v(p)| in g(Lp) is |v(p)| in the pulled-back metric A^T g(Lp) A
+    g = metric.g.data
+    g_pulled = _transported(g, "dd", grid, -1)
 
     def growth(v):
-        av = v @ a.T
-        return float(np.mean(np.sqrt(_gdot(g_img, av, av) / _gdot(metric.g.data, v, v))))
+        return float(np.mean(np.sqrt(_gdot(g_pulled, v, v) / _gdot(g, v, v))))
 
     tf = lambda d: TensorField(grid, d, "u")
     gp, gm = growth(v_plus), growth(v_minus)
@@ -272,11 +266,8 @@ def refine_splitting(frame: SplittingFrame, metric: CompatibleMetric,
     done = 0
     while done < iterations:
         k = min(block, iterations - done)
-        a, (pi_f, pj_f) = _period_transport(grid, k)
-        a_inv, (pi_b, pj_b) = _period_transport(grid, -k)
-        # pushforward from the backward image point: v(p) <- A^k v(Phi^{-k tau} p)
-        unstable = normalize(unstable[:, pi_b, pj_b] @ a.T)
-        stable = normalize(stable[:, pi_f, pj_f] @ a_inv.T)
+        unstable = normalize(_transported(unstable, "u", grid, k))
+        stable = normalize(_transported(stable, "u", grid, -k))
         done += k
 
     def resign(new, seed):
@@ -314,9 +305,7 @@ def splitting_invariance_residual(frame: SplittingFrame, metric: CompatibleMetri
         gv = np.einsum("...ij,...j->...i", g, v)
         nv2 = np.einsum("...i,...i->...", gv, v)
         for n in range(1, n_periods + 1):
-            a, _ = _period_transport(grid, sgn * n)
-            _, (pib, pjb) = _period_transport(grid, -sgn * n)
-            sin = _sin_angle(g, gv, nv2, v, v[:, pib, pjb] @ a.T)
+            sin = _sin_angle(g, gv, nv2, v, _transported(v, "u", grid, sgn * n))
             worst = max(worst, float(np.max(sin)))
     return worst
 
@@ -340,9 +329,9 @@ def contraction_law_residual(frame: SplittingFrame, metric: CompatibleMetric,
         v = field.data
         n0 = np.sqrt(_gdot(g, v, v))
         for n in range(1, n_periods + 1):
-            a, (pin, pjn) = _period_transport(grid, sgn * n)
-            av = v @ a.T
-            lognorm = np.log(np.sqrt(_gdot(g[:, pin, pjn], av, av)) / n0)
+            # at the image points q: |A^n v(Phi^{-n tau} q)|_g(q) / |v(Phi^{-n tau} q)|
+            av = _transported(v, "u", grid, sgn * n)
+            lognorm = np.log(np.sqrt(_gdot(g, av, av)) / _transported(n0, "", grid, sgn * n))
             worst = max(worst, float(np.max(np.abs(lognorm - mu * n * model.tau))))
     return worst
 

@@ -11,11 +11,11 @@ Conventions used across the package:
   in this module only: stencils read from an array padded with ghost
   slabs (the ghost cells of LeVeque, *Finite Volume Methods for
   Hyperbolic Problems*, ch. 7), and on a twisted t-axis each ghost slab
-  is fetched at the torus point permuted by ``L^{+-1}`` and its tensor
-  slots carried by the gluing Jacobian ``A = diag(1, L)`` or its inverse
-  (one factor per slot, see :func:`seam_transport`).  ``L^{-1}`` and
-  every power ``L^n`` are exact integer matrices; no Jacobian is
-  inverted in floating point.
+  is the field pushed forward by one period, forward or backward (see
+  :func:`_transported`, which every module uses to carry a field across
+  n periods).  ``det L``, ``L^{-1}`` and every power ``L^n`` are exact
+  integer computations (:func:`_int_det`, :func:`_int_matpow`); no
+  Jacobian is inverted in floating point.
 * Tensor slot signatures are strings over ``{'u', 'd'}``: one character
   per tensor slot in storage order, ``'u'`` contravariant, ``'d'``
   covariant.  A metric is ``'dd'``, a vector field ``'u'``, the tensor
@@ -75,7 +75,7 @@ class Grid:
         mono = np.asarray(self.monodromy, dtype=np.int64)
         if mono.shape != (2, 2):
             raise GridError(f"monodromy must be 2x2, got shape {mono.shape}")
-        det = int(round(np.linalg.det(mono.astype(float))))
+        det = _int_det(mono)
         if det != 1:
             raise GridError(f"monodromy must have determinant 1, got {det}")
         if self.open_t and not np.array_equal(mono, IDENTITY_2X2):
@@ -122,10 +122,6 @@ class Grid:
         """3x3 differential A = diag(1, L) of the gluing (p, t+1) -> (Lp, t)."""
         return _lift(self.monodromy)
 
-    def _torus_permutation(self, mat) -> tuple[np.ndarray, np.ndarray]:
-        """Index arrays realizing (i, j) -> mat @ (i, j) mod N on the torus grid."""
-        return _torus_permutation(self.n_torus, mat)
-
     # written out: the dataclass-generated equality compares the monodromy
     # arrays, which is ambiguous, and the generated hash cannot hash them
     def _key(self) -> tuple:
@@ -146,6 +142,11 @@ class Grid:
 def _int_matmul(a, b) -> list[list[int]]:
     return [[a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
             [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]]]
+
+
+def _int_det(mat) -> int:
+    """Exact determinant of a 2x2 integer matrix (nested lists or an array) in Python ints."""
+    return int(mat[0][0]) * int(mat[1][1]) - int(mat[0][1]) * int(mat[1][0])
 
 
 def _int_matpow(mat, n: int) -> list[list[int]]:
@@ -188,18 +189,45 @@ def _period_transport(grid: Grid, n: int):
 
     Memoized per (N, L, n); the arrays are shared and read-only.
     """
+    return _period_pair(grid, n)[0]
+
+
+def _period_pair(grid: Grid, n: int):
+    """(_period_transport(grid, n), _period_transport(grid, -n)) from one memo lookup.
+
+    Every twisted t-derivative fills two ghost slabs through it; on small
+    charts a lookup is a measurable share of the fill.
+    """
     mono = tuple(tuple(row) for row in grid.monodromy.tolist())
-    return _cached_period_transport(grid.n_torus, mono, n)
+    return _cached_period_pair(grid.n_torus, mono, n)
 
 
 @functools.lru_cache(maxsize=128)
-def _cached_period_transport(n_torus: int, mono: tuple, n: int):
-    ln = _int_matpow(mono, n)
-    a = _lift(ln)
-    pi, pj = _torus_permutation(n_torus, ln)
-    for arr in (a, pi, pj):
-        arr.flags.writeable = False
-    return a, (pi, pj)
+def _cached_period_pair(n_torus: int, mono: tuple, n: int):
+    pair = []
+    for k in (n, -n):
+        lk = _int_matpow(mono, k)
+        a = _lift(lk)
+        pi, pj = _torus_permutation(n_torus, lk)
+        for arr in (a, pi, pj):
+            arr.flags.writeable = False
+        pair.append((a, (pi, pj)))
+    return tuple(pair)
+
+
+def _transported(data: np.ndarray, index_sig: str, grid: Grid, n: int) -> np.ndarray:
+    """The field pushed forward by n periods of the gluing, at the same grid points.
+
+    At each point p the result is ``A^n f(L^{-n} p)``, the gather at the
+    torus permutation of ``L^{-n}`` with each slot carried by
+    ``A^n = diag(1, L^n)`` (its inverse-transpose per covariant slot).
+    The matrices are exact integer powers, so on integer-valued data
+    whose carried values stay below 2^53, ``_transported(_transported(f,
+    n), m)`` equals ``_transported(f, n + m)`` bit for bit.  Works on any
+    number of t-slabs, e.g. the ghost slabs of :func:`_padded`.
+    """
+    (a, _), (a_inv, (pi, pj)) = _period_pair(grid, n)
+    return _contract_slots(data[:, pi, pj], index_sig, a, a_inv)
 
 
 def _contract_slots(data: np.ndarray, index_sig: str, mat: np.ndarray,
@@ -246,9 +274,9 @@ def _padded(data: np.ndarray, index_sig: str, grid: Grid, axis: int,
     Torus axes and an untwisted t-axis get periodic copies.  On a
     twisted t-axis a field on the quotient satisfies
     ``v(p, t+1) = A^{-1} v(Lp, t)`` per contravariant slot (``A^T`` per
-    covariant slot), so the ghost slabs past t = 1 are fetched at the
-    L-permuted torus point and carried by ``A^{-1}``, and those before
-    t = 0 at the L^{-1}-permuted point and carried by ``A``.
+    covariant slot), so the ghost slabs past t = 1 are the first slabs
+    pushed forward by -1 period, and those before t = 0 the last slabs
+    pushed forward by +1 period (:func:`_transported`).
     """
     if axis not in (0, 1, 2):
         raise GridError(f"axis out of range: {axis}")
@@ -260,10 +288,8 @@ def _padded(data: np.ndarray, index_sig: str, grid: Grid, axis: int,
     low = data[_along(axis, slice(m - width, m))]
     high = data[_along(axis, slice(0, width))]
     if axis == 0 and not grid.is_flat:
-        a, (pi_f, pj_f) = _period_transport(grid, 1)
-        a_inv, (pi_b, pj_b) = _period_transport(grid, -1)
-        low = _contract_slots(low[:, pi_b, pj_b], index_sig, a, a_inv)
-        high = _contract_slots(high[:, pi_f, pj_f], index_sig, a_inv, a)
+        low = _transported(low, index_sig, grid, 1)
+        high = _transported(high, index_sig, grid, -1)
     return np.concatenate((low, data, high), axis=axis)
 
 

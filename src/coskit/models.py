@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cosymplectic import CompatibleMetric, Structure, certify_compatible
-from .grids import Grid, _contract_slots, _lift
+from .grids import Grid, _contract_slots, _int_det, _lift
 from .tensors import TensorField
 
 
@@ -103,10 +103,10 @@ def build_hyperbolic_model(matrix, tau: float = 1.0, area: float = 1.0) -> Hyper
     mat = np.asarray(matrix, dtype=np.int64)
     if mat.shape != (2, 2):
         raise NotSymplecticError(f"gluing matrix must be 2x2, got {mat.shape}")
-    det = int(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
+    det = _int_det(mat)
     if det != 1:
         raise NotSymplecticError(f"det L = {det}, need 1 to preserve dx^dy")
-    tr = int(mat[0, 0] + mat[1, 1])
+    tr = int(mat[0, 0]) + int(mat[1, 1])
     if abs(tr) <= 2:
         raise NotHyperbolicError(f"|trace| = {abs(tr)} <= 2: eigenvalues on the unit circle")
     if not (0 < tau < np.inf and 0 < area < np.inf):
@@ -135,29 +135,18 @@ def build_hyperbolic_model(matrix, tau: float = 1.0, area: float = 1.0) -> Hyper
 # -- grid field assembly ----------------------------------------------------
 
 
-def _constant_one_form(grid: Grid, comps) -> TensorField:
-    data = np.zeros(grid.shape + (3,))
-    data[...] = np.asarray(comps, dtype=float)
-    return TensorField(grid, data, "d")
-
-
-def _constant_two_form(grid: Grid, pairs) -> TensorField:
-    data = np.zeros(grid.shape + (3, 3))
-    for (i, j), val in pairs.items():
-        data[..., i, j] = val
-        data[..., j, i] = -val
-    return TensorField(grid, data, "dd")
+def _constant_structure(grid: Grid, c: float, area: float) -> Structure:
+    """(c dt, V dx^dy) with Reeb field c^{-1} d_t, constant on the chart."""
+    beta = [[0.0, 0.0, 0.0], [0.0, 0.0, area], [0.0, -area, 0.0]]
+    return Structure(grid, TensorField(grid, [c, 0.0, 0.0], "d"), TensorField(grid, beta, "dd"),
+                     TensorField(grid, [1.0 / c, 0.0, 0.0], "u"), "cosymplectic")
 
 
 def suspension_structure(model: HyperbolicModel, grid: Grid) -> Structure:
     """(tau dt, V dx^dy) with Reeb field tau^{-1} d_t on the mapping torus."""
     if not np.array_equal(grid.monodromy, model.matrix):
         raise ValueError("grid monodromy does not match the model's gluing matrix")
-    alpha = _constant_one_form(grid, [model.tau, 0.0, 0.0])
-    beta = _constant_two_form(grid, {(1, 2): model.area})
-    reeb = TensorField(grid, np.broadcast_to(
-        np.array([1.0 / model.tau, 0.0, 0.0]), grid.shape + (3,)).copy(), "u")
-    return Structure(grid, alpha, beta, reeb, "cosymplectic")
+    return _constant_structure(grid, model.tau, model.area)
 
 
 def critical_metric(model: HyperbolicModel, grid: Grid,
@@ -223,11 +212,7 @@ def flat_cokahler(grid: Grid) -> tuple[Structure, CompatibleMetric]:
     """(dt, dx^dy) with the flat metric; the zero-torsion branch."""
     if not grid.is_flat:
         raise ValueError("flat co-Kaehler model needs an untwisted grid")
-    alpha = _constant_one_form(grid, [1.0, 0.0, 0.0])
-    beta = _constant_two_form(grid, {(1, 2): 1.0})
-    reeb = TensorField(grid, np.broadcast_to(
-        np.array([1.0, 0.0, 0.0]), grid.shape + (3,)).copy(), "u")
-    structure = Structure(grid, alpha, beta, reeb, "cosymplectic")
+    structure = _constant_structure(grid, 1.0, 1.0)
     g = TensorField(grid, np.broadcast_to(np.eye(3), grid.shape + (3, 3)).copy(), "dd")
     return structure, certify_compatible(structure, g)
 
@@ -267,11 +252,7 @@ def sol_model(mu: float, grid: Grid) -> tuple[Structure, CompatibleMetric]:
     if not grid.open_t:
         raise ValueError("sol model lives on an open box chart")
     model = SolModel(float(mu))
-    alpha = _constant_one_form(grid, [mu, 0.0, 0.0])
-    beta = _constant_two_form(grid, {(1, 2): 1.0})
-    reeb = TensorField(grid, np.broadcast_to(
-        np.array([1.0 / mu, 0.0, 0.0]), grid.shape + (3,)).copy(), "u")
-    structure = Structure(grid, alpha, beta, reeb, "cosymplectic")
+    structure = _constant_structure(grid, mu, 1.0)
     t = np.broadcast_to(grid.t, grid.shape)
     g = TensorField(grid, model.metric_matrix(t), "dd")
     metric = certify_compatible(structure, g)

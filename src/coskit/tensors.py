@@ -51,14 +51,6 @@ class TensorField:
         if self.data.shape != expected:
             self.data = np.broadcast_to(self.data, expected).copy()
 
-    @property
-    def n_contravariant(self) -> int:
-        return self.sig.count("u")
-
-    @property
-    def n_covariant(self) -> int:
-        return self.sig.count("d")
-
 
 def gradient(data: np.ndarray, sig: str, grid: Grid) -> np.ndarray:
     """All three partials, stacked into a new leading derivative slot."""

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .grids import _int_det
+
 
 class TopologyError(ValueError):
     pass
@@ -105,7 +107,7 @@ def _check_gluing(mat) -> list[list[int]]:
     m = _as_int_matrix(mat)
     if len(m) != 2 or len(m[0]) != 2:
         raise TopologyError("gluing matrix must be 2x2")
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    det = _int_det(m)
     if det != 1:
         raise TopologyError(f"det L = {det}, need 1")
     return m

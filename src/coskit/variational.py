@@ -40,13 +40,7 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def reeb_derivative(scalar: np.ndarray, structure: Structure) -> np.ndarray:
     """R(f) for a scalar field, by 4th-order differences along the Reeb field."""
-    r = structure.reeb.data
-    out = r[..., 0] * partial_derivative(scalar, "", structure.grid, 0)
-    for ax in (1, 2):
-        comp = r[..., ax]
-        if np.any(comp):
-            out = out + comp * partial_derivative(scalar, "", structure.grid, ax)
-    return out
+    return _reeb_stacked(scalar, _reeb_coefficients(structure), structure.grid)
 
 
 # -- torsion and criticality diagnostics -------------------------------------
@@ -462,24 +456,26 @@ class OptimizationResult:
     grad_norm2: list[float] = dc_field(default_factory=list)
 
 
-def _constant_reeb_coefficients(structure: Structure) -> tuple[tuple[int, float], ...]:
-    """(axis, coefficient) of each nonzero Reeb component, in axis order.
+def _reeb_coefficients(structure: Structure) -> tuple[tuple[int, float | np.ndarray], ...]:
+    """(axis, coefficient) of each Reeb component that is not identically zero, in axis order.
 
-    Raises ValueError unless every component is constant on the grid.
+    The coefficient is a float where the component is constant on the
+    grid, and the component array where it is not.
     """
     coeffs = []
     for ax in range(3):
         comp = structure.reeb.data[..., ax]
         c = float(comp.flat[0])
         if np.any(comp != c):
-            raise ValueError("optimizer assumes a Reeb field with constant components")
-        if c != 0.0:
+            coeffs.append((ax, comp))
+        elif c != 0.0:
             coeffs.append((ax, c))
     return tuple(coeffs)
 
 
 def _reeb_stacked(x: np.ndarray, coeffs, grid: Grid) -> np.ndarray:
-    """R(f) for each scalar f stacked on the last axis of x; equals reeb_derivative."""
+    """sum_ax c_ax d_ax f: R(f) for a scalar field f, or for each scalar stacked
+    on the last axis of x when every coefficient is a float."""
     out = None
     for ax, c in coeffs:
         term = c * partial_derivative(x, "", grid, ax)
@@ -550,7 +546,9 @@ def minimize_energy(initial: Deformation, mu: float, structure: Structure,
     dens = structure.volume_density
     if np.max(dens) - np.min(dens) > 1e-12 * np.max(np.abs(dens)):
         raise ValueError("optimizer assumes a constant alpha^beta density")
-    coeffs = _constant_reeb_coefficients(structure)
+    coeffs = _reeb_coefficients(structure)
+    if any(isinstance(c, np.ndarray) for _, c in coeffs):
+        raise ValueError("optimizer assumes a Reeb field with constant components")
     ht, hx, hy = grid.spacing
     weight = abs(float(dens.flat[0])) * ht * hx * hy
     del dens

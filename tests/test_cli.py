@@ -52,6 +52,17 @@ def test_run_energy_flat_zero(tmp_path):
     assert report["scalars"]["energy"] == 0.0
 
 
+def test_run_lyapunov_flat_zero(tmp_path):
+    # suspension by the identity: the flow differential is constant, all rates zero
+    cfg = write_cfg(tmp_path, {"experiment": "lyapunov",
+                               "model": {"model": "flat_cokahler"},
+                               "grid": {"n_torus": 16, "n_fiber": 16}})
+    rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["scalars"]["exponents"] == [0.0, 0.0, 0.0]
+
+
 def test_invalid_config_lists_all_violations():
     bad = {"experiment": "nonsense", "bogus": 1,
            "model": {"model": "hyperbolic", "matrix": [1, 2, 3], "junk": 0},
@@ -117,13 +128,19 @@ def test_invalid_config_exit_code(tmp_path):
     (dict(BASE, out=5), "out must be a string, got 5"),
     (dict(BASE, experiment="lyapunov", dynamics={"seeds": 0}),
      "dynamics.seeds must be positive, got 0"),
+    (dict(BASE, experiment="betti", model={"matrix": [2 ** 63, 1, 1, 1]}),
+     "model.matrix must be within the int64 range, got [9223372036854775808, 1, 1, 1]"),
+    # (F41, F40; F40, F39) is in SL(2,Z); lambda ~ 2.3e8 makes the float64 metric singular
+    (dict(BASE, model={"matrix": [165580141, 102334155, 102334155, 63245986]},
+          grid={"n_torus": 8}),
+     "TensorCalculusError: metric not positive definite"),
 ], ids=["non_hyperbolic", "n_torus_not_int", "n_fiber_not_int", "n_torus_too_small",
         "horizon_below_tau", "seed_not_int", "root_not_object", "model_n_not_int",
         "dynamics_seeds_not_int", "deformation_count_not_int", "deformation_seed_not_int",
         "optimizer_steps_not_int", "tau_nan", "energy_rel_nan", "deformation_count_zero",
         "tolerance_key_misspelt", "matrix_not_int", "n_torus_not_whole", "seed_bool",
         "matrix_scalar", "tau_null", "tolerances_not_object", "out_not_string",
-        "dynamics_seeds_zero"])
+        "dynamics_seeds_zero", "matrix_beyond_int64", "fibonacci_gluing_singular_metric"])
 def test_value_error_exit_code(tmp_path, capsys, cfg, start):
     path = write_cfg(tmp_path, cfg)
     rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])

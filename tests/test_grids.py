@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import coskit as ck
-from coskit.grids import Grid, GridError, _period_transport, grid_sum, \
-    integrate, partial_derivative, seam_transport, shift
+from coskit.grids import Grid, GridError, _period_transport, _torus_permutation, \
+    grid_sum, integrate, partial_derivative, seam_transport, shift
 
 
 def test_grid_validation():
@@ -15,6 +15,12 @@ def test_grid_validation():
         Grid(4, 32)                                      # too coarse for stencil
     with pytest.raises(GridError):
         Grid(32, 32, np.array([[2, 1], [1, 1]]), open_t=True)
+
+
+def test_grid_accepts_gluing_whose_float_determinant_is_zero():
+    # F41 F39 - F40^2 = 1, but the float64 determinant of this matrix rounds to 0
+    fib = [[165580141, 102334155], [102334155, 63245986]]
+    assert Grid(8, 8, np.array(fib)).monodromy.tolist() == fib
 
 
 def test_derivative_of_constant_is_zero():
@@ -195,7 +201,7 @@ def test_shift_fetch_rule_at_seam(mat):
     rng = np.random.default_rng(2)
     v = rng.random(grid.shape + (3,))
     shifted = shift(v, "u", grid, 0, 1)
-    pi, pj = grid._torus_permutation(grid.monodromy)
+    pi, pj = _torus_permutation(grid.n_torus, grid.monodromy)
     expected = v[0][pi, pj] @ _lift(_adjugate(mat)).T
     assert np.array_equal(shifted[-1], expected)
 
@@ -250,11 +256,11 @@ def test_torus_permutation_of_large_power_composes(mat):
     # for [[3,1],[2,1]] the entries of L^40 exceed int64; reduced mod N the
     # permutation stays exact and equals 40 steps of the L permutation
     grid = Grid(16, 16, np.array(mat))
-    step_i, step_j = grid._torus_permutation(grid.monodromy)
+    step_i, step_j = _torus_permutation(grid.n_torus, grid.monodromy)
     pi, pj = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
     for _ in range(40):
         pi, pj = step_i[pi, pj], step_j[pi, pj]
-    big_i, big_j = grid._torus_permutation(_power(mat, 40))
+    big_i, big_j = _torus_permutation(grid.n_torus, _power(mat, 40))
     assert np.array_equal(big_i, pi)
     assert np.array_equal(big_j, pj)
 
@@ -264,7 +270,7 @@ def test_period_transport_is_shared_and_read_only(mat):
     grid = Grid(16, 16, np.array(mat))
     for n in (-40, -2, -1, 0, 1, 2, 40):
         a, (pi, pj) = _period_transport(grid, n)
-        ref_i, ref_j = grid._torus_permutation(_power(mat, n))
+        ref_i, ref_j = _torus_permutation(grid.n_torus, _power(mat, n))
         assert np.array_equal(a, _lift(_power(mat, n)))
         assert np.array_equal(pi, ref_i) and np.array_equal(pj, ref_j)
         assert not (a.flags.writeable or pi.flags.writeable or pj.flags.writeable)
@@ -283,7 +289,7 @@ def test_discrete_divergence_theorem(model, grid32):
 
 
 def test_monodromy_permutes_grid_bijectively(model, grid32):
-    pi, pj = grid32._torus_permutation(grid32.monodromy)
+    pi, pj = _torus_permutation(grid32.n_torus, grid32.monodromy)
     flat = (pi * grid32.n_torus + pj).ravel()
     assert len(np.unique(flat)) == grid32.n_torus ** 2
 

@@ -3,7 +3,7 @@ import pytest
 
 import coskit as ck
 from coskit.cosymplectic import ALGEBRAIC_CERT_KEYS, polar_compatible_metric
-from coskit.grids import Grid
+from coskit.grids import Grid, _torus_permutation, partial_derivative
 from coskit.tensors import TensorField, symmetric_eigen
 from coskit import variational as va
 
@@ -336,7 +336,7 @@ def test_energy_gap_flow_invariant_u_is_zero(model):
     rng = np.random.default_rng(17)
     raw = rng.standard_normal((grid.n_torus, grid.n_torus))
     # exact average over the monodromy orbit of each grid point
-    pi, pj = grid._torus_permutation(grid.monodromy)
+    pi, pj = _torus_permutation(grid.n_torus, grid.monodromy)
     ii, jj = np.meshgrid(np.arange(grid.n_torus), np.arange(grid.n_torus), indexing="ij")
     ci, cj = ii, jj
     inv = np.zeros_like(raw)
@@ -469,6 +469,17 @@ def test_minimize_bit_identical_to_unfused_reference(mat, seed, steps, tolerance
     assert res.final_sup_ru == sup(va.reeb_derivative(u, structure))
     if tolerance > 0.0:
         assert converged and n_done < steps   # the tolerance stopped this run
+
+
+def test_reeb_derivative_follows_rotating_reeb_field():
+    # the contact testbed's R = cos(2 pi n t) d_x + sin(2 pi n t) d_y has non-constant components
+    grid = Grid(16, 16)
+    structure, _ = ck.contact_t3_testbed(2, grid)
+    f = np.random.default_rng(4).standard_normal(grid.shape)
+    r = structure.reeb.data
+    expected = (r[..., 1] * partial_derivative(f, "", grid, 1)
+                + r[..., 2] * partial_derivative(f, "", grid, 2))
+    assert np.array_equal(va.reeb_derivative(f, structure), expected)
 
 
 def test_minimize_rejects_non_constant_reeb_field():
