@@ -175,7 +175,7 @@ def anosov_splitting(metric: CompatibleMetric, torsion_threshold: float = 1e-8) 
     h = metric.h_tensor()
     evals, evecs, aligned = symmetric_eigen(h, metric.g.data, ginv=ginv)
     mu = float(np.mean(evals[..., 0]))
-    u_plus = evecs[..., :, 0]
+    u_plus = np.ascontiguousarray(evecs[..., :, 0])   # not a view pinning all of evecs
     u_minus = np.einsum("...ij,...j->...i", metric.phi.data, u_plus)
     v_plus = (u_plus + u_minus) / np.sqrt(2.0)
     v_minus = (u_plus - u_minus) / np.sqrt(2.0)

@@ -84,6 +84,37 @@ def inverse_metric(g: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _det3(g: np.ndarray) -> np.ndarray:
+    """Determinant of a (..., 3, 3) field by cofactor expansion along row 0.
+
+    The cofactors and the order of the sum are those of inverse_metric,
+    so both give the same determinant bit for bit.
+    """
+    t0, t1, t2 = (g[..., 0, j] * (g[..., 1, j1] * g[..., 2, j2] - g[..., 1, j2] * g[..., 2, j1])
+                  for j, (j1, j2) in enumerate(_CYCLIC))
+    return t0 + t1 + t2
+
+
+def _cholesky3(g: np.ndarray) -> np.ndarray | None:
+    """Closed-form lower Cholesky factor C (g = C C^T) of a (..., 3, 3) field.
+
+    Reads the lower triangle and scales each column by the reciprocal
+    of its pivot, as LAPACK's unblocked potf2 does.  Returns None unless
+    every pivot is > 0 (a NaN pivot fails too).
+    """
+    c = np.zeros(np.shape(g))
+    for j in range(3):
+        pivot = g[..., j, j] - sum(c[..., j, k] * c[..., j, k] for k in range(j))
+        if not np.all(pivot > 0):
+            return None
+        c[..., j, j] = np.sqrt(pivot)
+        recip = 1.0 / c[..., j, j]
+        for i in range(j + 1, 3):
+            c[..., i, j] = (g[..., i, j] - sum(c[..., i, k] * c[..., j, k] for k in range(j))) \
+                * recip
+    return c
+
+
 def sqrtm_spd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched symmetric square root and inverse square root."""
     w, v = np.linalg.eigh(m)
@@ -216,16 +247,27 @@ class Connection:
         return float(np.max(np.abs(self.christoffel - np.swapaxes(self.christoffel, 4, 5))))
 
 
-def check_positive_definite(g: np.ndarray):
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        w = np.linalg.eigvalsh(g)
-        bad = np.argwhere(w[..., 0] <= 0)
-        point = tuple(int(v) for v in bad[0])
-        raise TensorCalculusError(
-            f"metric not positive definite at grid point {point}; "
-            f"eigenvalues {w[point]}") from None
+def check_positive_definite(g: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of g; raises, naming a grid point, if none.
+
+    Only on failure are eigenvalues computed, to name the first point
+    whose smallest eigenvalue is not > 0 (or, where roundoff failed a
+    pivot of a positive spectrum, the point of the smallest eigenvalue).
+    """
+    c = _cholesky3(g)
+    if c is not None:
+        return c
+    finite = np.all(np.isfinite(g), axis=(-2, -1))
+    if not np.all(finite):
+        point = tuple(int(v) for v in np.argwhere(~finite)[0])
+        raise TensorCalculusError(f"metric not finite at grid point {point}")
+    w = np.linalg.eigvalsh(g)
+    low = w[..., 0]
+    bad = low <= 0 if np.any(low <= 0) else low == np.min(low)
+    point = tuple(int(v) for v in np.argwhere(bad)[0])
+    raise TensorCalculusError(
+        f"metric not positive definite at grid point {point}; "
+        f"eigenvalues {w[point]}")
 
 
 def christoffel(g: TensorField) -> Connection:
@@ -289,13 +331,13 @@ def hodge_star(omega: TensorField, g: np.ndarray, orientation: float = 1.0,
     if omega.sig == "d":
         if ginv is None:
             ginv = inverse_metric(g)
-        sqg = orientation * np.sqrt(np.linalg.det(g))
+        sqg = orientation * np.sqrt(_det3(g))
         wup = (ginv @ omega.data[..., None])[..., 0]
         star = (wup @ eps).reshape(wup.shape + (3,)) * sqg[..., None, None]
         return TensorField(omega.grid, star, "dd", omega.frame)
     if omega.sig == "dd":
         # inverse direction, for the involution check
-        sqg = orientation * np.sqrt(np.linalg.det(g))
+        sqg = orientation * np.sqrt(_det3(g))
         comp = 0.5 * (omega.data.reshape(omega.data.shape[:-2] + (9,)) @ eps.T)
         low = (g @ comp[..., None])[..., 0] / sqg[..., None]
         return TensorField(omega.grid, low, "d", omega.frame)
@@ -359,10 +401,9 @@ def symmetric_eigen(a: TensorField, g: np.ndarray, tol: float = 1e-6,
     """
     if a.sig != "ud":
         raise TensorCalculusError("symmetric_eigen expects an operator (1,1) field")
-    try:
-        c = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise TensorCalculusError("matrix field is not positive definite") from None
+    c = _cholesky3(g)
+    if c is None:
+        raise TensorCalculusError("matrix field is not positive definite")
     if ginv is None:
         ginv = inverse_metric(g)
     c_inv_t = ginv @ c

@@ -18,6 +18,7 @@ identity are evaluated against the full tensor pipeline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -25,8 +26,8 @@ import numpy as np
 from .cosymplectic import CompatibleMetric, Structure, certify_compatible, d_alpha_plus
 from .grids import Grid, partial_derivative
 from .models import HyperbolicModel, critical_frame
-from .tensors import TensorField, covariant_derivative, frame_matrix, \
-    lie_derivative, tensor_norm2
+from .tensors import TensorField, check_positive_definite, covariant_derivative, \
+    frame_matrix, lie_derivative, tensor_norm2
 
 
 def _sup(a) -> float:
@@ -147,30 +148,74 @@ def tangent_project(h_raw: TensorField, metric: CompatibleMetric) -> TensorField
     return TensorField(metric.grid, 0.5 * (h1 - h_phiphi), "dd", metric.g.frame)
 
 
+_EXP_THETA_MAX = 200.0 * np.sqrt(3.0)
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
 def exponential_curve(metric: CompatibleMetric, h_field: TensorField,
                       s: float) -> CompatibleMetric:
     """g(s) = g0(e^{s H+} ., .) with H+ = g0^{-1} H, computed pointwise.
 
     Stays inside the compatible metrics for every s (H tangent); the
-    returned metric carries a fresh certificate.  The exponential comes
-    from one Cholesky-reduced symmetric eigendecomposition (Golub & Van
-    Loan, Matrix Computations, sec. 8.7): with g0 = C C^T,
-    B = C^{-1} H C^{-T} = V e^W V^T is similar to H+, and
-    g(s) = (C V) e^{s W} (C V)^T.  C^{-1} = C^T g0^{-1} needs no second
-    inversion.  Overflow for huge |s| |H+| raises.
+    returned metric carries a fresh certificate.  With the closed-form
+    Cholesky factor g0 = C C^T, H+ is similar to the symmetric
+    B = C^{-1} H C^{-T}, and g(s) = C e^{sB} C^T; C^{-1} = C^T g0^{-1}
+    needs no second inversion.
+
+    e^{sB} is a Taylor polynomial with scaling and squaring (Moler & Van
+    Loan, SIAM Rev. 45, 2003; Higham, SIAM J. Matrix Anal. Appl. 26,
+    2005): with theta the largest |sB|_F on the grid, sB is scaled by
+    2^-j so that theta 2^-j <= 1/4, the polynomial of the smallest
+    degree m with (theta 2^-j)^m / m! below roundoff is evaluated by
+    Horner's rule, and the result is squared j times.  B is symmetric,
+    so |sB|_2 <= theta <= sqrt(3) |sB|_2.
+
+    A non-finite s or tangent field raises ValueError, and theta > 200
+    sqrt(3) raises OverflowError.  The guard accepts every |sB|_2 <= 200,
+    and an accepted curve stretches by at most e^{346} ~ 1e150, far from
+    overflow.
     """
-    c = np.linalg.cholesky(metric.g.data)
+    if not np.isfinite(s):
+        raise ValueError(f"curve parameter s is not finite: {s}")
+    if not np.all(np.isfinite(h_field.data)):
+        raise ValueError("tangent field is not finite")
+    c = check_positive_definite(metric.g.data)
     c_inv = np.swapaxes(c, -1, -2) @ metric.ginv
     b = c_inv @ h_field.data @ np.swapaxes(c_inv, -1, -2)
-    w, v = np.linalg.eigh(0.5 * (b + np.swapaxes(b, -1, -2)))
-    if _sup(s * w) > 200.0:
+    b = (0.5 * s) * (b + np.swapaxes(b, -1, -2))
+    theta = float(np.sqrt(np.max(np.sum(b * b, axis=(-2, -1)))))
+    if not theta <= _EXP_THETA_MAX:
         raise OverflowError("operator exponential overflow: |s| |H+| too large")
-    cv = c @ v
-    g_s = (cv * np.exp(s * w)[..., None, :]) @ np.swapaxes(cv, -1, -2)
+    exp_b = _expm_symmetric(b, theta)
+    g_s = c @ exp_b @ np.swapaxes(c, -1, -2)
     g_s = 0.5 * (g_s + np.swapaxes(g_s, -1, -2))
-    del c, c_inv, b, v, cv   # released before the certification allocates
+    del c, c_inv, b, exp_b   # released before the certification allocates
     return certify_compatible(metric.structure,
                               TensorField(metric.grid, g_s, "dd", metric.g.frame))
+
+
+def _expm_symmetric(b: np.ndarray, theta: float) -> np.ndarray:
+    """e^b for a symmetric (..., 3, 3) field b with max |b|_F = theta.
+
+    Overwrites b with its scaled copy; see exponential_curve.
+    """
+    j = max(0, math.ceil(math.log2(4.0 * theta))) if theta > 0.0 else 0
+    theta = math.ldexp(theta, -j)
+    b *= 2.0 ** -j
+    m, term = 1, theta
+    while term >= _UNIT_ROUNDOFF:
+        m += 1
+        term *= theta / m
+    eye = np.eye(3)
+    e = b / m
+    e += eye
+    for k in range(m - 1, 0, -1):
+        e = b @ e
+        e /= k
+        e += eye
+    for _ in range(j):
+        e = e @ e
+    return e
 
 
 def first_variation(metric: CompatibleMetric, h_field: TensorField) -> float:

@@ -48,6 +48,11 @@ def flat16():
 
 
 @pytest.fixture(scope="session")
+def flat8():
+    return ck.flat_cokahler(ck.Grid(8, 8))
+
+
+@pytest.fixture(scope="session")
 def chart32(model, grid32):
     return va.deformation_chart(model, grid32)
 

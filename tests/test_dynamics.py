@@ -6,7 +6,7 @@ import pytest
 import coskit as ck
 from coskit import dynamics as dy
 from coskit.grids import Grid, _torus_permutation
-from coskit.tensors import TensorField, lie_bracket
+from coskit.tensors import TensorField, lie_bracket, symmetric_eigen
 
 
 def sup(a):
@@ -196,6 +196,22 @@ def test_bracket_relations_fourth_order(model, crit32, crit64):
         assert r32[key] < 1e-4 * mu
         assert r32[key] / r64[key] > 8.0
     assert r32["v_plus_v_minus"] < 1e-12
+
+
+def test_splitting_frame_owns_contiguous_u_plus(model):
+    # u_+ is copied out of the eigenvector field, so a frame does not keep
+    # the whole (n, n, n, 3, 3) field alive; its values are unchanged
+    _, metric = ck.critical_metric(model, Grid(16, 16, model.matrix))
+    frame = dy.anosov_splitting(metric)
+    assert frame.u_plus.data.flags.c_contiguous
+    assert frame.u_plus.data.base is None
+    _, evecs, _ = symmetric_eigen(metric.h_tensor(), metric.g.data, ginv=metric.ginv)
+    u_plus = evecs[..., :, 0]
+    u_minus = np.einsum("...ij,...j->...i", metric.phi.data, u_plus)
+    assert np.array_equal(frame.u_plus.data, u_plus)
+    assert np.array_equal(frame.u_minus.data, u_minus)
+    assert np.array_equal(frame.v_plus.data, (u_plus + u_minus) / np.sqrt(2.0))
+    assert np.array_equal(frame.v_minus.data, (u_plus - u_minus) / np.sqrt(2.0))
 
 
 def test_bracket_perturbation_sensitivity(model, crit32):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -460,6 +462,88 @@ def test_inverse_metric_rejects_singular():
     g[1, 2, 3] = np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     with pytest.raises(TensorCalculusError):
         inverse_metric(g)
+
+
+def scaled_spd_field(shape, seed, cond):
+    """Random SPD field D A D with A well conditioned and D spreading cond."""
+    rng = np.random.default_rng(seed)
+    d = cond ** (0.25 * rng.uniform(-1.0, 1.0, shape + (3,)))
+    d[..., 0], d[..., 1] = cond ** -0.25, cond ** 0.25
+    return d[..., :, None] * random_spd_field(shape, seed) * d[..., None, :]
+
+
+def rotated_spd_field(shape, seed, cond):
+    """Random SPD field Q diag(w) Q^T with eigenvalues 1/sqrt(cond) and sqrt(cond)."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal(shape + (3, 3)))
+    w = cond ** (0.5 * rng.uniform(-1.0, 1.0, shape + (3,)))
+    w[..., 0], w[..., 1] = cond ** -0.5, cond ** 0.5
+    g = (q * w[..., None, :]) @ np.swapaxes(q, -1, -2)
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
+
+
+@pytest.mark.parametrize("field", ["random", "scaled_1e8"])
+def test_cholesky3_and_det3_match_lapack(field):
+    if field == "random":
+        g = random_spd_field((16, 16, 16), seed=5)
+    else:
+        g = scaled_spd_field((16, 16, 16), seed=6, cond=1e8)
+        assert np.max(np.linalg.cond(g)) > 1e8
+    c, ref = tensors._cholesky3(g), np.linalg.cholesky(g)
+    assert sup(c - ref) <= 1e-14 * sup(ref)
+    assert np.all(np.triu(c, 1) == 0.0)
+    det, det_ref = tensors._det3(g), np.linalg.det(g)
+    assert sup(det - det_ref) <= 1e-14 * sup(det_ref)
+
+
+LEIBNIZ_TERMS = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                 ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
+
+
+def test_cholesky3_and_det3_within_rounding_bounds_at_condition_1e8():
+    # in a random orientation the condition number amplifies rounding, so
+    # two backward-stable algorithms differ in the factor (~cond^1/2 eps)
+    # and in the determinant (~cond eps); judge each against its own bound
+    g = rotated_spd_field((8, 8, 8), seed=7, cond=1e8)
+    eps = np.finfo(float).eps
+    c = tensors._cholesky3(g)
+    backward = np.max(np.abs(c @ np.swapaxes(c, -1, -2) - g), axis=(-2, -1))
+    assert np.all(backward <= 4 * eps * np.max(np.abs(g), axis=(-2, -1)))
+    # exact rational determinant of the float entries, and the sum of the
+    # absolute values of its six products, which bounds the rounding
+    det = tensors._det3(g)
+    for point in np.ndindex(g.shape[:3]):
+        m = [[Fraction(v) for v in row] for row in g[point].tolist()]
+        exact, bound = Fraction(0), Fraction(0)
+        for (i, j, k), sign in LEIBNIZ_TERMS:
+            term = m[0][i] * m[1][j] * m[2][k]
+            exact += sign * term
+            bound += abs(term)
+        assert abs(Fraction(float(det[point])) - exact) <= 3 * eps * bound
+
+
+def test_check_positive_definite_returns_factor_or_names_point():
+    g = random_spd_field((8, 8, 8), seed=8)
+    assert np.array_equal(tensors.check_positive_definite(g), tensors._cholesky3(g))
+    bad = g.copy()
+    bad[3, 5, 7] = np.diag([1.0, -1e-3, 2.0])
+    assert tensors._cholesky3(bad) is None
+    with pytest.raises(TensorCalculusError, match=r"not positive definite at grid point \(3, 5, 7\)"):
+        tensors.check_positive_definite(bad)
+    with pytest.raises(TensorCalculusError, match="not positive definite"):
+        symmetric_eigen(TensorField(Grid(8, 8), np.eye(3), "ud"), bad)
+    # a pivot lost to roundoff where eigvalsh may still find the spectrum
+    # positive (3.9e-16): the point is named either way
+    bad[3, 5, 7] = [[1.4227249891481872, 0.41668601910181774, -0.7315932784606061],
+                    [0.41668601910181774, 0.544712457575045, 0.312445667420026],
+                    [-0.7315932784606061, 0.312445667420026, 1.0325625532767682]]
+    assert tensors._cholesky3(bad) is None
+    with pytest.raises(TensorCalculusError, match=r"not positive definite at grid point \(3, 5, 7\)"):
+        tensors.check_positive_definite(bad)
+    bad[3, 5, 7] = g[3, 5, 7]
+    bad[1, 2, 4, 2, 0] = np.nan
+    with pytest.raises(TensorCalculusError, match=r"not finite at grid point \(1, 2, 4\)"):
+        tensors.check_positive_definite(bad)
 
 
 def test_sqrtm_spd_matches_einsum():

@@ -238,6 +238,76 @@ def test_exponential_curve_matches_two_eigh_reference(curve_bases, s):
         assert sup(va.exponential_curve(metric, h, s).g.data - ref) <= 1e-13 * sup(ref)
 
 
+def curve_theta(metric, h, s):
+    """max |s B|_F over the grid, as tr(B^2) = tr((g^{-1} H)^2)."""
+    hp = metric.ginv @ h.data
+    return abs(s) * float(np.sqrt(np.max(np.sum(hp * np.swapaxes(hp, -1, -2), axis=(-2, -1)))))
+
+
+@pytest.mark.parametrize("theta", [4.0, 20.0])
+def test_exponential_curve_with_squarings_matches_two_eigh_reference(curve_bases, theta):
+    # s = theta / theta(1): the fixture tangents are small (theta(1) = 0.036
+    # and 0.004), so s is chosen per base for the exponential to be scaled
+    # by 2^-j with j = 4 and 7
+    for metric, h in curve_bases:
+        for s in np.array([1.0, -1.0]) * theta / curve_theta(metric, h, 1.0):
+            assert curve_theta(metric, h, s) > 0.25
+            ref = two_eigh_exponential(metric, h, s)
+            assert sup(va.exponential_curve(metric, h, s).g.data - ref) <= 1e-13 * sup(ref)
+
+
+def test_exponential_curve_overflow_guard_threshold(flat8):
+    # H = diag(0, 1, -1) on the flat metric: |sB|_F = sqrt(2) |s|, and the
+    # curve diag(1, e^s, e^-s) stays representable up to the guard
+    _, metric = flat8
+    h = TensorField(metric.grid, np.diag([0.0, 1.0, -1.0]), "dd")
+    s_max = 200.0 * np.sqrt(3.0) / np.sqrt(2.0)
+    out = va.exponential_curve(metric, h, s_max * (1.0 - 1e-9))
+    expected = np.exp(s_max * (1.0 - 1e-9))
+    assert abs(out.g.data[..., 1, 1] - expected).max() <= 1e-12 * expected
+    with pytest.raises(OverflowError):
+        va.exponential_curve(metric, h, s_max * (1.0 + 1e-9))
+
+
+@pytest.mark.parametrize("where", ["tangent", "s_nan", "s_inf"])
+def test_exponential_curve_rejects_non_finite(flat8, where):
+    _, metric = flat8
+    h = va.random_tangent(metric, np.random.default_rng(3), 0.1)
+    s = {"s_nan": np.nan, "s_inf": np.inf}.get(where, 0.5)
+    if where == "tangent":
+        h.data[2, 3, 4, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="tangent field is not finite" if where == "tangent"
+                       else "s is not finite"):
+        va.exponential_curve(metric, h, s)
+
+
+def test_variation_path_calls_no_per_point_lapack(monkeypatch, model):
+    # certification, curves, energy and first variation need no batched
+    # LAPACK call; symmetric_eigen keeps its one eigh, so only cholesky
+    # and det are refused while it runs
+    def refuse(*names):
+        for name in names:
+            def raiser(*args, _name=name, **kwargs):
+                raise AssertionError(f"numpy.linalg.{_name} called on the variation path")
+            monkeypatch.setattr(np.linalg, name, raiser)
+
+    grid = Grid(8, 8, model.matrix)
+    chart = va.deformation_chart(model, grid)
+    base = va.deform(chart, va.random_deformation(grid, seed=2, amplitude=0.25))
+    _, contact = ck.contact_t3_testbed(1, Grid(8, 8))
+    rng = np.random.default_rng(19)
+    cases = [(base, va.random_tangent(base, rng, 0.1, model=model)),
+             (contact, va.random_tangent(contact, rng, 0.1))]
+    refuse("cholesky", "det")
+    symmetric_eigen(chart.metric.h_tensor(), chart.metric.g.data)
+    refuse("eigh")
+    for metric, h in cases:
+        recertified = ck.certify_compatible(metric.structure, metric.g)
+        curve = va.exponential_curve(recertified, h, 2e-3)
+        va.energy(curve)
+        va.first_variation(curve, h)
+
+
 def test_first_variation_pairing_matches_einsum(curve_bases):
     for metric, h in curve_bases:
         el = va.euler_lagrange_residual(metric).data
