@@ -18,8 +18,9 @@ import numpy as np
 
 from .cosymplectic import CompatibleMetric
 from .grids import Grid, _int_det, _int_matmul, _int_matpow, _lift, _transported
-from .models import HyperbolicModel
-from .tensors import TensorField, sqrtm_spd, symmetric_eigen, tensor_norm2
+from .models import HyperbolicModel, sol_frame
+from .tensors import TensorField, lie_bracket, lie_derivative, sqrtm_spd, symmetric_eigen, \
+    tensor_norm2
 
 
 class NotHyperbolicTorsionError(ValueError):
@@ -168,7 +169,8 @@ def anosov_splitting(metric: CompatibleMetric, torsion_threshold: float = 1e-8) 
     each candidate line in the metric, not assumed from a formula.
     """
     grid, ginv = metric.grid, metric.ginv
-    lg_norm2 = tensor_norm2(_lie_rg(metric), "dd", metric.g.data, ginv)
+    lg_norm2 = tensor_norm2(lie_derivative(metric.g, metric.structure.reeb).data, "dd",
+                            metric.g.data, ginv)
     if float(np.min(lg_norm2)) < torsion_threshold:
         raise NotHyperbolicTorsionError(
             f"torsion minimum {float(np.min(lg_norm2)):.3e} below threshold")
@@ -199,11 +201,6 @@ def anosov_splitting(metric: CompatibleMetric, torsion_threshold: float = 1e-8) 
     heig_stable, heig_unstable = _hphi_eig(metric, h, stable), _hphi_eig(metric, h, unstable)
     return SplittingFrame(mu, tf(unstable), tf(stable), tf(v_plus), tf(v_minus),
                           tf(u_plus), tf(u_minus), heig_stable, heig_unstable)
-
-
-def _lie_rg(metric: CompatibleMetric) -> np.ndarray:
-    from .tensors import lie_derivative
-    return lie_derivative(metric.g, metric.structure.reeb).data
 
 
 def _gdot(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -347,7 +344,6 @@ def bracket_residuals(metric: CompatibleMetric, frame: SplittingFrame) -> dict[s
     Refuses gluings with lambda < 0: there the pair v_pm flips sign
     across the seam, so their stencil derivatives are not defined.
     """
-    from .tensors import lie_bracket
     if np.trace(metric.grid.monodromy) < 0:
         raise ValueError("out of scope: lambda < 0 flips the sign of v_pm across the seam; "
                          "bracket residuals need the double-cover gluing")
@@ -374,8 +370,6 @@ def bracket_residuals(metric: CompatibleMetric, frame: SplittingFrame) -> dict[s
 
 def sol_bracket_residuals(grid: Grid) -> dict[str, float]:
     """Residuals of the sol algebra relations for the left-invariant frame."""
-    from .models import sol_frame
-    from .tensors import lie_bracket
     y, xp, xm = sol_frame(grid)
     return {
         "y_x_plus": float(np.max(np.abs(lie_bracket(y, xp).data - xp.data))),

@@ -19,7 +19,9 @@ Conventions used across the package:
 * Tensor slot signatures are strings over ``{'u', 'd'}``: one character
   per tensor slot in storage order, ``'u'`` contravariant, ``'d'``
   covariant.  A metric is ``'dd'``, a vector field ``'u'``, the tensor
-  ``phi^i_j`` is ``'ud'`` with the upper slot first.
+  ``phi^i_j`` is ``'ud'`` with the upper slot first.  Every matrix that
+  acts on one tensor slot, here and in :mod:`coskit.tensors`, goes
+  through :func:`_on_slot`.
 """
 
 from __future__ import annotations
@@ -183,20 +185,12 @@ def _lift(block) -> np.ndarray:
     return a
 
 
-def _period_transport(grid: Grid, n: int):
-    """(diag(1, L^n), torus permutation of L^n): the chart differential of n
-    periods of the flow and the grid index map of its base point, exactly.
-
-    Memoized per (N, L, n); the arrays are shared and read-only.
-    """
-    return _period_pair(grid, n)[0]
-
-
 def _period_pair(grid: Grid, n: int):
-    """(_period_transport(grid, n), _period_transport(grid, -n)) from one memo lookup.
+    """(diag(1, L^k), torus permutation of L^k) for k = n and k = -n, exactly.
 
-    Every twisted t-derivative fills two ghost slabs through it; on small
-    charts a lookup is a measurable share of the fill.
+    Memoized per (N, L, n); the arrays are shared and read-only.  Every
+    twisted t-derivative fills two ghost slabs through one lookup; on
+    small charts a lookup is a measurable share of the fill.
     """
     mono = tuple(tuple(row) for row in grid.monodromy.tolist())
     return _cached_period_pair(grid.n_torus, mono, n)
@@ -239,9 +233,22 @@ def _contract_slots(data: np.ndarray, index_sig: str, mat: np.ndarray,
     """
     out = np.asarray(data, dtype=float)
     for slot, kind in enumerate(index_sig):
-        m = mat if kind == "u" else mat_inv.T
-        out = np.moveaxis(np.moveaxis(out, 3 + slot, -1) @ m.T, -1, 3 + slot)
+        out = _on_slot(out, slot, mat if kind == "u" else mat_inv.T)
     return out
+
+
+def _on_slot(data: np.ndarray, slot: int, m: np.ndarray) -> np.ndarray:
+    """The matrix ``m`` applied to one tensor slot: ``out[..a..] = m[a, c] data[..c..]``.
+
+    ``m`` is one n x 3 matrix or a field of them, shape ``grid.shape +
+    (n, 3)``.  The slot is moved last, its rows are grouped by the leading
+    shape of ``m`` and multiplied by ``m^T``: one 2-D product for a
+    constant matrix, one small product per grid point for a field.
+    """
+    moved = np.moveaxis(data, 3 + slot, -1)
+    rows = moved.reshape(np.shape(m)[:-2] + (-1, 3))
+    out = rows @ np.swapaxes(m, -1, -2)
+    return np.moveaxis(out.reshape(moved.shape[:-1] + out.shape[-1:]), -1, 3 + slot)
 
 
 def seam_transport(components: np.ndarray, index_sig: str, grid: Grid,
@@ -367,8 +374,3 @@ def integrate(values: np.ndarray, density: np.ndarray, grid: Grid) -> float:
         return float(np.sum(weighted * wt.reshape(-1, 1, 1)) * ht * hx * hy)
     return float(np.sum(weighted) * ht * hx * hy)
 
-
-def grid_sum(values: np.ndarray, grid: Grid) -> float:
-    """Plain cell-weighted sum; the discrete divergence-theorem primitive."""
-    ht, hx, hy = grid.spacing
-    return float(np.sum(values) * ht * hx * hy)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, partial_derivative
+from .grids import Grid, _on_slot, partial_derivative
 
 _EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -129,20 +129,16 @@ def tensor_norm2(data: np.ndarray, sig: str, g: np.ndarray,
                  ginv: np.ndarray | None = None) -> np.ndarray:
     """Pointwise squared norm by full index contraction with g, g^{-1}.
 
-    Each slot in turn is contracted with its (symmetric) metric by one
-    matmul, the other slots flattened into the columns; the result is
-    then paired with the data.
+    Each slot in turn is contracted with its metric (g on a 'u' slot,
+    g^{-1} on a 'd' slot) by the slot kernel ``grids._on_slot``; the
+    result is then paired with the data.
     """
     if ginv is None:
         ginv = inverse_metric(g)
-    r = len(sig)
     out = data
     for s, kind in enumerate(sig):
-        metric = g if kind == "u" else ginv
-        moved = np.moveaxis(out, 3 + s, 3)
-        flat = moved.reshape(moved.shape[:4] + (-1,))
-        out = np.moveaxis((metric @ flat).reshape(moved.shape), 3, 3 + s)
-    return np.sum(out * data, axis=tuple(range(3, 3 + r)))
+        out = _on_slot(out, s, g if kind == "u" else ginv)
+    return np.sum(out * data, axis=tuple(range(3, 3 + len(sig))))
 
 
 def frame_matrix(t2: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -180,10 +176,26 @@ def exterior_derivative(omega: TensorField) -> TensorField:
 
 # -- Lie derivative -------------------------------------------------------
 
+def _derivation(data: np.ndarray, sig: str, m: np.ndarray) -> np.ndarray:
+    """The gl(3) field m acting on a tensor as a derivation.
+
+    m acts on each 'u' slot and -m^T on each 'd' slot, and the terms are
+    summed (Kobayashi & Nomizu, Foundations of Differential Geometry I,
+    ch. I sec. 3).  The slot terms of both the Lie and the covariant
+    derivative are of this form.
+    """
+    neg_mt = -np.swapaxes(m, -1, -2)
+    out = None
+    for s, kind in enumerate(sig):
+        term = _on_slot(data, s, m if kind == "u" else neg_mt)
+        out = term if out is None else np.add(out, term, out=out)
+    return np.zeros(data.shape) if out is None else out
+
+
 def lie_derivative(t: TensorField, x: TensorField) -> TensorField:
     """Coordinate Cartan formula for L_X T, any tensor type.
 
-    (L_X T) = X^c d_c T - sum_up T^{..c..} d_c X^a + sum_down T_{..c..} d_b X^c
+    (L_X T) = X^c d_c T - D_m T, with D_m the derivation of m[a, c] = d_c X^a.
 
     Only exact zeros are skipped: T is stenciled only along the axes c
     where X^c is nonzero somewhere, and the d X terms are dropped when
@@ -194,18 +206,10 @@ def lie_derivative(t: TensorField, x: TensorField) -> TensorField:
     if x.sig != "u":
         raise TensorCalculusError("Lie derivative direction must be a vector field")
     grid = t.grid
-    r = len(t.sig)
     out = _along_field(t, x, lambda c: partial_derivative(t.data, t.sig, grid, c))
     grad_x = gradient(x.data, x.sig, grid)      # [c, a] = d_c X^a
     if np.any(grad_x):
-        gax = [0, 1, 2]
-        slots = list(range(4, 4 + r))
-        for s, kind in enumerate(t.sig):
-            t_subs = gax + slots[:s] + [3] + slots[s + 1:]
-            if kind == "u":
-                out -= np.einsum(t.data, t_subs, grad_x, gax + [3, slots[s]], gax + slots)
-            else:
-                out += np.einsum(t.data, t_subs, grad_x, gax + [slots[s], 3], gax + slots)
+        out -= _derivation(t.data, t.sig, np.swapaxes(grad_x, -1, -2))
     return TensorField(grid, out, t.sig, t.frame)
 
 
@@ -271,13 +275,19 @@ def check_positive_definite(g: np.ndarray) -> np.ndarray:
 
 
 def christoffel(g: TensorField) -> Connection:
-    """Levi-Civita Gamma^k_{ij} = (1/2) g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij})."""
+    """Levi-Civita Gamma^k_{ij} = (1/2) g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij}).
+
+    The index l is raised by the slot kernel: the bracket, read as a
+    pointwise 9 x 3 matrix from l to the pair (i, j), acts on the l slot
+    of g^{kl}.  So Gamma comes out as a C-contiguous [k, i, j] array, the
+    layout whose slices Gamma^k_{a j} covariant_derivative reads fastest.
+    """
     check_positive_definite(g.data)
     grad = gradient(g.data, g.sig, g.grid)          # [a, i, j] = d_a g_{ij}
     b = grad + np.swapaxes(grad, 3, 4)
     b -= np.moveaxis(grad, 3, 5)
     del grad
-    gamma = np.einsum("...kl,...ijl->...kij", inverse_metric(g.data), b)
+    gamma = _on_slot(inverse_metric(g.data), 1, b.reshape(b.shape[:3] + (9, 3))).reshape(b.shape)
     gamma *= 0.5
     return Connection(g.grid, gamma, g.data)
 
@@ -286,26 +296,17 @@ def covariant_derivative(t: TensorField, conn: Connection,
                          x: TensorField | None = None) -> TensorField:
     """nabla T, with a new leading covariant slot; contracted with X if given.
 
-    Each axis a contributes d_a T + Gamma-terms, formed from the slice
-    Gamma^k_{a j}.  With X given, nabla_X T = sum_a X^a (d_a T + ...) is
-    accumulated only over the axes where X^a is nonzero somewhere, and
-    the rank+1 array nabla T is never built; the result is the full
-    contraction bit for bit.
+    Each axis a contributes d_a T + D_m T, where D_m is the derivation of
+    the slice m = Gamma^k_{a j} (see _derivation).  With X given,
+    nabla_X T = sum_a X^a (d_a T + ...) is accumulated only over the
+    axes where X^a is nonzero somewhere, and the rank+1 array nabla T is
+    never built; the result is the full contraction bit for bit.
     """
     grid = t.grid
-    gamma = conn.christoffel
-    gax = [0, 1, 2]
-    slots = list(range(4, 4 + len(t.sig)))
 
     def along(a):
         d = partial_derivative(t.data, t.sig, grid, a)
-        gamma_a = gamma[..., :, a, :]                # Gamma^k_{a j}
-        for s, kind in enumerate(t.sig):
-            t_subs = gax + slots[:s] + [3] + slots[s + 1:]
-            if kind == "u":
-                d += np.einsum(gamma_a, gax + [slots[s], 3], t.data, t_subs, gax + slots)
-            else:
-                d -= np.einsum(gamma_a, gax + [3, slots[s]], t.data, t_subs, gax + slots)
+        d += _derivation(t.data, t.sig, conn.christoffel[..., :, a, :])
         return d
 
     if x is not None:
@@ -332,14 +333,14 @@ def hodge_star(omega: TensorField, g: np.ndarray, orientation: float = 1.0,
         if ginv is None:
             ginv = inverse_metric(g)
         sqg = orientation * np.sqrt(_det3(g))
-        wup = (ginv @ omega.data[..., None])[..., 0]
+        wup = _on_slot(omega.data, 0, ginv)
         star = (wup @ eps).reshape(wup.shape + (3,)) * sqg[..., None, None]
         return TensorField(omega.grid, star, "dd", omega.frame)
     if omega.sig == "dd":
         # inverse direction, for the involution check
         sqg = orientation * np.sqrt(_det3(g))
         comp = 0.5 * (omega.data.reshape(omega.data.shape[:-2] + (9,)) @ eps.T)
-        low = (g @ comp[..., None])[..., 0] / sqg[..., None]
+        low = _on_slot(comp, 0, g) / sqg[..., None]
         return TensorField(omega.grid, low, "d", omega.frame)
     raise TensorCalculusError("hodge_star implemented for 1- and 2-forms in dim 3")
 
@@ -351,8 +352,9 @@ def nijenhuis(phi: TensorField) -> TensorField:
     if phi.sig != "ud":
         raise TensorCalculusError("nijenhuis expects a (1,1) tensor field")
     grad = gradient(phi.data, phi.sig, phi.grid)    # [a, k, m] = d_a phi^k_m
-    t1 = np.einsum("...mi,...mkj->...kij", phi.data, grad)
-    t3 = np.einsum("...km,...imj->...kij", phi.data, grad)
+    # [k, i, j]: phi^m_i d_m phi^k_j and phi^k_m d_i phi^m_j
+    t1 = np.swapaxes(_on_slot(grad, 0, np.swapaxes(phi.data, -1, -2)), 3, 4)
+    t3 = np.swapaxes(_on_slot(grad, 1, phi.data), 3, 4)
     n = t1 - np.swapaxes(t1, 4, 5) - t3 + np.swapaxes(t3, 4, 5)
     return TensorField(phi.grid, n, "udd", phi.frame)
 

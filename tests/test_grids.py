@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import coskit as ck
-from coskit.grids import Grid, GridError, _period_transport, _torus_permutation, \
-    grid_sum, integrate, partial_derivative, seam_transport, shift
+from coskit.grids import Grid, GridError, _period_pair, _torus_permutation, \
+    integrate, partial_derivative, seam_transport, shift
 
 
 def test_grid_validation():
@@ -269,13 +269,14 @@ def test_torus_permutation_of_large_power_composes(mat):
 def test_period_transport_is_shared_and_read_only(mat):
     grid = Grid(16, 16, np.array(mat))
     for n in (-40, -2, -1, 0, 1, 2, 40):
-        a, (pi, pj) = _period_transport(grid, n)
-        ref_i, ref_j = _torus_permutation(grid.n_torus, _power(mat, n))
-        assert np.array_equal(a, _lift(_power(mat, n)))
-        assert np.array_equal(pi, ref_i) and np.array_equal(pj, ref_j)
-        assert not (a.flags.writeable or pi.flags.writeable or pj.flags.writeable)
+        pair = _period_pair(grid, n)
+        for k, (a, (pi, pj)) in zip((n, -n), pair):
+            ref_i, ref_j = _torus_permutation(grid.n_torus, _power(mat, k))
+            assert np.array_equal(a, _lift(_power(mat, k)))
+            assert np.array_equal(pi, ref_i) and np.array_equal(pj, ref_j)
+            assert not (a.flags.writeable or pi.flags.writeable or pj.flags.writeable)
         # memoized per (N, L, n): an equal grid gets the same arrays
-        assert _period_transport(Grid(16, 8, np.array(mat)), n)[0] is a
+        assert _period_pair(Grid(16, 8, np.array(mat)), n) is pair
 
 
 def test_discrete_divergence_theorem(model, grid32):
@@ -285,7 +286,7 @@ def test_discrete_divergence_theorem(model, grid32):
     f = rng.random(grid32.shape)
     for ax in range(3):
         df = partial_derivative(f, "", grid32, ax)
-        assert abs(grid_sum(df, grid32)) < 1e-12 * np.max(np.abs(f)) * grid32.n_torus
+        assert abs(integrate(df, 1.0, grid32)) < 1e-12 * np.max(np.abs(f)) * grid32.n_torus
 
 
 def test_monodromy_permutes_grid_bijectively(model, grid32):

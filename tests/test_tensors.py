@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import coskit as ck
-from coskit import tensors
+from coskit import grids, tensors
 from coskit.grids import Grid
 from coskit.tensors import TensorField, TensorCalculusError, christoffel, \
     covariant_derivative, exterior_derivative, frame_matrix, hodge_star, \
@@ -200,7 +200,7 @@ def test_covariant_derivative_linear_in_direction(crit32):
 # -- restriction to the direction's nonzero axes ---------------------------------
 # the kernels skip only exact zeros, so along any direction they must equal
 # the full-gradient contraction bit for bit; the references below are that
-# formula, stacking all three partials and contracting with einsum
+# formula, stacking all three partials and contracting them with X by einsum
 
 
 def lie_reference(t, x):
@@ -208,25 +208,13 @@ def lie_reference(t, x):
     grad_x = tensors.gradient(x.data, x.sig, t.grid)
     gax, slots = [0, 1, 2], list(range(4, 4 + len(t.sig)))
     out = np.einsum(grad_t, gax + [3] + slots, x.data, gax + [3], gax + slots)
-    for s, kind in enumerate(t.sig):
-        t_subs = gax + slots[:s] + [3] + slots[s + 1:]
-        if kind == "u":
-            out -= np.einsum(t.data, t_subs, grad_x, gax + [3, slots[s]], gax + slots)
-        else:
-            out += np.einsum(t.data, t_subs, grad_x, gax + [slots[s], 3], gax + slots)
+    out -= tensors._derivation(t.data, t.sig, np.swapaxes(grad_x, -1, -2))
     return out
 
 
 def covariant_reference(t, conn, x):
-    gamma = conn.christoffel
-    out = tensors.gradient(t.data, t.sig, t.grid)
-    gax, slots = [0, 1, 2], list(range(5, 5 + len(t.sig)))
-    for s, kind in enumerate(t.sig):
-        t_subs = gax + slots[:s] + [4] + slots[s + 1:]
-        if kind == "u":
-            out += np.einsum(gamma, gax + [slots[s], 3, 4], t.data, t_subs, gax + [3] + slots)
-        else:
-            out -= np.einsum(gamma, gax + [4, 3, slots[s]], t.data, t_subs, gax + [3] + slots)
+    out = covariant_derivative(t, conn).data
+    gax, slots = [0, 1, 2], list(range(4, 4 + len(t.sig)))
     return np.einsum(out, gax + [3] + slots, x.data, gax + [3], gax + slots)
 
 
@@ -569,6 +557,80 @@ def test_tensor_norm2_matches_einsum(sig):
         operands += [g if kind == "u" else ginv, [0, 1, 2, 3 + k, 3 + r + k]]
     ref = np.einsum(*operands, [0, 1, 2])
     assert sup(tensor_norm2(data, sig, g) - ref) <= 1e-13 * sup(ref)
+
+
+def einsum_slot_terms(data, sig, m):
+    """The derivation of m written as one einsum per slot: m on 'u', -m^T on 'd'."""
+    gax, slots = [0, 1, 2], list(range(4, 4 + len(sig)))
+    out = np.zeros(data.shape)
+    for s, kind in enumerate(sig):
+        t_subs = gax + slots[:s] + [3] + slots[s + 1:]
+        if kind == "u":
+            out += np.einsum(m, gax + [slots[s], 3], data, t_subs, gax + slots)
+        else:
+            out -= np.einsum(m, gax + [3, slots[s]], data, t_subs, gax + slots)
+    return out
+
+
+@pytest.mark.parametrize("sig", ["", "u", "d", "ud", "dd", "udd"])
+def test_derivation_matches_einsum(sig):
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((6, 6, 6, 3, 3))
+    data = rng.standard_normal((6, 6, 6) + (3,) * len(sig))
+    ref = einsum_slot_terms(data, sig, m)
+    assert sup(tensors._derivation(data, sig, m) - ref) <= 1e-14 * sup(m) * sup(data)
+
+
+def test_christoffel_matches_einsum():
+    grid = Grid(6, 6)
+    g = random_spd_field(grid.shape, seed=5)
+    conn = christoffel(TensorField(grid, g, "dd"))
+    grad = tensors.gradient(g, "dd", grid)
+    b = grad + np.swapaxes(grad, 3, 4) - np.moveaxis(grad, 3, 5)
+    ref = 0.5 * np.einsum("...kl,...ijl->...kij", np.linalg.inv(g), b)
+    assert sup(conn.christoffel - ref) <= 1e-14 * sup(ref)
+    assert conn.christoffel.flags.c_contiguous
+
+
+@pytest.mark.parametrize("sig", ["u", "dd", "udd"])
+def test_on_slot_constant_matches_row_form(sig):
+    # the kernel groups all rows into one 2-D product; the row form on the
+    # N-d view is the reference, exact on integers and at roundoff otherwise
+    rng = np.random.default_rng(6)
+    mat = rng.integers(-3, 4, size=(3, 3)).astype(float)
+    shape = (6, 6, 6) + (3,) * len(sig)
+    for data, exact in ((rng.integers(-9, 10, size=shape).astype(float), True),
+                        (rng.standard_normal(shape), False)):
+        for s in range(len(sig)):
+            ref = np.moveaxis(np.moveaxis(data, 3 + s, -1) @ mat.T, -1, 3 + s)
+            out = grids._on_slot(data, s, mat)
+            if exact:
+                assert np.array_equal(out, ref)
+            else:
+                assert sup(out - ref) <= 1e-15 * sup(ref)
+
+
+def test_tensor_layer_calls_no_einsum(monkeypatch):
+    # every slot product of the tensor layer goes through grids._on_slot;
+    # an einsum in tensors or grids fails this test
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.einsum called in the tensor layer")
+
+    for module in (tensors, grids):
+        proxy = type(np)("numpy")
+        proxy.__dict__.update(np.__dict__)
+        proxy.einsum = refuse
+        monkeypatch.setattr(module, "np", proxy)
+    structure, metric = ck.contact_t3_testbed(1, Grid(8, 8))
+    reeb = structure.reeb
+    assert np.any(tensors.gradient(reeb.data, "u", reeb.grid))    # the slot terms run
+    lg = lie_derivative(metric.g, reeb)
+    conn = christoffel(metric.g)
+    covariant_derivative(lg, conn, reeb)
+    covariant_derivative(lg, conn)
+    tensor_norm2(lg.data, "dd", metric.g.data)
+    nijenhuis(metric.phi)
+    hodge_star(structure.alpha, metric.g.data, structure.orientation)
 
 
 def test_frame_matrix_matches_einsum():
