@@ -192,7 +192,7 @@ def _build(p: dict):
     return kind, None, structure, metric
 
 
-def _roundoff_scale(metric, ginv_max: float) -> float:
+def _roundoff_scale(metric) -> float:
     """eps max|g| max|g^-1| max|R|^2 / h^2, h the finest grid spacing.
 
     The size of float roundoff in a second Reeb derivative of the metric
@@ -200,11 +200,11 @@ def _roundoff_scale(metric, ginv_max: float) -> float:
     rounding errors of size eps max|g| in the coordinate components are
     weighed by g^-1 and divided twice by the stencil step along R.
     Carried in runner bodies for the convergence sweep's floor; run()
-    leaves it out of report.json.  ``ginv_max`` is max|g^-1|.
+    leaves it out of report.json.
     """
     reeb = np.max(np.abs(metric.structure.reeb.data))
     return float(np.finfo(float).eps * np.max(np.abs(metric.g.data))
-                 * ginv_max * reeb ** 2 / min(metric.grid.spacing) ** 2)
+                 * np.max(np.abs(metric.ginv)) * reeb ** 2 / min(metric.grid.spacing) ** 2)
 
 
 # -- experiments ---------------------------------------------------------------
@@ -249,7 +249,7 @@ def _run_verify(p):
         if scalars["euler_lagrange_supnorm"] > 1e-4 * mu2:
             failures.append("euler_lagrange_supnorm above 1e-4 * mu^2")
     return {"residuals": residuals, "scalars": scalars, "failures": failures,
-            "_roundoff_scale": _roundoff_scale(metric, ginv_max)}
+            "_roundoff_scale": _roundoff_scale(metric)}
 
 
 def _run_energy(p):
@@ -259,7 +259,7 @@ def _run_energy(p):
                        "torsion_mean": float(np.mean(rep.torsion_field)),
                        "torsion_constancy": rep.constancy if rep.energy > 0 else 0.0,
                        "first_integral_residual": rep.first_integral_residual},
-           "failures": [], "_roundoff_scale": _roundoff_scale(metric, np.max(np.abs(metric.ginv)))}
+           "failures": [], "_roundoff_scale": _roundoff_scale(metric)}
     if kind == "hyperbolic":
         expected = 8.0 * model.area * model.log_lambda ** 2 / model.tau
         rel = abs(rep.energy - expected) / expected
@@ -298,7 +298,7 @@ def _run_lyapunov(p):
     return {"scalars": {"mu": mu, "max_error": worst, "max_sum": sum_abs,
                         "base_point_spread": spread},
             "tables": {"exponents": rows}, "failures": failures,
-            "_roundoff_scale": _roundoff_scale(metric, np.max(np.abs(metric.ginv)))}
+            "_roundoff_scale": _roundoff_scale(metric)}
 
 
 def _run_betti(p):

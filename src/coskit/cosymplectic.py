@@ -12,17 +12,23 @@ phi^k_j = g^{kl} beta_{lj} (beta's first slot is the contracted one).
 Certification evaluates all defining and derived identities and returns
 their sup-norm residuals; nothing downstream trusts a metric that did
 not pass through the certifier.
+
+A certified metric holds g, the read-only g^{-1} its certifier formed,
+and the certificate; phi and the Levi-Civita connection are derived
+from that g^{-1} on first use and then kept.  g and g^{-1} are one
+snapshot, so g.data must not be mutated after certification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import tensors
 from .grids import Grid, integrate
-from .tensors import Connection, TensorField, christoffel, exterior_derivative, \
+from .tensors import Connection, TensorField, _levi_civita, exterior_derivative, \
     hodge_star, inverse_metric, lie_derivative
 
 FLAVORS = ("cosymplectic", "contact", "general_r_invariant")
@@ -103,13 +109,18 @@ def reeb_field(alpha: TensorField, beta: TensorField) -> TensorField:
 
 @dataclass
 class CompatibleMetric:
-    """A certified compatible metric with its derived (1,1) tensor phi."""
+    """A certified compatible metric: g, g^{-1} and the certificate.
+
+    g^{-1} is the read-only inverse that certify_compatible formed; phi =
+    g^{-1} beta and the Levi-Civita connection are derived from it on
+    first use.  g and g^{-1} are one snapshot: do not mutate g.data
+    after certification.
+    """
 
     structure: Structure
     g: TensorField
-    phi: TensorField
     certificate: dict[str, float]
-    _connection: Connection | None = field(default=None, repr=False)
+    _ginv: np.ndarray = field(repr=False)
 
     @property
     def grid(self) -> Grid:
@@ -117,13 +128,15 @@ class CompatibleMetric:
 
     @property
     def ginv(self) -> np.ndarray:
-        return inverse_metric(self.g.data)
+        return self._ginv
 
-    @property
+    @cached_property
+    def phi(self) -> TensorField:
+        return TensorField(self.grid, self.ginv @ self.structure.beta.data, "ud", self.g.frame)
+
+    @cached_property
     def connection(self) -> Connection:
-        if self._connection is None:
-            self._connection = christoffel(self.g)
-        return self._connection
+        return _levi_civita(self.g, self.ginv)
 
     def h_tensor(self) -> TensorField:
         """h = (1/2) L_R phi; symmetric, anticommutes with phi, kills R."""
@@ -145,19 +158,20 @@ ALGEBRAIC_CERT_KEYS = (
 def certify_compatible(structure: Structure, g: TensorField) -> CompatibleMetric:
     """Derive phi from g and evaluate every compatibility identity.
 
-    Returns the metric packaged with a certificate mapping identity
-    names to sup-norm residuals.  Raises only for structurally unusable
-    input (g not symmetric positive definite); interpretation of the
-    residuals is left to the caller.
+    Returns the metric packaged with its g^{-1} (made read-only) and a
+    certificate mapping identity names to sup-norm residuals.  Raises
+    only for structurally unusable input (g not symmetric positive
+    definite); interpretation of the residuals is left to the caller.
     """
     tensors.check_positive_definite(g.data)
     if _sup(g.data - np.swapaxes(g.data, -1, -2)) > 1e-12 * max(1.0, _sup(g.data)):
         raise StructureError("metric is not symmetric")
-    grid, gd = structure.grid, g.data
+    gd = g.data
     beta = structure.beta.data
     # alpha as a row vector, R as a column vector
     alpha, reeb = structure.alpha.data[..., None, :], structure.reeb.data[..., :, None]
     ginv = inverse_metric(gd)
+    ginv.flags.writeable = False
     phi = ginv @ beta
     phi_t = np.swapaxes(phi, -1, -2)
     r_low = (gd @ reeb)[..., 0]
@@ -174,12 +188,10 @@ def certify_compatible(structure: Structure, g: TensorField) -> CompatibleMetric
         "hodge_alpha_beta": _sup(
             hodge_star(structure.alpha, gd, structure.orientation, ginv=ginv).data - beta),
     }
-    del ginv
     if structure.flavor != "cosymplectic":
         dalpha = exterior_derivative(structure.alpha).data
         cert["d_alpha_phi_antisymmetry"] = _sup(phi_t @ dalpha + dalpha @ phi)
-    return CompatibleMetric(structure, g,
-                            TensorField(grid, phi, "ud", g.frame), cert)
+    return CompatibleMetric(structure, g, cert, ginv)
 
 
 def d_alpha_plus(metric: CompatibleMetric) -> TensorField:

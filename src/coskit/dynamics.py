@@ -19,8 +19,8 @@ import numpy as np
 from .cosymplectic import CompatibleMetric
 from .grids import Grid, _int_det, _int_matmul, _int_matpow, _lift, _transported
 from .models import HyperbolicModel, sol_frame
-from .tensors import TensorField, lie_bracket, lie_derivative, sqrtm_spd, symmetric_eigen, \
-    tensor_norm2
+from .tensors import TensorField, lie_bracket, sqrtm_spd, symmetric_eigen, tensor_norm2
+from .variational import _torsion
 
 
 class NotHyperbolicTorsionError(ValueError):
@@ -168,14 +168,13 @@ def anosov_splitting(metric: CompatibleMetric, torsion_threshold: float = 1e-8) 
     assigned by measuring the one-period pushforward contraction of
     each candidate line in the metric, not assumed from a formula.
     """
-    grid, ginv = metric.grid, metric.ginv
-    lg_norm2 = tensor_norm2(lie_derivative(metric.g, metric.structure.reeb).data, "dd",
-                            metric.g.data, ginv)
+    grid = metric.grid
+    lg_norm2 = _torsion(metric)
     if float(np.min(lg_norm2)) < torsion_threshold:
         raise NotHyperbolicTorsionError(
             f"torsion minimum {float(np.min(lg_norm2)):.3e} below threshold")
     h = metric.h_tensor()
-    evals, evecs, aligned = symmetric_eigen(h, metric.g.data, ginv=ginv)
+    evals, evecs, aligned = symmetric_eigen(h, metric.g.data, ginv=metric.ginv)
     mu = float(np.mean(evals[..., 0]))
     u_plus = np.ascontiguousarray(evecs[..., :, 0])   # not a view pinning all of evecs
     u_minus = np.einsum("...ij,...j->...i", metric.phi.data, u_plus)

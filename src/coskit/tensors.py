@@ -245,7 +245,6 @@ class Connection:
 
     grid: Grid
     christoffel: np.ndarray
-    source_metric: np.ndarray
 
     def symmetry_residual(self) -> float:
         return float(np.max(np.abs(self.christoffel - np.swapaxes(self.christoffel, 4, 5))))
@@ -283,13 +282,18 @@ def christoffel(g: TensorField) -> Connection:
     layout whose slices Gamma^k_{a j} covariant_derivative reads fastest.
     """
     check_positive_definite(g.data)
+    return _levi_civita(g, inverse_metric(g.data))
+
+
+def _levi_civita(g: TensorField, ginv: np.ndarray) -> Connection:
+    """The body of christoffel, with g^{-1} given; no positivity check."""
     grad = gradient(g.data, g.sig, g.grid)          # [a, i, j] = d_a g_{ij}
     b = grad + np.swapaxes(grad, 3, 4)
     b -= np.moveaxis(grad, 3, 5)
     del grad
-    gamma = _on_slot(inverse_metric(g.data), 1, b.reshape(b.shape[:3] + (9, 3))).reshape(b.shape)
+    gamma = _on_slot(ginv, 1, b.reshape(b.shape[:3] + (9, 3))).reshape(b.shape)
     gamma *= 0.5
-    return Connection(g.grid, gamma, g.data)
+    return Connection(g.grid, gamma)
 
 
 def covariant_derivative(t: TensorField, conn: Connection,

@@ -65,11 +65,15 @@ class TorsionReport:
         return float(np.std(self.torsion_field) / np.mean(self.torsion_field))
 
 
+def _torsion(metric: CompatibleMetric) -> np.ndarray:
+    """|L_R g|^2 pointwise, unclamped."""
+    return tensor_norm2(lie_derivative(metric.g, metric.structure.reeb).data, "dd",
+                        metric.g.data, metric.ginv)
+
+
 def torsion_report(metric: CompatibleMetric) -> TorsionReport:
     structure = metric.structure
-    lg = lie_derivative(metric.g, structure.reeb)
-    torsion = tensor_norm2(lg.data, "dd", metric.g.data, metric.ginv)
-    torsion = np.maximum(torsion, 0.0)
+    torsion = np.maximum(_torsion(metric), 0.0)
     mu_field = np.sqrt(torsion) * 2.0 ** (-1.5)
     return TorsionReport(
         torsion_field=torsion,
@@ -81,9 +85,7 @@ def torsion_report(metric: CompatibleMetric) -> TorsionReport:
 
 
 def energy(metric: CompatibleMetric) -> float:
-    lg = lie_derivative(metric.g, metric.structure.reeb)
-    torsion = tensor_norm2(lg.data, "dd", metric.g.data, metric.ginv)
-    return metric.structure.integrate(torsion)
+    return metric.structure.integrate(_torsion(metric))
 
 
 def euler_lagrange_residual(metric: CompatibleMetric) -> TensorField:

@@ -303,8 +303,7 @@ def test_sweep_floor_is_pinned_multiple_of_roundoff_scale():
     g = metric.g.data
     expected = np.finfo(float).eps * np.max(np.abs(g)) * np.max(np.abs(metric.ginv)) \
         * (1.0 / 0.5) ** 2 * 16 ** 2
-    assert cli._roundoff_scale(metric, np.max(np.abs(metric.ginv))) \
-        == pytest.approx(expected, rel=1e-12)
+    assert cli._roundoff_scale(metric) == pytest.approx(expected, rel=1e-12)
     report = cli.run({"experiment": "verify",
                       "model": {"model": "hyperbolic", "matrix": [2, 1, 1, 1]},
                       "grid": {"n_torus": 16}})

@@ -1,11 +1,15 @@
+import inspect
+
 import numpy as np
 import pytest
 
 import coskit as ck
-from coskit.cosymplectic import ALGEBRAIC_CERT_KEYS, StructureError, \
+from coskit import cosymplectic, tensors
+from coskit import variational as va
+from coskit.cosymplectic import ALGEBRAIC_CERT_KEYS, CompatibleMetric, StructureError, \
     certify_compatible, polar_compatible_metric, reeb_field
 from coskit.grids import Grid
-from coskit.tensors import TensorField
+from coskit.tensors import TensorField, christoffel, inverse_metric
 from coskit.variational import energy, random_global_scalar
 
 
@@ -157,3 +161,59 @@ def test_polar_degenerate_beta_raises(flat16):
                                  structure.reeb, "cosymplectic")
     with pytest.raises(StructureError):
         polar_compatible_metric(bad_structure, metric.g)
+
+
+# -- the certified metric's inverse ----------------------------------------------
+
+
+def test_certified_metric_inverts_g_once(monkeypatch, model):
+    # one inversion per certification along certify -> first variation ->
+    # curve pair -> energies; phi, the connection and every g^-1 contraction
+    # read the certifier's inverse
+    grid = Grid(8, 8, model.matrix)
+    chart = va.deformation_chart(model, grid)
+    hyper = va.deform(chart, va.random_deformation(grid, seed=2, amplitude=0.25))
+    _, contact = ck.contact_t3_testbed(1, Grid(8, 8))
+    rng = np.random.default_rng(19)
+    cases = [(hyper, va.random_tangent(hyper, rng, 0.1, model=model)),
+             (contact, va.random_tangent(contact, rng, 0.1))]
+    calls = []
+
+    def counting(g):
+        calls.append(g.shape)
+        return inverse_metric(g)
+
+    monkeypatch.setattr(cosymplectic, "inverse_metric", counting)
+    monkeypatch.setattr(tensors, "inverse_metric", counting)
+    for metric, h in cases:
+        calls.clear()
+        base = certify_compatible(metric.structure, metric.g)
+        va.first_variation(base, h)
+        plus, minus = va.exponential_curve(base, h, 1e-3), va.exponential_curve(base, h, -1e-3)
+        va.energy(plus)
+        va.energy(minus)
+        assert len(calls) == 3
+
+
+def test_phi_and_connection_bit_identical_to_fresh_inverse(crit16_gluing):
+    _, metric = crit16_gluing
+    _, contact = ck.contact_t3_testbed(1, Grid(8, 8))
+    for m in (metric, contact):
+        assert np.array_equal(m.phi.data, inverse_metric(m.g.data) @ m.structure.beta.data)
+        assert np.array_equal(m.connection.christoffel, christoffel(m.g).christoffel)
+        assert m.phi is m.phi and m.connection is m.connection
+
+
+def test_certified_inverse_is_read_only(flat8):
+    _, metric = flat8
+    assert metric.ginv is metric.ginv
+    with pytest.raises(ValueError):
+        metric.ginv[0, 0, 0, 0, 0] = 2.0
+
+
+def test_compatible_metric_members_keep_their_kind():
+    # the benchmark's span tracer replaces CompatibleMetric.ginv by a property
+    # around its getter and h_tensor by a wrapped function; a field or a
+    # cached_property in either place would break `bench/run.py --trace 1`
+    assert isinstance(CompatibleMetric.__dict__["ginv"], property)
+    assert inspect.isfunction(CompatibleMetric.__dict__["h_tensor"])
