@@ -34,11 +34,13 @@ SCHEMA = "coskit-report/1"
 EXPERIMENTS = ("verify", "energy", "optimize", "lyapunov", "betti",
                "first_variation", "gap_identity")
 
-# the experiments a convergence sweep runs, and the scalars it fits
-_SWEEP_METRICS = {
-    "verify": ("euler_lagrange_supnorm", "nabla_r_h_supnorm", "torsion_constancy"),
-    "energy": ("relative_error", "torsion_constancy"),
-    "lyapunov": ("max_error",),
+# the experiments a convergence sweep runs: the scalars it fits, and the
+# models whose runs report them
+_SWEEPS = {
+    "verify": (("euler_lagrange_supnorm", "nabla_r_h_supnorm", "torsion_constancy"),
+               ("hyperbolic", "flat_cokahler", "contact_t3")),
+    "energy": (("relative_error", "torsion_constancy"), ("hyperbolic",)),
+    "lyapunov": (("max_error",), ("hyperbolic",)),
 }
 
 
@@ -101,7 +103,7 @@ CONFIG_SCHEMA = {
     "experiment": (_choice(*EXPERIMENTS), None, EXPERIMENTS),
     "seed": (INTEGER, 0, EXPERIMENTS),
     "out": (STRING, "coskit_out", EXPERIMENTS),
-    "resolutions": (RESOLUTIONS, [16, 32, 64], tuple(_SWEEP_METRICS)),
+    "resolutions": (RESOLUTIONS, [16, 32, 64], tuple(_SWEEPS)),
     "model.model": (_choice("hyperbolic", "flat_cokahler", "contact_t3", "sol"),
                     "hyperbolic", _BUILT),
     "model.matrix": (MATRIX, [2, 1, 1, 1], EXPERIMENTS),
@@ -275,6 +277,9 @@ def _run_energy(p):
 
 
 def _run_lyapunov(p):
+    if p["model.model"] == "sol":
+        raise ConfigError(["lyapunov has no exponents on the sol model: "
+                           "its open box chart has no asymptotic rates"])
     kind, model, structure, metric = _build(p)
     if kind != "hyperbolic":
         return {"scalars": {"exponents": [0.0, 0.0, 0.0]}, "failures": []}
@@ -432,32 +437,38 @@ def run(cfg: dict, seed: int = 0) -> dict:
 
 # -- convergence sweeps ---------------------------------------------------------
 
-# the machine floor is this many roundoff scales; the critical metrics'
-# residuals sit at 0.09 to 0.53 scales over gluings, tau and V
+# the order of the stencils, the absolute machine floor, and the floor in
+# roundoff scales; the critical metrics' residuals sit at 0.09 to 0.53
+# scales over gluings, tau and V
+_SCHEME_ORDER = 4.0
+_FLOOR = 1e-11
 _FLOOR_FACTOR = 4.0
 
 
-def convergence_sweep(cfg: dict, seed: int = 0, scheme_order: float = 4.0,
-                      floor: float = 1e-11) -> dict:
+def convergence_sweep(cfg: dict, seed: int = 0) -> dict:
     """Run an experiment across resolutions and fit the error order.
 
     Metrics whose errors sit below the machine floor at every resolution
     are marked machine_floor (exact quantities stay flat); otherwise a
-    log-log fit must give at least scheme_order - 0.5 and the errors
+    log-log fit must give at least _SCHEME_ORDER - 0.5 and the errors
     must decrease monotonically, else the metric is flagged as failed,
     not silently passed.  The floor at each resolution is the larger of
-    the absolute ``floor`` and _FLOOR_FACTOR times the run's own
-    roundoff scale (see _roundoff_scale), which grows like 1/h^2 and
-    with the conditioning of the metric.
+    the absolute _FLOOR and _FLOOR_FACTOR times the run's own roundoff
+    scale (see _roundoff_scale), which grows like 1/h^2 and with the
+    conditioning of the metric.  A model whose runs do not report the
+    fitted scalars is refused before any computation.
     """
     p = resolve_config(cfg, seed)
-    metrics = _SWEEP_METRICS.get(p["experiment"])
-    if metrics is None:
+    if p["experiment"] not in _SWEEPS:
         raise ConfigError([f"no convergence sweep for {p['experiment']!r}"])
+    metrics, models = _SWEEPS[p["experiment"]]
+    if p["model.model"] not in models:
+        raise ConfigError([f"no convergence sweep of {p['experiment']!r} for "
+                           f"model.model {p['model.model']!r}"])
     table, floors = {}, []
     for n in p["resolutions"]:
         body = _RUNNERS[p["experiment"]](p | {"grid.n_torus": n, "grid.n_fiber": n})
-        floors.append(max(floor, _FLOOR_FACTOR * body.get("_roundoff_scale", 0.0)))
+        floors.append(max(_FLOOR, _FLOOR_FACTOR * body.get("_roundoff_scale", 0.0)))
         for name in metrics:
             table.setdefault(name, []).append(float(body["scalars"][name]))
     fits, failures = {}, []
@@ -473,7 +484,7 @@ def convergence_sweep(cfg: dict, seed: int = 0, scheme_order: float = 4.0,
             continue
         order = float(np.polyfit(logh, np.log(errs_arr), 1)[0])
         monotone = bool(np.all(np.diff(errs_arr) < 0))
-        ok = order >= scheme_order - 0.5 and monotone
+        ok = order >= _SCHEME_ORDER - 0.5 and monotone
         fits[name] = {"status": "fitted", "order": order, "monotone": monotone,
                       "errors": errs}
         if not ok:

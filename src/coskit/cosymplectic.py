@@ -104,7 +104,7 @@ def reeb_field(alpha: TensorField, beta: TensorField) -> TensorField:
     dens = np.einsum("...i,...i->...", alpha.data, ker)
     if np.min(np.abs(dens)) < 1e-14:
         raise StructureError("alpha ^ beta degenerate: Reeb system singular at a point")
-    return TensorField(alpha.grid, ker / dens[..., None], "u", alpha.frame)
+    return TensorField(alpha.grid, ker / dens[..., None], "u")
 
 
 @dataclass
@@ -132,7 +132,7 @@ class CompatibleMetric:
 
     @cached_property
     def phi(self) -> TensorField:
-        return TensorField(self.grid, self.ginv @ self.structure.beta.data, "ud", self.g.frame)
+        return TensorField(self.grid, self.ginv @ self.structure.beta.data, "ud")
 
     @cached_property
     def connection(self) -> Connection:
@@ -141,7 +141,7 @@ class CompatibleMetric:
     def h_tensor(self) -> TensorField:
         """h = (1/2) L_R phi; symmetric, anticommutes with phi, kills R."""
         lphi = lie_derivative(self.phi, self.structure.reeb)
-        return TensorField(self.grid, 0.5 * lphi.data, "ud", self.phi.frame)
+        return TensorField(self.grid, 0.5 * lphi.data, "ud")
 
     def max_residual(self, keys=None) -> float:
         keys = keys or self.certificate.keys()
@@ -201,7 +201,7 @@ def d_alpha_plus(metric: CompatibleMetric) -> TensorField:
     """
     dalpha = exterior_derivative(metric.structure.alpha).data
     plus = metric.ginv @ dalpha
-    return TensorField(metric.grid, plus, "ud", metric.g.frame)
+    return TensorField(metric.grid, plus, "ud")
 
 
 # -- polar-decomposition metric builder -----------------------------------
@@ -256,4 +256,4 @@ def polar_compatible_metric(structure: Structure, k: TensorField) -> CompatibleM
     block[..., 1:, 1:] = g_hat
     g = np.swapaxes(coframe, -1, -2) @ block @ coframe
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
-    return certify_compatible(structure, TensorField(grid, g, "dd", k.frame))
+    return certify_compatible(structure, TensorField(grid, g, "dd"))

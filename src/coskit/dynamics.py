@@ -97,34 +97,33 @@ class FlowCocycle:
         return max(abs(_int_det(b) - 1) for b in self.torus_blocks)
 
 
-def lyapunov_exponents(model: HyperbolicModel, point=None, horizon: float | None = None,
-                       metric_matrix=None, burn_in: int = 128) -> np.ndarray:
-    """QR growth rates of the flow differential, measured in a metric.
+# QR steps that align the frame with the invariant splitting before rates accumulate
+_QR_BURN_IN = 128
+
+
+def lyapunov_exponents(model: HyperbolicModel, point=None, *, horizon: float) -> np.ndarray:
+    """QR growth rates of the flow differential over ``horizon``, in the critical metric.
 
     One QR step per period: the transport A = diag(1, L) conjugated into
-    the metric-orthonormal frame at the orbit point (g depends only on
-    t for the suspension models, so the frame map is the same at both
-    endpoints of a period).  A burn-in aligns the QR frame with the
+    the orthonormal frame of the critical metric at the orbit point (g
+    depends only on t, so the frame map is the same at both endpoints
+    of a period).  _QR_BURN_IN steps align the QR frame with the
     invariant splitting before rates accumulate, after which each step
     is exact; returns the three exponents sorted descending.
     """
     if point is None:
         point = np.array([0.0, 0.1234, 0.7531])
     point = np.asarray(point, dtype=float)
-    if horizon is None:
-        horizon = 50.0 * model.tau
     n_steps = int(round(horizon / model.tau))
     if n_steps < 1:
         raise ValueError("horizon too short: need at least one period tau")
-    if metric_matrix is None:
-        metric_matrix = lambda p: model.metric_matrix(p[0])
-    g = np.asarray(metric_matrix(point), dtype=float)
+    g = model.metric_matrix(point[0])
     gs, gis = sqrtm_spd(g[None, None, None])
     gs, gis = gs[0, 0, 0], gis[0, 0, 0]
     m = gs @ _lift(model.matrix) @ gis
 
     q = np.eye(3)
-    for _ in range(burn_in):
+    for _ in range(_QR_BURN_IN):
         q, _ = np.linalg.qr(m @ q)
     sums = np.zeros(3)
     for _ in range(n_steps):
@@ -160,7 +159,11 @@ class SplittingFrame:
     hphi_unstable_eig: float
 
 
-def anosov_splitting(metric: CompatibleMetric, torsion_threshold: float = 1e-8) -> SplittingFrame:
+# the torsion |L_R g|^2 below which no hyperbolic splitting is sought
+_TORSION_THRESHOLD = 1e-8
+
+
+def anosov_splitting(metric: CompatibleMetric) -> SplittingFrame:
     """Extract the hyperbolic splitting from h = (1/2) L_R phi.
 
     u_+ is the +mu eigenfield of h, u_- = phi u_+ the -mu one; the
@@ -170,11 +173,11 @@ def anosov_splitting(metric: CompatibleMetric, torsion_threshold: float = 1e-8) 
     """
     grid = metric.grid
     lg_norm2 = _torsion(metric)
-    if float(np.min(lg_norm2)) < torsion_threshold:
+    if float(np.min(lg_norm2)) < _TORSION_THRESHOLD:
         raise NotHyperbolicTorsionError(
             f"torsion minimum {float(np.min(lg_norm2)):.3e} below threshold")
     h = metric.h_tensor()
-    evals, evecs, aligned = symmetric_eigen(h, metric.g.data, ginv=metric.ginv)
+    evals, evecs, aligned = symmetric_eigen(h, metric.g.data, metric.ginv)
     mu = float(np.mean(evals[..., 0]))
     u_plus = np.ascontiguousarray(evecs[..., :, 0])   # not a view pinning all of evecs
     u_minus = np.einsum("...ij,...j->...i", metric.phi.data, u_plus)
@@ -307,18 +310,15 @@ def splitting_invariance_residual(frame: SplittingFrame, metric: CompatibleMetri
 
 
 def contraction_law_residual(frame: SplittingFrame, metric: CompatibleMetric,
-                             model: HyperbolicModel, n_periods: int = 10,
-                             mu: float | None = None) -> float:
+                             model: HyperbolicModel, n_periods: int = 10) -> float:
     """sup over |t| <= n_periods tau of | log |dPhi^t v_pm| - rate |.
 
-    log |dPhi^t v_+| = -mu t and log |dPhi^t v_-| = +mu t; each field is
-    transported in its conditioned time direction (see
-    splitting_invariance_residual).  mu defaults to the model's exact
-    log|lambda| / tau.
+    log |dPhi^t v_+| = -mu t and log |dPhi^t v_-| = +mu t, with mu the
+    model's exact log|lambda| / tau; each field is transported in its
+    conditioned time direction (see splitting_invariance_residual).
     """
     grid, g = metric.grid, metric.g.data
-    if mu is None:
-        mu = model.mu
+    mu = model.mu
     worst = 0.0
     # v_plus is stable (forward-contracting): push backward; v_minus forward.
     for field, sgn in ((frame.v_plus, -1), (frame.v_minus, 1)):

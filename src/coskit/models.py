@@ -149,8 +149,7 @@ def suspension_structure(model: HyperbolicModel, grid: Grid) -> Structure:
     return _constant_structure(grid, model.tau, model.area)
 
 
-def critical_metric(model: HyperbolicModel, grid: Grid,
-                    scale: float = 1.0) -> tuple[Structure, CompatibleMetric]:
+def critical_metric(model: HyperbolicModel, grid: Grid) -> tuple[Structure, CompatibleMetric]:
     """The suspension structure with its critical compatible metric.
 
     The metric makes (tau^{-1} d_t, |lam|^{-t} w_+, |lam|^{t} w_-)
@@ -159,7 +158,7 @@ def critical_metric(model: HyperbolicModel, grid: Grid,
     """
     structure = suspension_structure(model, grid)
     t = np.broadcast_to(grid.t, grid.shape)
-    g = TensorField(grid, model.metric_matrix(t, scale=scale), "dd")
+    g = TensorField(grid, model.metric_matrix(t), "dd")
     return structure, certify_compatible(structure, g)
 
 
@@ -190,22 +189,23 @@ def critical_frame(model: HyperbolicModel, grid: Grid):
 
 
 def change_frame(field: TensorField, model: HyperbolicModel, to: str) -> TensorField:
-    """Convert tensor components between the coordinate and eigenframe bases.
+    """Convert tensor components to the basis ``to`` from the other one.
 
-    The eigenframe basis is (d_t, w_+, w_-); the change of basis is the
-    constant matrix P = diag(1, [w_+ w_-]).  Components with an even
-    total index count per eigen-direction are globally single-valued on
-    the quotient even when lambda < 0 (the pair sign squares away).
+    The bases are the coordinate basis (d_t, d_x, d_y) and the
+    eigenframe basis (d_t, w_+, w_-); the change of basis is the
+    constant matrix P = diag(1, [w_+ w_-]).  ``to="eigenframe"`` reads
+    coordinate components and ``to="coordinate"`` eigenframe ones.
+    Components with an even total index count per eigen-direction are
+    globally single-valued on the quotient even when lambda < 0 (the
+    pair sign squares away).
     """
     if to not in ("coordinate", "eigenframe"):
         raise ValueError(f"unknown frame {to!r}")
-    if field.frame == to:
-        return field
     p = _lift(model.eigenbasis)
     p_inv = np.linalg.inv(p)
     mat, mat_inv = (p_inv, p) if to == "eigenframe" else (p, p_inv)
     return TensorField(field.grid, _contract_slots(field.data, field.sig, mat, mat_inv),
-                       field.sig, to)
+                       field.sig)
 
 
 def flat_cokahler(grid: Grid) -> tuple[Structure, CompatibleMetric]:
@@ -235,9 +235,9 @@ class SolModel:
         return g
 
 
-def sol_box_grid(n_torus: int, n_fiber: int, t_half_width: float = 0.5) -> Grid:
-    return Grid(n_torus, n_fiber, open_t=True, t_min=-t_half_width,
-                t_extent=2.0 * t_half_width)
+def sol_box_grid(n_torus: int, n_fiber: int) -> Grid:
+    """The open box chart t in [-1/2, 1/2] of the Sol model."""
+    return Grid(n_torus, n_fiber, open_t=True, t_min=-0.5, t_extent=1.0)
 
 
 def sol_model(mu: float, grid: Grid) -> tuple[Structure, CompatibleMetric]:

@@ -36,14 +36,14 @@ class TensorField:
     """Sampled tensor components on a grid chart.
 
     data has shape grid.shape + (3,)*rank; sig is one 'u'/'d' per slot
-    in storage order.  frame tags whether components refer to the
-    coordinate basis (t, x, y) or the eigenframe basis (t, x+, x-).
+    in storage order.  Components refer to the coordinate basis
+    (t, x, y); only models.change_frame returns another basis, the one
+    its caller names.
     """
 
     grid: Grid
     data: np.ndarray
     sig: str
-    frame: str = "coordinate"
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -125,16 +125,13 @@ def sqrtm_spd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (v * r) @ vt, (v / r) @ vt
 
 
-def tensor_norm2(data: np.ndarray, sig: str, g: np.ndarray,
-                 ginv: np.ndarray | None = None) -> np.ndarray:
+def tensor_norm2(data: np.ndarray, sig: str, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     """Pointwise squared norm by full index contraction with g, g^{-1}.
 
     Each slot in turn is contracted with its metric (g on a 'u' slot,
     g^{-1} on a 'd' slot) by the slot kernel ``grids._on_slot``; the
     result is then paired with the data.
     """
-    if ginv is None:
-        ginv = inverse_metric(g)
     out = data
     for s, kind in enumerate(sig):
         out = _on_slot(out, s, g if kind == "u" else ginv)
@@ -151,8 +148,12 @@ def frame_matrix(t2: np.ndarray, frame: np.ndarray) -> np.ndarray:
 
 # -- exterior derivative -------------------------------------------------
 
-def _check_antisymmetric(data: np.ndarray, k: int, tol: float = 1e-9):
-    if k == 2 and np.max(np.abs(data + np.swapaxes(data, 3, 4))) > tol * max(1.0, np.max(np.abs(data))):
+_ANTISYMMETRY_TOL = 1e-9
+
+
+def _check_antisymmetric(data: np.ndarray, k: int):
+    if k == 2 and np.max(np.abs(data + np.swapaxes(data, 3, 4))) \
+            > _ANTISYMMETRY_TOL * max(1.0, np.max(np.abs(data))):
         raise TensorCalculusError("input form is not antisymmetric")
 
 
@@ -164,13 +165,13 @@ def exterior_derivative(omega: TensorField) -> TensorField:
     _check_antisymmetric(omega.data, k)
     grad = gradient(omega.data, omega.sig, omega.grid)
     if k == 0:
-        return TensorField(omega.grid, grad, "d", omega.frame)
+        return TensorField(omega.grid, grad, "d")
     if k == 1:
         d = grad - np.swapaxes(grad, 3, 4)
-        return TensorField(omega.grid, d, "dd", omega.frame)
+        return TensorField(omega.grid, d, "dd")
     if k == 2:
         d = grad - np.swapaxes(grad, 3, 4) + np.moveaxis(grad, 3, 5)
-        return TensorField(omega.grid, d, "ddd", omega.frame)
+        return TensorField(omega.grid, d, "ddd")
     raise TensorCalculusError(f"no {k}-forms beyond top degree in dimension 3")
 
 
@@ -210,7 +211,7 @@ def lie_derivative(t: TensorField, x: TensorField) -> TensorField:
     grad_x = gradient(x.data, x.sig, grid)      # [c, a] = d_c X^a
     if np.any(grad_x):
         out -= _derivation(t.data, t.sig, np.swapaxes(grad_x, -1, -2))
-    return TensorField(grid, out, t.sig, t.frame)
+    return TensorField(grid, out, t.sig)
 
 
 def _along_field(t: TensorField, x: TensorField, term) -> np.ndarray:
@@ -314,38 +315,36 @@ def covariant_derivative(t: TensorField, conn: Connection,
         return d
 
     if x is not None:
-        return TensorField(grid, _along_field(t, x, along), t.sig, t.frame)
+        return TensorField(grid, _along_field(t, x, along), t.sig)
     out = np.empty(t.data.shape[:3] + (3,) + t.data.shape[3:])
     for a in range(3):
         out[:, :, :, a] = along(a)
-    return TensorField(grid, out, "d" + t.sig, t.frame)
+    return TensorField(grid, out, "d" + t.sig)
 
 
 # -- Hodge star -----------------------------------------------------------
 
-def hodge_star(omega: TensorField, g: np.ndarray, orientation: float = 1.0,
-               ginv: np.ndarray | None = None) -> TensorField:
+def hodge_star(omega: TensorField, g: np.ndarray, orientation: float = 1.0, *,
+               ginv: np.ndarray) -> TensorField:
     """Star of a 1-form in dimension 3: (*w)_{jk} = s sqrt(g) eps_{ljk} w^l.
 
     orientation is +1 when dt^dx^dy is positively oriented for the
     chart's volume form, -1 otherwise.  Star is an involution on
-    1-forms and a pointwise g-isometry onto 2-forms.  ginv, when given,
-    is used for raising the 1-form's index instead of inverting g again.
+    1-forms and a pointwise g-isometry onto 2-forms.  ginv = g^{-1}
+    raises the 1-form's index; the 2-form direction does not read it.
     """
     eps = _EPS3.reshape(3, 9)
     if omega.sig == "d":
-        if ginv is None:
-            ginv = inverse_metric(g)
         sqg = orientation * np.sqrt(_det3(g))
         wup = _on_slot(omega.data, 0, ginv)
         star = (wup @ eps).reshape(wup.shape + (3,)) * sqg[..., None, None]
-        return TensorField(omega.grid, star, "dd", omega.frame)
+        return TensorField(omega.grid, star, "dd")
     if omega.sig == "dd":
         # inverse direction, for the involution check
         sqg = orientation * np.sqrt(_det3(g))
         comp = 0.5 * (omega.data.reshape(omega.data.shape[:-2] + (9,)) @ eps.T)
         low = _on_slot(comp, 0, g) / sqg[..., None]
-        return TensorField(omega.grid, low, "d", omega.frame)
+        return TensorField(omega.grid, low, "d")
     raise TensorCalculusError("hodge_star implemented for 1- and 2-forms in dim 3")
 
 
@@ -360,7 +359,7 @@ def nijenhuis(phi: TensorField) -> TensorField:
     t1 = np.swapaxes(_on_slot(grad, 0, np.swapaxes(phi.data, -1, -2)), 3, 4)
     t3 = np.swapaxes(_on_slot(grad, 1, phi.data), 3, 4)
     n = t1 - np.swapaxes(t1, 4, 5) - t3 + np.swapaxes(t3, 4, 5)
-    return TensorField(phi.grid, n, "udd", phi.frame)
+    return TensorField(phi.grid, n, "udd")
 
 
 # -- pointwise symmetric eigendecomposition --------------------------------
@@ -387,8 +386,13 @@ def _align_eigenvector_field(vec: np.ndarray) -> np.ndarray:
     return v
 
 
-def symmetric_eigen(a: TensorField, g: np.ndarray, tol: float = 1e-6,
-                    degenerate_gap: float = 1e-6, ginv: np.ndarray | None = None):
+# self-adjointness residual and smallest eigenvalue gap, relative to the
+# largest entry of the reduced operator and of its spectrum
+_SELF_ADJOINT_TOL = 1e-6
+_DEGENERATE_GAP = 1e-6
+
+
+def symmetric_eigen(a: TensorField, g: np.ndarray, ginv: np.ndarray):
     """Eigen-data of a pointwise g-self-adjoint operator field.
 
     Returns (eigenvalues, eigenvectors, aligned): eigenvalues sorted
@@ -401,22 +405,19 @@ def symmetric_eigen(a: TensorField, g: np.ndarray, tol: float = 1e-6,
     One symmetric ``eigh`` by the Cholesky reduction (Golub & Van Loan,
     Matrix Computations, sec. 8.7): with g = C C^T, the g-self-adjoint
     operator is similar to the symmetric B = C^T a C^{-T}, and B u = w u
-    gives the eigenvectors C^{-T} u.  C^{-T} = g^{-1} C needs no
-    triangular solve; ginv, when given, is used instead of inverting g
-    again.  Self-adjointness is checked on B.
+    gives the eigenvectors C^{-T} u.  C^{-T} = g^{-1} C, with ginv =
+    g^{-1}, needs no triangular solve.  Self-adjointness is checked on B.
     """
     if a.sig != "ud":
         raise TensorCalculusError("symmetric_eigen expects an operator (1,1) field")
     c = _cholesky3(g)
     if c is None:
         raise TensorCalculusError("matrix field is not positive definite")
-    if ginv is None:
-        ginv = inverse_metric(g)
     c_inv_t = ginv @ c
     b = np.swapaxes(c, -1, -2) @ a.data @ c_inv_t
     asym = np.max(np.abs(b - np.swapaxes(b, -1, -2)))
     scale = max(1.0, float(np.max(np.abs(b))))
-    if asym > tol * scale:
+    if asym > _SELF_ADJOINT_TOL * scale:
         raise TensorCalculusError(
             f"operator is not self-adjoint for the metric (residual {asym:.3e})")
     b = 0.5 * (b + np.swapaxes(b, -1, -2))
@@ -426,7 +427,7 @@ def symmetric_eigen(a: TensorField, g: np.ndarray, tol: float = 1e-6,
     vecs = c_inv_t @ u
     gaps = np.min(np.abs(np.diff(np.sort(w, axis=-1), axis=-1)))
     scale_w = max(float(np.max(np.abs(w))), 1e-30)
-    aligned = bool(gaps > degenerate_gap * scale_w)
+    aligned = bool(gaps > _DEGENERATE_GAP * scale_w)
     if aligned:
         for idx in range(3):
             vecs[..., idx] = _align_eigenvector_field(vecs[..., :, idx])

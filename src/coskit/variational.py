@@ -106,7 +106,7 @@ def euler_lagrange_residual(metric: CompatibleMetric) -> TensorField:
     dap = d_alpha_plus(metric)
     el = nabla.data
     el -= lg.data @ dap.data
-    return TensorField(metric.grid, el, "dd", metric.g.frame)
+    return TensorField(metric.grid, el, "dd")
 
 
 def euler_lagrange_supnorm(metric: CompatibleMetric) -> float:
@@ -147,7 +147,7 @@ def tangent_project(h_raw: TensorField, metric: CompatibleMetric) -> TensorField
     h1 = (h - _outer(alpha, omega) - _outer(omega, alpha)
           + c[..., None, None] * _outer(alpha, alpha))
     h_phiphi = np.swapaxes(phi, -1, -2) @ h1 @ phi
-    return TensorField(metric.grid, 0.5 * (h1 - h_phiphi), "dd", metric.g.frame)
+    return TensorField(metric.grid, 0.5 * (h1 - h_phiphi), "dd")
 
 
 _EXP_THETA_MAX = 200.0 * np.sqrt(3.0)
@@ -192,8 +192,7 @@ def exponential_curve(metric: CompatibleMetric, h_field: TensorField,
     g_s = c @ exp_b @ np.swapaxes(c, -1, -2)
     g_s = 0.5 * (g_s + np.swapaxes(g_s, -1, -2))
     del c, c_inv, b, exp_b   # released before the certification allocates
-    return certify_compatible(metric.structure,
-                              TensorField(metric.grid, g_s, "dd", metric.g.frame))
+    return certify_compatible(metric.structure, TensorField(metric.grid, g_s, "dd"))
 
 
 def _expm_symmetric(b: np.ndarray, theta: float) -> np.ndarray:
@@ -380,19 +379,25 @@ def energy_gap_direct(chart: DeformationChart, d: Deformation) -> float:
 # -- random test fields --------------------------------------------------------
 
 
+# the random fields' Fourier coefficients of mode m fall off like m^-_DECAY;
+# random_tangent's modes go up to _TANGENT_MAX_MODE
+_DECAY = 4.0
+_TANGENT_MAX_MODE = 2
+
+
 def random_global_scalar(grid: Grid, rng: np.random.Generator, amplitude: float,
-                         max_mode: int = 3, decay: float = 4.0) -> np.ndarray:
+                         max_mode: int = 3) -> np.ndarray:
     """Random smooth scalar on the quotient: truncated Fourier series in t.
 
     Fields on a twisted chart must satisfy f(x, 1) = f(L x, 0); the
     t-only truncated series does so for any monodromy.  Coefficients
-    fall off like m^{-decay} so stencil truncation error stays
-    resolvable; the sup norm is scaled to the requested amplitude.
+    fall off like m^{-4} so stencil truncation error stays resolvable;
+    the sup norm is scaled to the requested amplitude.
     """
     t = grid.t
     out = np.zeros(grid.shape)
     for m in range(1, max_mode + 1):
-        coeff = rng.standard_normal() * m ** (-decay)
+        coeff = rng.standard_normal() * m ** (-_DECAY)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         out = out + coeff * np.cos(2.0 * np.pi * m * t + phase)
     sup = np.max(np.abs(out))
@@ -401,16 +406,14 @@ def random_global_scalar(grid: Grid, rng: np.random.Generator, amplitude: float,
     return out * (amplitude / sup)
 
 
-def random_deformation(grid: Grid, seed: int, amplitude: float = 0.3,
-                       max_mode: int = 3, decay: float = 4.0) -> Deformation:
+def random_deformation(grid: Grid, seed: int, amplitude: float = 0.3) -> Deformation:
     rng = np.random.default_rng(seed)
-    u = random_global_scalar(grid, rng, amplitude, max_mode, decay)
-    r = random_global_scalar(grid, rng, amplitude, max_mode, decay)
+    u = random_global_scalar(grid, rng, amplitude)
+    r = random_global_scalar(grid, rng, amplitude)
     return Deformation(grid, u, r)
 
 
-def deck_bump_scalar(grid: Grid, mode, rng: np.random.Generator | None = None,
-                     phase: float = 0.0) -> np.ndarray:
+def deck_bump_scalar(grid: Grid, mode, phase: float = 0.0) -> np.ndarray:
     """Smooth quotient scalar with genuine torus dependence.
 
     Deck-sum of a compactly supported bump in t times a torus mode: on
@@ -422,8 +425,6 @@ def deck_bump_scalar(grid: Grid, mode, rng: np.random.Generator | None = None,
     field useful for convergence-order tests (ratios), not for
     absolute-tolerance identities.
     """
-    if rng is not None:
-        phase = rng.uniform(0.0, 2.0 * np.pi)
     n0 = np.asarray(mode, dtype=np.int64)
     n1 = grid.monodromy.T @ n0
     t, x, y = grid.coordinates()
@@ -439,8 +440,7 @@ def deck_bump_scalar(grid: Grid, mode, rng: np.random.Generator | None = None,
 
 
 def random_tangent(metric: CompatibleMetric, rng: np.random.Generator,
-                   amplitude: float, model: HyperbolicModel | None = None,
-                   max_mode: int = 2) -> TensorField:
+                   amplitude: float, model: HyperbolicModel | None = None) -> TensorField:
     """Random tangent deformation at a compatible metric.
 
     On flat charts the raw field is a periodic random symmetric tensor;
@@ -457,7 +457,7 @@ def random_tangent(metric: CompatibleMetric, rng: np.random.Generator,
             for j in range(i, 3):
                 f = np.zeros(grid.shape)
                 for _ in range(3):
-                    k = rng.integers(-max_mode, max_mode + 1, size=3)
+                    k = rng.integers(-_TANGENT_MAX_MODE, _TANGENT_MAX_MODE + 1, size=3)
                     ph = rng.uniform(0, 2 * np.pi)
                     f = f + rng.standard_normal() * np.cos(
                         2 * np.pi * (k[0] * t + k[1] * x + k[2] * y) + ph)
@@ -475,7 +475,7 @@ def random_tangent(metric: CompatibleMetric, rng: np.random.Generator,
         raw = np.zeros(grid.shape + (3, 3))
         for a in range(3):
             for b in range(a, 3):
-                s = random_global_scalar(grid, rng, 1.0, max_mode)
+                s = random_global_scalar(grid, rng, 1.0, _TANGENT_MAX_MODE)
                 term = _outer(covs[a], covs[b])
                 raw += s[..., None, None] * (term + np.swapaxes(term, -1, -2))
     h = tangent_project(TensorField(grid, raw, "dd"), metric)
@@ -563,9 +563,12 @@ def _gap_and_gradient(x, mu, coeffs, grid, weight):
     return gap, ru, gradient
 
 
+# the first step size; later steps are Barzilai-Borwein steps
+_STEP0 = 1e-2
+
+
 def minimize_energy(initial: Deformation, mu: float, structure: Structure,
-                    steps: int = 1000, tolerance: float = 0.0,
-                    step0: float = 1e-2) -> OptimizationResult:
+                    steps: int = 1000, tolerance: float = 0.0) -> OptimizationResult:
     """Gradient descent on (u, r) against the energy-gap objective.
 
     Barzilai-Borwein steps with Armijo backtracking keep the gap
@@ -603,7 +606,7 @@ def minimize_energy(initial: Deformation, mu: float, structure: Structure,
     x = np.stack((initial.u, initial.r), axis=-1)
     gap, ru, gradient = _gap_and_gradient(x, mu, coeffs, grid, weight)
     history, step_sizes, backtracks, grad_norm2 = [gap], [], [], []
-    step = step0
+    step = _STEP0
     prev = None
     converged = False
     n_done = 0

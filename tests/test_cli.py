@@ -134,13 +134,17 @@ def test_invalid_config_exit_code(tmp_path):
     (dict(BASE, model={"matrix": [165580141, 102334155, 102334155, 63245986]},
           grid={"n_torus": 8}),
      "TensorCalculusError: metric not positive definite"),
+    # the open box chart has no asymptotic exponents to report
+    (dict(BASE, experiment="lyapunov", model={"model": "sol"}),
+     "lyapunov has no exponents on the sol model: its open box chart has no asymptotic rates"),
 ], ids=["non_hyperbolic", "n_torus_not_int", "n_fiber_not_int", "n_torus_too_small",
         "horizon_below_tau", "seed_not_int", "root_not_object", "model_n_not_int",
         "dynamics_seeds_not_int", "deformation_count_not_int", "deformation_seed_not_int",
         "optimizer_steps_not_int", "tau_nan", "energy_rel_nan", "deformation_count_zero",
         "tolerance_key_misspelt", "matrix_not_int", "n_torus_not_whole", "seed_bool",
         "matrix_scalar", "tau_null", "tolerances_not_object", "out_not_string",
-        "dynamics_seeds_zero", "matrix_beyond_int64", "fibonacci_gluing_singular_metric"])
+        "dynamics_seeds_zero", "matrix_beyond_int64", "fibonacci_gluing_singular_metric",
+        "lyapunov_on_sol"])
 def test_value_error_exit_code(tmp_path, capsys, cfg, start):
     path = write_cfg(tmp_path, cfg)
     rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -151,6 +155,11 @@ def test_value_error_exit_code(tmp_path, capsys, cfg, start):
     assert not (tmp_path / "out").exists()
 
 
+UNSWEPT = (("lyapunov", "flat_cokahler"), ("lyapunov", "contact_t3"), ("lyapunov", "sol"),
+           ("energy", "flat_cokahler"), ("energy", "contact_t3"), ("energy", "sol"),
+           ("verify", "sol"))
+
+
 # the sweep overrides only grid.n_torus and grid.n_fiber per resolution
 @pytest.mark.parametrize("cfg, start", [
     (dict(BASE, resolutions=[16, 16, 16]), "resolutions must be strictly increasing, got [16, 16, 16]"),
@@ -158,7 +167,13 @@ def test_value_error_exit_code(tmp_path, capsys, cfg, start):
     (dict(BASE, resolutions=[8, "a", 16]), "resolutions must be at least 3 integers, got [8, 'a', 16]"),
     (dict(BASE, resolutions=[8, 10, 12], grid={"monodromy": [1, 0, 0, 1]}),
      "grid.monodromy conflicts with model.matrix"),
-], ids=["repeated", "unordered", "not_int", "monodromy_conflict"])
+] + [
+    # runs of these models do not report the scalar the sweep fits
+    (dict(BASE, experiment=experiment, model={"model": kind}, resolutions=[8, 10, 12]),
+     f"no convergence sweep of {experiment!r} for model.model {kind!r}")
+    for experiment, kind in UNSWEPT
+], ids=["repeated", "unordered", "not_int", "monodromy_conflict"]
+    + [f"{experiment}_{kind}" for experiment, kind in UNSWEPT])
 def test_sweep_value_error_exit_code(tmp_path, capsys, cfg, start):
     path = write_cfg(tmp_path, cfg)
     rc = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])

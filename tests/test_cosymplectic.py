@@ -5,7 +5,7 @@ import pytest
 
 import coskit as ck
 from coskit import cosymplectic, tensors
-from coskit import variational as va
+from coskit import dynamics as dy, variational as va
 from coskit.cosymplectic import ALGEBRAIC_CERT_KEYS, CompatibleMetric, StructureError, \
     certify_compatible, polar_compatible_metric, reeb_field
 from coskit.grids import Grid
@@ -193,6 +193,14 @@ def test_certified_metric_inverts_g_once(monkeypatch, model):
         va.energy(plus)
         va.energy(minus)
         assert len(calls) == 3
+    # the diagnostics and the dynamics layer read the certifier's inverse too
+    calls.clear()
+    crit = certify_compatible(chart.metric.structure, chart.metric.g)
+    va.torsion_report(crit)
+    va.euler_lagrange_supnorm(crit)
+    va.nabla_r_h_residual(crit)
+    dy.bracket_residuals(crit, dy.anosov_splitting(crit))
+    assert len(calls) == 1
 
 
 def test_phi_and_connection_bit_identical_to_fresh_inverse(crit16_gluing):

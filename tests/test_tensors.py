@@ -284,7 +284,7 @@ def test_reeb_kernels_stencil_only_nonzero_axes(monkeypatch, chart, calls):
 
 def test_hodge_alpha_is_beta(crit32):
     structure, metric = crit32
-    star = hodge_star(structure.alpha, metric.g.data, structure.orientation)
+    star = hodge_star(structure.alpha, metric.g.data, structure.orientation, ginv=metric.ginv)
     assert sup(star.data - structure.beta.data) < 1e-12
 
 
@@ -292,7 +292,7 @@ def test_hodge_flat_dt():
     grid = Grid(16, 16)
     structure, metric = ck.flat_cokahler(grid)
     dt = TensorField(grid, np.broadcast_to(np.array([1.0, 0, 0]), grid.shape + (3,)).copy(), "d")
-    star = hodge_star(dt, metric.g.data)
+    star = hodge_star(dt, metric.g.data, ginv=metric.ginv)
     expected = np.zeros(grid.shape + (3, 3))
     expected[..., 1, 2] = 1.0
     expected[..., 2, 1] = -1.0
@@ -302,11 +302,12 @@ def test_hodge_flat_dt():
 def test_hodge_involution_and_isometry(model, grid32, crit32):
     _, metric = crit32
     omega = random_global_one_form(model, grid32, seed=11)
-    star = hodge_star(omega, metric.g.data)
-    back = hodge_star(star, metric.g.data)
+    g, ginv = metric.g.data, metric.ginv
+    star = hodge_star(omega, g, ginv=ginv)
+    back = hodge_star(star, g, ginv=ginv)
     assert sup(back.data - omega.data) < 1e-12
-    n1 = tensor_norm2(omega.data, "d", metric.g.data)
-    n2 = 0.5 * tensor_norm2(star.data, "dd", metric.g.data)   # form norm: 1/k! factor
+    n1 = tensor_norm2(omega.data, "d", g, ginv)
+    n2 = 0.5 * tensor_norm2(star.data, "dd", g, ginv)   # form norm: 1/k! factor
     assert sup(n1 - n2) < 1e-12 * max(1.0, sup(n1))
 
 
@@ -346,21 +347,21 @@ def test_nijenhuis_covariant_derivative_identity(crit32):
 def test_symmetric_eigen_identity_operator(flat16):
     _, metric = flat16
     ident = TensorField(metric.grid, np.broadcast_to(np.eye(3), metric.grid.shape + (3, 3)).copy(), "ud")
-    w, v, aligned = symmetric_eigen(ident, metric.g.data)
+    w, v, aligned = symmetric_eigen(ident, metric.g.data, metric.ginv)
     assert sup(w - 1.0) < 1e-12
     assert not aligned    # fully degenerate spectrum
 
 
 def test_symmetric_eigen_flat_h_zero(flat16):
     _, metric = flat16
-    w, _, _ = symmetric_eigen(metric.h_tensor(), metric.g.data)
+    w, _, _ = symmetric_eigen(metric.h_tensor(), metric.g.data, metric.ginv)
     assert sup(w) < 1e-13
 
 
 def test_symmetric_eigen_h_eigenvalues(crit32, model):
     _, metric = crit32
     h = metric.h_tensor()
-    w, v, aligned = symmetric_eigen(h, metric.g.data)
+    w, v, aligned = symmetric_eigen(h, metric.g.data, metric.ginv)
     assert aligned
     mu = model.mu
     assert sup(w - np.array([mu, 0.0, -mu])) < 1e-5
@@ -377,7 +378,7 @@ def test_symmetric_eigen_rejects_nonselfadjoint(flat16):
     bad = np.zeros(metric.grid.shape + (3, 3))
     bad[..., 0, 1] = 1.0
     with pytest.raises(TensorCalculusError):
-        symmetric_eigen(TensorField(metric.grid, bad, "ud"), metric.g.data)
+        symmetric_eigen(TensorField(metric.grid, bad, "ud"), metric.g.data, metric.ginv)
 
 
 def test_symmetric_eigen_matches_sqrtm_reduction(crit16_gluing):
@@ -388,7 +389,7 @@ def test_symmetric_eigen_matches_sqrtm_reduction(crit16_gluing):
     b = gsq @ h.data @ gisq
     w_ref, u_ref = np.linalg.eigh(0.5 * (b + np.swapaxes(b, -1, -2)))
     w_ref, v_ref = w_ref[..., ::-1], (gisq @ u_ref)[..., ::-1]
-    w, v, aligned = symmetric_eigen(h, g)
+    w, v, aligned = symmetric_eigen(h, g, metric.ginv)
     assert aligned
     assert sup(w - w_ref) <= 1e-13 * sup(w_ref)
     signs = np.sign(np.sum(v * v_ref, axis=-2, keepdims=True))
@@ -396,16 +397,7 @@ def test_symmetric_eigen_matches_sqrtm_reduction(crit16_gluing):
     bad = h.data.copy()
     bad[..., 0, 1] += 1e-3
     with pytest.raises(TensorCalculusError):
-        symmetric_eigen(TensorField(metric.grid, bad, "ud"), g)
-
-
-
-def test_symmetric_eigen_given_ginv_identical(crit16_gluing):
-    _, metric = crit16_gluing
-    h, g = metric.h_tensor(), metric.g.data
-    w, v, aligned = symmetric_eigen(h, g)
-    w_i, v_i, aligned_i = symmetric_eigen(h, g, ginv=metric.ginv)
-    assert np.array_equal(w, w_i) and np.array_equal(v, v_i) and aligned == aligned_i
+        symmetric_eigen(TensorField(metric.grid, bad, "ud"), g, metric.ginv)
 
 
 # -- closed-form pointwise 3x3 algebra -----------------------------------------
@@ -519,7 +511,7 @@ def test_check_positive_definite_returns_factor_or_names_point():
     with pytest.raises(TensorCalculusError, match=r"not positive definite at grid point \(3, 5, 7\)"):
         tensors.check_positive_definite(bad)
     with pytest.raises(TensorCalculusError, match="not positive definite"):
-        symmetric_eigen(TensorField(Grid(8, 8), np.eye(3), "ud"), bad)
+        symmetric_eigen(TensorField(Grid(8, 8), np.eye(3), "ud"), bad, inverse_metric(bad))
     # a pivot lost to roundoff where eigvalsh may still find the spectrum
     # positive (3.9e-16): the point is named either way
     bad[3, 5, 7] = [[1.4227249891481872, 0.41668601910181774, -0.7315932784606061],
@@ -556,7 +548,7 @@ def test_tensor_norm2_matches_einsum(sig):
     for k, kind in enumerate(sig):
         operands += [g if kind == "u" else ginv, [0, 1, 2, 3 + k, 3 + r + k]]
     ref = np.einsum(*operands, [0, 1, 2])
-    assert sup(tensor_norm2(data, sig, g) - ref) <= 1e-13 * sup(ref)
+    assert sup(tensor_norm2(data, sig, g, ginv) - ref) <= 1e-13 * sup(ref)
 
 
 def einsum_slot_terms(data, sig, m):
@@ -628,9 +620,9 @@ def test_tensor_layer_calls_no_einsum(monkeypatch):
     conn = christoffel(metric.g)
     covariant_derivative(lg, conn, reeb)
     covariant_derivative(lg, conn)
-    tensor_norm2(lg.data, "dd", metric.g.data)
+    tensor_norm2(lg.data, "dd", metric.g.data, metric.ginv)
     nijenhuis(metric.phi)
-    hodge_star(structure.alpha, metric.g.data, structure.orientation)
+    hodge_star(structure.alpha, metric.g.data, structure.orientation, ginv=metric.ginv)
 
 
 def test_frame_matrix_matches_einsum():

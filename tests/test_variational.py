@@ -299,7 +299,7 @@ def test_variation_path_calls_no_per_point_lapack(monkeypatch, model):
     cases = [(base, va.random_tangent(base, rng, 0.1, model=model)),
              (contact, va.random_tangent(contact, rng, 0.1))]
     refuse("cholesky", "det")
-    symmetric_eigen(chart.metric.h_tensor(), chart.metric.g.data)
+    symmetric_eigen(chart.metric.h_tensor(), chart.metric.g.data, chart.metric.ginv)
     refuse("eigh")
     for metric, h in cases:
         recertified = ck.certify_compatible(metric.structure, metric.g)
@@ -354,7 +354,7 @@ def test_deformed_h_eigenstructure(fiber_chart):
     d = va.random_deformation(fiber_chart.grid, seed=6, amplitude=0.3)
     gt = va.deform(fiber_chart, d)
     rep = va.torsion_report(gt)
-    w, _, _ = symmetric_eigen(rep.h, gt.g.data)
+    w, _, _ = symmetric_eigen(rep.h, gt.g.data, gt.ginv)
     assert sup(w[..., 0] - rep.mu_field) < 1e-5
     assert sup(w[..., 1]) < 1e-5
     assert sup(w[..., 2] + rep.mu_field) < 1e-5
