@@ -89,9 +89,14 @@ def energy(metric: CompatibleMetric) -> float:
 
 
 def euler_lagrange_residual(metric: CompatibleMetric) -> TensorField:
-    """nabla_R L_R g - (L_R g)(., dalpha+ .), zero exactly at critical metrics.
+    """nabla_R L_R g - (L_R g)(., dalpha+ .), the Euler-Lagrange field of the energy.
 
-    On cosymplectic charts dalpha+ vanishes (up to stencil error) and
+    The first variation pairs it with tangent fields only, so a metric is
+    critical iff its tangential part (tangent_project) vanishes; on the
+    suspension's critical metrics the whole residual cancels to roundoff.
+    It is no test of criticality on its own: on the contact_t3 testbed it
+    is tangent, of sup norm sqrt(2), and the energy falls along it.  On
+    cosymplectic charts dalpha+ vanishes (up to stencil error) and
     the residual reduces to nabla_R L_R g.  The cross term carries
     coefficient 1 here because this package uses the determinant
     convention for the exterior derivative ((da)(X,Y) = X a(Y) - Y a(X)

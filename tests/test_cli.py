@@ -52,15 +52,17 @@ def test_run_energy_flat_zero(tmp_path):
     assert report["scalars"]["energy"] == 0.0
 
 
-def test_run_lyapunov_flat_zero(tmp_path):
-    # suspension by the identity: the flow differential is constant, all rates zero
+def test_run_lyapunov_flat_zero(tmp_path, capsys):
+    # lyapunov_exponents takes only a hyperbolic model: nothing computes the
+    # flat chart's exponents, so the pair is refused rather than reported zero
     cfg = write_cfg(tmp_path, {"experiment": "lyapunov",
                                "model": {"model": "flat_cokahler"},
                                "grid": {"n_torus": 16, "n_fiber": 16}})
     rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert rc == 0
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["scalars"]["exponents"] == [0.0, 0.0, 0.0]
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["failures"] == [
+        "experiment 'lyapunov' does not run on model.model 'flat_cokahler'"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_config_lists_all_violations():
@@ -134,9 +136,9 @@ def test_invalid_config_exit_code(tmp_path):
     (dict(BASE, model={"matrix": [165580141, 102334155, 102334155, 63245986]},
           grid={"n_torus": 8}),
      "TensorCalculusError: metric not positive definite"),
-    # the open box chart has no asymptotic exponents to report
+    # a pair that cli.EXPERIMENTS does not list
     (dict(BASE, experiment="lyapunov", model={"model": "sol"}),
-     "lyapunov has no exponents on the sol model: its open box chart has no asymptotic rates"),
+     "experiment 'lyapunov' does not run on model.model 'sol'"),
 ], ids=["non_hyperbolic", "n_torus_not_int", "n_fiber_not_int", "n_torus_too_small",
         "horizon_below_tau", "seed_not_int", "root_not_object", "model_n_not_int",
         "dynamics_seeds_not_int", "deformation_count_not_int", "deformation_seed_not_int",
@@ -155,9 +157,20 @@ def test_value_error_exit_code(tmp_path, capsys, cfg, start):
     assert not (tmp_path / "out").exists()
 
 
-UNSWEPT = (("lyapunov", "flat_cokahler"), ("lyapunov", "contact_t3"), ("lyapunov", "sol"),
-           ("energy", "flat_cokahler"), ("energy", "contact_t3"), ("energy", "sol"),
-           ("verify", "sol"))
+def refusal(command, experiment, model):
+    """The first failure of a pair that cli.EXPERIMENTS does not support, or None."""
+    fits = cli.EXPERIMENTS[experiment][1]
+    if fits is not None and model not in fits:
+        return f"experiment {experiment!r} does not run on model.model {model!r}"
+    if command == "sweep" and not (fits or {}).get(model):
+        on = f" for model.model {model!r}" if fits else ""
+        return f"no convergence sweep of {experiment!r}{on}"
+    return None
+
+
+# the models that an experiment with a sweep does not sweep
+UNSWEPT = [(e, m) for e in cli._SWEPT for m in cli.MODELS
+           if refusal("sweep", e, m)]
 
 
 # the sweep overrides only grid.n_torus and grid.n_fiber per resolution
@@ -168,9 +181,8 @@ UNSWEPT = (("lyapunov", "flat_cokahler"), ("lyapunov", "contact_t3"), ("lyapunov
     (dict(BASE, resolutions=[8, 10, 12], grid={"monodromy": [1, 0, 0, 1]}),
      "grid.monodromy conflicts with model.matrix"),
 ] + [
-    # runs of these models do not report the scalar the sweep fits
     (dict(BASE, experiment=experiment, model={"model": kind}, resolutions=[8, 10, 12]),
-     f"no convergence sweep of {experiment!r} for model.model {kind!r}")
+     refusal("sweep", experiment, kind))
     for experiment, kind in UNSWEPT
 ], ids=["repeated", "unordered", "not_int", "monodromy_conflict"]
     + [f"{experiment}_{kind}" for experiment, kind in UNSWEPT])
@@ -182,6 +194,28 @@ def test_sweep_value_error_exit_code(tmp_path, capsys, cfg, start):
     assert doc["pass"] is False
     assert doc["failures"][0].startswith(start)
     assert not (tmp_path / "out").exists()
+
+
+def test_every_pair_runs_its_check_or_is_refused(tmp_path, capsys):
+    # all experiment x model pairs at 8^3, run and swept: the pairs that exit
+    # 2 are exactly those cli.EXPERIMENTS leaves out, each with its refusal
+    refused = {"run": set(), "sweep": set()}
+    for command in refused:
+        for experiment in cli.EXPERIMENTS:
+            for model in cli.MODELS:
+                path = write_cfg(tmp_path, {
+                    "experiment": experiment, "model": {"model": model},
+                    "grid": {"n_torus": 8}, "resolutions": [8, 10, 12],
+                    "optimizer": {"steps": 20}})
+                rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+                out = capsys.readouterr().out
+                assert rc in (0, 1, 2), (command, experiment, model)
+                if rc == 2:
+                    refused[command].add((experiment, model))
+                    assert json.loads(out)["failures"] == [refusal(command, experiment, model)]
+    for command, pairs in refused.items():
+        assert pairs == {(e, m) for e in cli.EXPERIMENTS for m in cli.MODELS
+                         if refusal(command, e, m)}, command
 
 
 def test_truncated_config_exit_code(tmp_path, capsys):
@@ -265,6 +299,42 @@ def test_sweep_energy_fits_fourth_order(tmp_path):
     assert fit["order"] > 3.5
     assert report["fits"]["torsion_constancy"]["status"] == "machine_floor"
     assert (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_sweep_energy_closed_form_on_sol(tmp_path):
+    # E = 8 / |mu| on the sol chart, reached at 4th order like the suspension's
+    cfg = write_cfg(tmp_path, {"experiment": "energy", "model": {"model": "sol", "mu": -0.5},
+                               "resolutions": [8, 10, 12]})
+    rc = cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    fit = report["fits"]["relative_error"]
+    assert fit["status"] == "fitted" and fit["order"] > 3.5
+
+
+@pytest.mark.parametrize("model, expected, tolerance", [
+    ({"model": "contact_t3", "n": -1}, 4 * np.pi, 1.6e-3),
+    ({"model": "sol", "mu": 0.5}, 16.0, 2.2e-5)], ids=["contact_t3", "sol"])
+def test_run_energy_checks_closed_form(model, expected, tolerance):
+    # at 16^3 the relative errors are 1.56e-3 (contact_t3) and 2.1e-5 (sol)
+    cfg = {"experiment": "energy", "model": model, "grid": {"n_torus": 16}}
+    report = cli.run(dict(cfg, tolerances={"energy_rel": tolerance}))
+    assert report["scalars"]["expected_energy"] == expected
+    assert report["pass"], report["failures"]
+    report = cli.run(dict(cfg, tolerances={"energy_rel": tolerance / 2}))
+    assert report["failures"] == ["energy relative error above tolerance"]
+
+
+def test_sweep_verify_contact_t3_passes(tmp_path):
+    # the contact testbed is not critical: its EL residual tends to sqrt(2),
+    # which is no discretisation error, so the sweep fits the two that vanish
+    cfg = write_cfg(tmp_path, {"experiment": "verify", "model": {"model": "contact_t3"},
+                               "resolutions": [8, 10, 12]})
+    rc = cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert set(report["fits"]) == {"nabla_r_h_supnorm", "torsion_constancy"}
+    assert all(fit["status"] == "machine_floor" for fit in report["fits"].values())
 
 
 def test_sweep_verify_el_at_floor(tmp_path):
@@ -387,6 +457,20 @@ def test_readme_config_lists_every_key_and_default():
             assert all(annotated(key, f"{v} for {e}") for e, v in default.items() if e != "*")
         elif default is not None:
             assert flat[key] == default, key
+
+
+def test_readme_pair_table_matches_experiments():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = [line.strip("|").split("|") for line in
+            readme.split("Supported pairs")[1].split("\n\n")[1].splitlines()]
+    header = [cell.strip() for cell in rows[0]]
+    assert header == ["experiment", *cli.MODELS]
+    table = {cells[0].strip(): [cell.strip() for cell in cells[1:]] for cells in rows[2:]}
+    assert list(table) == list(cli.EXPERIMENTS)
+    for experiment, cells in table.items():
+        assert cells == ["refused" if refusal("run", experiment, m) else
+                         "run" if refusal("sweep", experiment, m) else "run + sweep"
+                         for m in cli.MODELS], experiment
 
 
 def test_verify_certificate_floor_is_pinned(crit16_gluing):

@@ -7,6 +7,7 @@ from coskit.grids import Grid, _torus_permutation
 from coskit.models import NotHyperbolicError, NotSymplecticError, \
     build_hyperbolic_model, critical_metric, sol_to_mapping_torus
 from coskit import variational as va
+from coskit.tensors import TensorField
 from coskit import dynamics as dy
 
 
@@ -230,6 +231,21 @@ def test_contact_certifies_with_r_invariant_condition(contact32):
     _, metric = contact32
     assert metric.max_residual(ALGEBRAIC_CERT_KEYS) < 1e-12
     assert metric.certificate["d_alpha_phi_antisymmetry"] < 1e-12
+
+
+def test_contact_testbed_is_not_critical():
+    # the EL residual is tangent with |EL|^2 = 2 on a volume of 2 pi: the
+    # energy, 4 pi, falls along H = s EL at -2 <EL, H> = -8 pi s
+    _, metric = ck.contact_t3_testbed(1, Grid(16, 16))
+    el = va.euler_lagrange_residual(metric)
+    assert sup(va.tangent_project(el, metric).data - el.data) < 1e-12
+    assert va.euler_lagrange_supnorm(metric) == pytest.approx(np.sqrt(2), rel=2e-3)
+    h = TensorField(metric.grid, 0.01 * el.data, "dd")
+    fv, step = va.first_variation(metric, h), 2e-3
+    fd = (va.energy(va.exponential_curve(metric, h, step))
+          - va.energy(va.exponential_curve(metric, h, -step))) / (2 * step)
+    assert fv == pytest.approx(-0.08 * np.pi, rel=5e-3)
+    assert fv == pytest.approx(fd, rel=1e-8)
 
 
 def test_contact_rejects_bad_input():
