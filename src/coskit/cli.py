@@ -279,9 +279,8 @@ _ENERGY_FITS = ("relative_error", "torsion_constancy")
 # convergence sweep fits}).  A model missing from an entry is refused by
 # run and sweep alike, and a model with no scalars has no sweep; betti
 # (None) reads no model.  Missing on purpose: lyapunov_exponents takes
-# only a hyperbolic model, optimize and gap_identity its deformation
-# chart, and the first-variation pairing drops the boundary term that the
-# open t-boundary of the sol chart carries.  contact_t3 is not critical:
+# only a hyperbolic model, and optimize and gap_identity its deformation
+# chart.  contact_t3 is not critical:
 # its Euler-Lagrange residual tends to sqrt(2), not 0, so its verify sweep
 # leaves that residual out.
 EXPERIMENTS = {
@@ -293,7 +292,8 @@ EXPERIMENTS = {
     "lyapunov": (_run_lyapunov, {"hyperbolic": ("max_error",)}),
     "betti": (_run_betti, None),
     "first_variation": (_run_first_variation,
-                        {"hyperbolic": (), "flat_cokahler": (), "contact_t3": ()}),
+                        {"hyperbolic": (), "flat_cokahler": (), "contact_t3": (),
+                         "sol": ()}),
     "gap_identity": (_run_gap_identity, {"hyperbolic": ()}),
 }
 

@@ -218,6 +218,17 @@ def test_every_pair_runs_its_check_or_is_refused(tmp_path, capsys):
                          if refusal(command, e, m)}, command
 
 
+def test_first_variation_passes_at_12_on_every_admitted_model(tmp_path, capsys):
+    # first_variation is the exact derivative of the discrete energy, so
+    # its 1e-3 tolerance holds on coarse grids and on the open sol box too
+    for model in cli.EXPERIMENTS["first_variation"][1]:
+        path = write_cfg(tmp_path, {"experiment": "first_variation", "model": {"model": model},
+                                    "grid": {"n_torus": 12}})
+        rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 0, (model, capsys.readouterr().out)
+        capsys.readouterr()
+
+
 def test_truncated_config_exit_code(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(BASE)[:-7])

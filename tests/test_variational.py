@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import coskit as ck
+from coskit import cosymplectic, tensors
 from coskit.cosymplectic import ALGEBRAIC_CERT_KEYS, polar_compatible_metric
 from coskit.grids import Grid, _torus_permutation, partial_derivative
 from coskit.tensors import TensorField, symmetric_eigen
@@ -308,13 +309,109 @@ def test_variation_path_calls_no_per_point_lapack(monkeypatch, model):
         va.first_variation(curve, h)
 
 
-def test_first_variation_pairing_matches_einsum(curve_bases):
+def test_first_variation_matches_einsum(curve_bases):
+    # the directional derivative of the discrete energy, with T = L_R g:
+    # 2 int [tr(g^-1 T g^-1 L_R H) - tr(g^-1 H g^-1 T g^-1 T)] alpha ^ beta
     for metric, h in curve_bases:
-        el = va.euler_lagrange_residual(metric).data
+        reeb = metric.structure.reeb
+        t = ck.lie_derivative(metric.g, reeb).data
+        lh = ck.lie_derivative(h, reeb).data
         ginv = np.linalg.inv(metric.g.data)
-        ref = -2.0 * metric.structure.integrate(
-            np.einsum("...ia,...jb,...ij,...ab->...", ginv, ginv, el, h.data))
+        ref = 2.0 * metric.structure.integrate(
+            np.einsum("...ia,...jb,...ab,...ij->...", ginv, ginv, t, lh)
+            - np.einsum("...ia,...ab,...bc,...cd,...de,...ei->...",
+                        ginv, h.data, ginv, t, ginv, t))
         assert abs(va.first_variation(metric, h) - ref) <= 1e-13 * abs(ref)
+
+
+def el_pairing(metric, h):
+    """-2 int <EL, H>: the continuum first variation on discrete fields."""
+    el = va.euler_lagrange_residual(metric).data
+    return -2.0 * metric.structure.integrate(
+        np.einsum("...ia,...jb,...ij,...ab->...", metric.ginv, metric.ginv, el, h.data))
+
+
+def test_el_pairing_agrees_with_first_variation_at_order_4(model):
+    # criterion 07's bases.  On the cosymplectic chart the gap between the
+    # continuum pairing and the exact derivative is the stencil error and
+    # falls at 4th order (measured 4.01 over 8^3-32^3), which pins nabla_R
+    # L_R g; dalpha+ vanishes there, so the contact chart pins the cross
+    # term: at 32^3 the gap is 2.3e-7 |dE|, against 1.8e-2 with the cross
+    # term's coefficient doubled
+    ns, gaps = (8, 16, 32), []
+    for n in ns:
+        grid = Grid(n, n, model.matrix)
+        chart = va.deformation_chart(model, grid)
+        base = va.deform(chart, va.random_deformation(grid, seed=5, amplitude=0.25))
+        h = va.random_tangent(base, np.random.default_rng(13), 0.1, model=model)
+        gaps.append(abs(el_pairing(base, h) - va.first_variation(base, h)))
+    order = -np.polyfit(np.log(ns), np.log(gaps), 1)[0]
+    assert 3.7 < order < 4.3
+    _, cm0 = ck.contact_t3_testbed(1, Grid(32, 32))
+    base = va.exponential_curve(cm0, va.random_tangent(cm0, np.random.default_rng(11), 0.3), 1.0)
+    h = va.random_tangent(base, np.random.default_rng(17), 0.1)
+    fv = va.first_variation(base, h)
+    assert abs(el_pairing(base, h) - fv) < 1e-5 * abs(fv)
+
+
+def richardson_bases(kind, n, model):
+    """A non-critical metric on each kind of chart, as the first_variation run builds it."""
+    if kind == "hyperbolic":
+        grid = Grid(n, n, model.matrix)
+        chart = va.deformation_chart(model, grid)
+        return va.deform(chart, va.random_deformation(grid, seed=5, amplitude=0.25)), model
+    _, m0 = (ck.contact_t3_testbed(1, Grid(n, n)) if kind == "contact_t3"
+             else ck.sol_model(1.0, ck.sol_box_grid(n, n)))
+    return va.exponential_curve(m0, va.random_tangent(m0, np.random.default_rng(11), 0.3),
+                                1.0), None
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("kind", ["hyperbolic", "contact_t3", "sol"])
+def test_first_variation_is_the_derivative_of_the_discrete_energy(kind, n, model):
+    # Richardson-extrapolated centered differences (s = 1e-3, 2e-3) carry
+    # noise of about eps E / s; measured |dE - fd| / E up to 4.6e-13 on
+    # these charts (relative to |fd|: 2.1e-11 hyperbolic, 1.1e-8 contact,
+    # 3.4e-7 on a sol tangent with |fd| = 4e-6); the continuum pairing
+    # misses by 1e-2 |fd| and more at 8^3, and by O(|fd|) on the sol box
+    base, mdl = richardson_bases(kind, n, model)
+    e0 = va.energy(base)
+    rng = np.random.default_rng(13)
+
+    def centered(h, s):
+        return (va.energy(va.exponential_curve(base, h, s))
+                - va.energy(va.exponential_curve(base, h, -s))) / (2.0 * s)
+
+    for _ in range(3):
+        h = va.random_tangent(base, rng, 0.1, model=mdl)
+        fd = (4.0 * centered(h, 1e-3) - centered(h, 2e-3)) / 3.0
+        assert abs(va.first_variation(base, h) - fd) <= 2e-12 * e0
+
+
+def test_first_variation_builds_no_connection(monkeypatch, model):
+    # the exact derivative needs two Lie derivatives and g^-1 only: the
+    # Christoffel symbols, the covariant derivative and dalpha+ are refused
+    # wherever they are looked up
+    def refuse(module, name):
+        def raiser(*args, **kwargs):
+            raise AssertionError(f"{name} called by first_variation")
+        monkeypatch.setattr(module, name, raiser)
+
+    grid = Grid(8, 8, model.matrix)
+    chart = va.deformation_chart(model, grid)
+    base = va.deform(chart, va.random_deformation(grid, seed=2, amplitude=0.25))
+    _, contact = ck.contact_t3_testbed(1, Grid(8, 8))
+    rng = np.random.default_rng(19)
+    cases = [(base, va.random_tangent(base, rng, 0.1, model=model)),
+             (contact, va.random_tangent(contact, rng, 0.1))]
+    for module, name in ((tensors, "_levi_civita"), (cosymplectic, "_levi_civita"),
+                         (tensors, "covariant_derivative"), (va, "covariant_derivative"),
+                         (cosymplectic, "d_alpha_plus"), (va, "d_alpha_plus")):
+        refuse(module, name)
+    for metric, h in cases:
+        fresh = ck.certify_compatible(metric.structure, metric.g)
+        va.first_variation(fresh, h)
+        assert "connection" not in vars(fresh)
 
 
 # -- the coframe deformation ------------------------------------------------------------
