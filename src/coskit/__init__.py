@@ -7,9 +7,9 @@ flow exactly, and minimizes the energy over compatible deformations.
 """
 
 from .grids import Grid, GridError, integrate, partial_derivative, seam_transport, shift
-from .tensors import Connection, TensorCalculusError, TensorField, christoffel, \
-    covariant_derivative, exterior_derivative, hodge_star, lie_bracket, \
-    lie_derivative, nijenhuis, symmetric_eigen, tensor_norm2
+from .tensors import TensorCalculusError, TensorField, christoffel, covariant_derivative, \
+    exterior_derivative, hodge_star, lie_bracket, lie_derivative, nijenhuis, \
+    symmetric_eigen, tensor_norm2
 from .cosymplectic import CompatibleMetric, Structure, StructureError, \
     certify_compatible, d_alpha_plus, polar_compatible_metric, reeb_field
 from .models import HyperbolicModel, NotHyperbolicError, NotSymplecticError, \

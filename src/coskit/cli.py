@@ -504,23 +504,13 @@ def convergence_sweep(cfg: dict, seed: int = 0) -> dict:
 # -- serialization ----------------------------------------------------------------
 
 
-def _to_jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return _to_jsonable(obj.tolist())
-    return obj
-
-
 def write_report(report: dict, out_dir: Path, elapsed: float) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "report.json"
-    body = _to_jsonable({k: v for k, v in report.items() if k != "series"})
-    path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n")
+    body = {k: v for k, v in report.items() if k != "series"}
+    # np.float64 is a float; numpy integers, bools and arrays reach the hook
+    path.write_text(json.dumps(body, sort_keys=True, indent=2,
+                               default=lambda o: o.tolist()) + "\n")
     (out_dir / "timings.json").write_text(
         json.dumps({"wall_clock_s": elapsed}) + "\n")
     series = report.get("series", {})

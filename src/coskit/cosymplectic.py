@@ -28,10 +28,10 @@ import numpy as np
 
 from . import tensors
 from .grids import Grid, integrate
-from .tensors import Connection, TensorField, _levi_civita, exterior_derivative, \
-    hodge_star, inverse_metric, lie_derivative
+from .tensors import TensorField, christoffel, exterior_derivative, hodge_star, \
+    inverse_metric, lie_derivative
 
-FLAVORS = ("cosymplectic", "contact", "general_r_invariant")
+FLAVORS = ("cosymplectic", "general_r_invariant")
 
 
 class StructureError(ValueError):
@@ -79,9 +79,6 @@ class Structure:
         if self.flavor == "cosymplectic":
             out["d_alpha"] = _sup(exterior_derivative(self.alpha).data)
             out["d_beta"] = _sup(exterior_derivative(self.beta).data)
-        elif self.flavor == "contact":
-            out["beta_minus_d_alpha"] = _sup(
-                self.beta.data - exterior_derivative(self.alpha).data)
         else:
             out["lie_reeb_alpha"] = _sup(lie_derivative(self.alpha, self.reeb).data)
             out["lie_reeb_beta"] = _sup(lie_derivative(self.beta, self.reeb).data)
@@ -135,8 +132,9 @@ class CompatibleMetric:
         return TensorField(self.grid, self.ginv @ self.structure.beta.data, "ud")
 
     @cached_property
-    def connection(self) -> Connection:
-        return _levi_civita(self.g, self.ginv)
+    def connection(self) -> np.ndarray:
+        """Christoffel symbols Gamma^k_{ij} as a [k, i, j] array."""
+        return christoffel(self.g, self.ginv)
 
     def h_tensor(self) -> TensorField:
         """h = (1/2) L_R phi; symmetric, anticommutes with phi, kills R."""

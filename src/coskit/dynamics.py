@@ -75,11 +75,8 @@ class FlowCocycle:
             blocks.append(_int_matmul(step, blocks[-1]))
         return cls(model, pts, blocks)
 
-    def transport(self, i: int) -> np.ndarray:
-        return _lift(self.torus_blocks[i])
-
     def composition_residual(self) -> int:
-        """Defect of transport(i+j) = transport(i -> i+j) transport(j); zero exactly.
+        """Defect of the cocycle law L^n = L^(n-i) L^i over the blocks; zero exactly.
 
         Computed in integer arithmetic: the largest absolute entry
         mismatch over all splittings of the horizon.

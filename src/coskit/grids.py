@@ -57,19 +57,17 @@ class Grid:
         identity gives the flat 3-torus.  Must have determinant +1 so
         the quotient carries an orientation (and a cosymplectic
         structure).
-    open_t : if True the t-axis is a non-periodic interval
-        ``[t_min, t_min + t_extent]`` sampled at M points including both
-        endpoints; derivatives use one-sided 4th-order stencils at the
-        boundary.  Used for local (non-compact) charts such as the Sol
-        model box.  ``monodromy`` must be the identity in that case.
+    open_t : if True the t-axis is the non-periodic interval
+        ``[-1/2, 1/2]`` sampled at M points including both endpoints;
+        derivatives use one-sided 4th-order stencils at the boundary.
+        Used for local (non-compact) charts such as the Sol model box.
+        ``monodromy`` must be the identity in that case.
     """
 
     n_torus: int
     n_fiber: int
     monodromy: np.ndarray = field(default_factory=lambda: IDENTITY_2X2.copy())
     open_t: bool = False
-    t_min: float = 0.0
-    t_extent: float = 1.0
 
     def __post_init__(self):
         if self.n_torus < 5 or self.n_fiber < 5:
@@ -82,8 +80,6 @@ class Grid:
             raise GridError(f"monodromy must have determinant 1, got {det}")
         if self.open_t and not np.array_equal(mono, IDENTITY_2X2):
             raise GridError("open-t box charts cannot carry a nontrivial monodromy")
-        if not self.open_t and (self.t_min != 0.0 or self.t_extent != 1.0):
-            raise GridError("periodic/twisted t-axis must be the unit interval [0, 1)")
         object.__setattr__(self, "monodromy", mono)
 
     # -- geometry -----------------------------------------------------
@@ -98,26 +94,21 @@ class Grid:
 
     @property
     def spacing(self) -> tuple[float, float, float]:
-        if self.open_t:
-            ht = self.t_extent / (self.n_fiber - 1)
-        else:
-            ht = 1.0 / self.n_fiber
+        ht = 1.0 / (self.n_fiber - 1 if self.open_t else self.n_fiber)
         return (ht, 1.0 / self.n_torus, 1.0 / self.n_torus)
 
     @property
     def t(self) -> np.ndarray:
         """Fiber coordinate of each t-slab, shape (M, 1, 1) for broadcasting."""
-        ht = self.spacing[0]
-        return (self.t_min + ht * np.arange(self.n_fiber)).reshape(-1, 1, 1)
+        t_min = -0.5 if self.open_t else 0.0
+        return (t_min + self.spacing[0] * np.arange(self.n_fiber)).reshape(-1, 1, 1)
 
     def coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Broadcastable (t, x, y) coordinate arrays."""
-        n, m = self.n_torus, self.n_fiber
-        ht = self.spacing[0]
-        t = (self.t_min + ht * np.arange(m)).reshape(m, 1, 1)
+        n = self.n_torus
         x = (np.arange(n) / n).reshape(1, n, 1)
         y = (np.arange(n) / n).reshape(1, 1, n)
-        return t, x, y
+        return self.t, x, y
 
     @property
     def gluing_jacobian(self) -> np.ndarray:
@@ -128,7 +119,7 @@ class Grid:
     # arrays, which is ambiguous, and the generated hash cannot hash them
     def _key(self) -> tuple:
         return (self.n_torus, self.n_fiber, tuple(self.monodromy.ravel().tolist()),
-                self.open_t, self.t_min, self.t_extent)
+                self.open_t)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Grid):

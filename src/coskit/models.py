@@ -237,7 +237,7 @@ class SolModel:
 
 def sol_box_grid(n_torus: int, n_fiber: int) -> Grid:
     """The open box chart t in [-1/2, 1/2] of the Sol model."""
-    return Grid(n_torus, n_fiber, open_t=True, t_min=-0.5, t_extent=1.0)
+    return Grid(n_torus, n_fiber, open_t=True)
 
 
 def sol_model(mu: float, grid: Grid) -> tuple[Structure, CompatibleMetric]:

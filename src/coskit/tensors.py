@@ -115,6 +115,29 @@ def _cholesky3(g: np.ndarray) -> np.ndarray | None:
     return c
 
 
+def check_positive_definite(g: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of g; raises, naming a grid point, if none.
+
+    Only on failure are eigenvalues computed, to name the first point
+    whose smallest eigenvalue is not > 0 (or, where roundoff failed a
+    pivot of a positive spectrum, the point of the smallest eigenvalue).
+    """
+    c = _cholesky3(g)
+    if c is not None:
+        return c
+    finite = np.all(np.isfinite(g), axis=(-2, -1))
+    if not np.all(finite):
+        point = tuple(int(v) for v in np.argwhere(~finite)[0])
+        raise TensorCalculusError(f"metric not finite at grid point {point}")
+    w = np.linalg.eigvalsh(g)
+    low = w[..., 0]
+    bad = low <= 0 if np.any(low <= 0) else low == np.min(low)
+    point = tuple(int(v) for v in np.argwhere(bad)[0])
+    raise TensorCalculusError(
+        f"metric not positive definite at grid point {point}; "
+        f"eigenvalues {w[point]}")
+
+
 def sqrtm_spd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched symmetric square root and inverse square root."""
     w, v = np.linalg.eigh(m)
@@ -240,64 +263,26 @@ def lie_bracket(x: TensorField, y: TensorField) -> TensorField:
 
 # -- Levi-Civita connection ----------------------------------------------
 
-@dataclass
-class Connection:
-    """Christoffel symbols of a metric, Gamma^k_{ij}, sig 'udd'."""
-
-    grid: Grid
-    christoffel: np.ndarray
-
-    def symmetry_residual(self) -> float:
-        return float(np.max(np.abs(self.christoffel - np.swapaxes(self.christoffel, 4, 5))))
-
-
-def check_positive_definite(g: np.ndarray) -> np.ndarray:
-    """The lower Cholesky factor of g; raises, naming a grid point, if none.
-
-    Only on failure are eigenvalues computed, to name the first point
-    whose smallest eigenvalue is not > 0 (or, where roundoff failed a
-    pivot of a positive spectrum, the point of the smallest eigenvalue).
-    """
-    c = _cholesky3(g)
-    if c is not None:
-        return c
-    finite = np.all(np.isfinite(g), axis=(-2, -1))
-    if not np.all(finite):
-        point = tuple(int(v) for v in np.argwhere(~finite)[0])
-        raise TensorCalculusError(f"metric not finite at grid point {point}")
-    w = np.linalg.eigvalsh(g)
-    low = w[..., 0]
-    bad = low <= 0 if np.any(low <= 0) else low == np.min(low)
-    point = tuple(int(v) for v in np.argwhere(bad)[0])
-    raise TensorCalculusError(
-        f"metric not positive definite at grid point {point}; "
-        f"eigenvalues {w[point]}")
-
-
-def christoffel(g: TensorField) -> Connection:
+def christoffel(g: TensorField, ginv: np.ndarray) -> np.ndarray:
     """Levi-Civita Gamma^k_{ij} = (1/2) g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij}).
 
     The index l is raised by the slot kernel: the bracket, read as a
     pointwise 9 x 3 matrix from l to the pair (i, j), acts on the l slot
     of g^{kl}.  So Gamma comes out as a C-contiguous [k, i, j] array, the
     layout whose slices Gamma^k_{a j} covariant_derivative reads fastest.
+    ginv is g^{-1} as its caller holds it (a certified metric's ginv); g
+    is not checked here.
     """
-    check_positive_definite(g.data)
-    return _levi_civita(g, inverse_metric(g.data))
-
-
-def _levi_civita(g: TensorField, ginv: np.ndarray) -> Connection:
-    """The body of christoffel, with g^{-1} given; no positivity check."""
     grad = gradient(g.data, g.sig, g.grid)          # [a, i, j] = d_a g_{ij}
     b = grad + np.swapaxes(grad, 3, 4)
     b -= np.moveaxis(grad, 3, 5)
     del grad
     gamma = _on_slot(ginv, 1, b.reshape(b.shape[:3] + (9, 3))).reshape(b.shape)
     gamma *= 0.5
-    return Connection(g.grid, gamma)
+    return gamma
 
 
-def covariant_derivative(t: TensorField, conn: Connection,
+def covariant_derivative(t: TensorField, gamma: np.ndarray,
                          x: TensorField | None = None) -> TensorField:
     """nabla T, with a new leading covariant slot; contracted with X if given.
 
@@ -311,7 +296,7 @@ def covariant_derivative(t: TensorField, conn: Connection,
 
     def along(a):
         d = partial_derivative(t.data, t.sig, grid, a)
-        d += _derivation(t.data, t.sig, conn.christoffel[..., :, a, :])
+        d += _derivation(t.data, t.sig, gamma[..., :, a, :])
         return d
 
     if x is not None:

@@ -50,7 +50,6 @@ def reeb_derivative(scalar: np.ndarray, structure: Structure) -> np.ndarray:
 @dataclass
 class TorsionReport:
     torsion_field: np.ndarray        # |L_R g|^2 pointwise
-    h: TensorField                   # (1/2) L_R phi
     mu_field: np.ndarray             # 2^{-3/2} |L_R g|
     energy: float
     first_integral_residual: float   # sup |R(torsion)|
@@ -77,7 +76,6 @@ def torsion_report(metric: CompatibleMetric) -> TorsionReport:
     mu_field = np.sqrt(torsion) * 2.0 ** (-1.5)
     return TorsionReport(
         torsion_field=torsion,
-        h=metric.h_tensor(),
         mu_field=mu_field,
         energy=structure.integrate(torsion),
         first_integral_residual=_sup(reeb_derivative(torsion, structure)),

@@ -72,7 +72,7 @@ def test_criterion_03_euler_lagrange(crit32, crit64, flat16, model):
 def test_criterion_04_h_eigenstructure(crit32, model):
     _, metric = crit32
     rep = va.torsion_report(metric)
-    w, _, aligned = symmetric_eigen(rep.h, metric.g.data, metric.ginv)
+    w, _, aligned = symmetric_eigen(metric.h_tensor(), metric.g.data, metric.ginv)
     mu = model.mu
     eig_err = sup(w - np.array([mu, 0.0, -mu]))
     assert aligned

@@ -259,6 +259,19 @@ def test_reports_byte_identical(tmp_path):
     assert a == b
 
 
+def test_report_numpy_values_write_as_python_values(tmp_path):
+    x = 0.1 + 0.2
+    numpy_report = {"count": np.int64(7), "pass": np.bool_(True), "energy": np.float64(x),
+                    "spectrum": np.array([[x, -1.5], [2.0, 1e-300]]),
+                    "nested": {"n": [np.int64(-3), (np.float64(x), np.bool_(False))]}}
+    plain_report = {"count": 7, "pass": True, "energy": x,
+                    "spectrum": [[x, -1.5], [2.0, 1e-300]],
+                    "nested": {"n": [-3, [x, False]]}}
+    a = cli.write_report(numpy_report, tmp_path / "a", 0.0).read_text()
+    b = cli.write_report(plain_report, tmp_path / "b", 0.0).read_text()
+    assert a == b
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = write_cfg(tmp_path, dict(BASE, experiment="lyapunov",
                                    dynamics={"horizon": 20.0, "seeds": 2}))

@@ -404,7 +404,7 @@ def test_first_variation_builds_no_connection(monkeypatch, model):
     rng = np.random.default_rng(19)
     cases = [(base, va.random_tangent(base, rng, 0.1, model=model)),
              (contact, va.random_tangent(contact, rng, 0.1))]
-    for module, name in ((tensors, "_levi_civita"), (cosymplectic, "_levi_civita"),
+    for module, name in ((tensors, "christoffel"), (cosymplectic, "christoffel"),
                          (tensors, "covariant_derivative"), (va, "covariant_derivative"),
                          (cosymplectic, "d_alpha_plus"), (va, "d_alpha_plus")):
         refuse(module, name)
@@ -451,7 +451,7 @@ def test_deformed_h_eigenstructure(fiber_chart):
     d = va.random_deformation(fiber_chart.grid, seed=6, amplitude=0.3)
     gt = va.deform(fiber_chart, d)
     rep = va.torsion_report(gt)
-    w, _, _ = symmetric_eigen(rep.h, gt.g.data, gt.ginv)
+    w, _, _ = symmetric_eigen(gt.h_tensor(), gt.g.data, gt.ginv)
     assert sup(w[..., 0] - rep.mu_field) < 1e-5
     assert sup(w[..., 1]) < 1e-5
     assert sup(w[..., 2] + rep.mu_field) < 1e-5
