@@ -112,8 +112,12 @@ def _run_verify(p):
                         dynamics.sol_bracket_residuals(structure.grid).items()})
     exact_bad = [k for k in ALGEBRAIC_CERT_KEYS
                  if k in residuals and residuals[k] > tol_cert]
+    tol_stencil = max(tol_fd, tol_exact)
     fd_bad = [k for k, v in residuals.items()
-              if k not in ALGEBRAIC_CERT_KEYS and v > max(tol_fd, tol_exact)]
+              if k not in ALGEBRAIC_CERT_KEYS and v > tol_stencil]
+    # the sol frame's brackets are stencil residuals too; its nabla_R h
+    # falls at order ~3.2 only, so it stays unjudged
+    fd_bad += [k for k, v in scalars.items() if k.startswith("sol_bracket.") and v > tol_stencil]
     failures = [f"residual {k} above tolerance" for k in exact_bad + fd_bad]
     if model is not None:
         mu2 = model.mu ** 2

@@ -20,7 +20,6 @@ from .cosymplectic import CompatibleMetric
 from .grids import Grid, _int_det, _int_matmul, _int_matpow, _lift, _transported
 from .models import HyperbolicModel, sol_frame
 from .tensors import TensorField, lie_bracket, sqrtm_spd, symmetric_eigen, tensor_norm2
-from .variational import _torsion
 
 
 class NotHyperbolicTorsionError(ValueError):
@@ -136,18 +135,16 @@ def lyapunov_exponents(model: HyperbolicModel, point=None, *, horizon: float) ->
 class SplittingFrame:
     """Unit fields spanning the flow-invariant splitting <R> + E+ + E-.
 
-    e_unstable spans the forward-expanding line (E+, the strong
-    unstable bundle), e_stable the forward-contracting one (E-).
-    v_plus and v_minus are the bracket-normalized fields
-    ([R, v_pm] = pm mu v_pm, so v_plus = e_stable up to sign); both are
-    global only up to an overall sign flip of the pair.  hphi_stable_eig
-    records the h.phi eigenvalue on the stable line (-mu: nabla R = h
-    phi stretches unstable directions).
+    v_plus and v_minus are the bracket-normalized fields, [R, v_pm] =
+    pm mu v_pm.  v_plus spans the forward-contracting (stable) line and
+    v_minus the forward-expanding (unstable) one: h phi v_plus = -mu
+    v_plus, and nabla R = h phi stretches unstable directions, which
+    anosov_splitting's growth test checks.  The pair is global only up
+    to an overall sign flip.  hphi_stable_eig and hphi_unstable_eig are
+    the h.phi eigenvalues on v_plus and v_minus (-mu and mu).
     """
 
     mu: float
-    e_unstable: TensorField
-    e_stable: TensorField
     v_plus: TensorField
     v_minus: TensorField
     u_plus: TensorField
@@ -164,55 +161,52 @@ def anosov_splitting(metric: CompatibleMetric) -> SplittingFrame:
     """Extract the hyperbolic splitting from h = (1/2) L_R phi.
 
     u_+ is the +mu eigenfield of h, u_- = phi u_+ the -mu one; the
-    bracket frame is v_pm = (u_+ pm u_-)/sqrt(2).  Stability is
-    assigned by measuring the one-period pushforward contraction of
-    each candidate line in the metric, not assumed from a formula.
+    bracket frame is v_pm = (u_+ pm u_-)/sqrt(2).  h has eigenvalues
+    (w0, 0, -w0), so the torsion |L_R g|^2 = 4 tr h^2 is 8 w0^2 and is
+    checked from the spectrum.  v_plus is stable by algebra (h phi v_+ =
+    -mu v_+); the one-period pushforward growth of each line in the
+    metric checks it, and a frame that fails raises.
     """
     grid = metric.grid
-    lg_norm2 = _torsion(metric)
-    if float(np.min(lg_norm2)) < _TORSION_THRESHOLD:
-        raise NotHyperbolicTorsionError(
-            f"torsion minimum {float(np.min(lg_norm2)):.3e} below threshold")
     h = metric.h_tensor()
-    evals, evecs, aligned = symmetric_eigen(h, metric.g.data, metric.ginv)
+    evals, evecs, _ = symmetric_eigen(h, metric.g.data, metric.ginv)
+    torsion_min = 8.0 * float(np.min(evals[..., 0])) ** 2
+    if torsion_min < _TORSION_THRESHOLD:
+        raise NotHyperbolicTorsionError(f"torsion minimum {torsion_min:.3e} below threshold")
     mu = float(np.mean(evals[..., 0]))
     u_plus = np.ascontiguousarray(evecs[..., :, 0])   # not a view pinning all of evecs
     u_minus = np.einsum("...ij,...j->...i", metric.phi.data, u_plus)
     v_plus = (u_plus + u_minus) / np.sqrt(2.0)
     v_minus = (u_plus - u_minus) / np.sqrt(2.0)
 
-    # measure which bracket line contracts under the one-period pushforward:
-    # |A v(p)| in g(Lp) is |v(p)| in the pulled-back metric A^T g(Lp) A
+    # check that v_plus contracts and v_minus expands under the one-period
+    # pushforward: |A v(p)| in g(Lp) is |v(p)| in the pulled-back metric A^T g(Lp) A
     g = metric.g.data
     g_pulled = _transported(g, "dd", grid, -1)
 
     def growth(v):
         return float(np.mean(np.sqrt(_gdot(g_pulled, v, v) / _gdot(g, v, v))))
 
-    tf = lambda d: TensorField(grid, d, "u")
     gp, gm = growth(v_plus), growth(v_minus)
-    if gp < 1.0 < gm:
-        stable, unstable = v_plus, v_minus
-    elif gm < 1.0 < gp:
-        stable, unstable = v_minus, v_plus
-    else:
-        raise NotHyperbolicTorsionError("no contracting/expanding pair found")
-    heig_stable, heig_unstable = _hphi_eig(metric, h, stable), _hphi_eig(metric, h, unstable)
-    return SplittingFrame(mu, tf(unstable), tf(stable), tf(v_plus), tf(v_minus),
-                          tf(u_plus), tf(u_minus), heig_stable, heig_unstable)
+    if not gp < 1.0:
+        raise NotHyperbolicTorsionError(f"v_plus does not contract (growth {gp:.6g})")
+    if not gm > 1.0:
+        raise NotHyperbolicTorsionError(f"v_minus does not expand (growth {gm:.6g})")
+    hphi = h.data @ metric.phi.data
+
+    def hphi_eig(v):
+        hv = np.einsum("...ij,...j->...i", hphi, v)
+        return float(np.mean(_gdot(g, hv, v) / _gdot(g, v, v)))
+
+    tf = lambda d: TensorField(grid, d, "u")
+    return SplittingFrame(mu, tf(v_plus), tf(v_minus), tf(u_plus), tf(u_minus),
+                          hphi_eig(v_plus), hphi_eig(v_minus))
 
 
 def _gdot(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pointwise g(u, v) of vector fields: two two-operand contractions,
     about twice as fast as the three-operand einsum."""
     return np.einsum("...i,...i->...", u, np.einsum("...ij,...j->...i", g, v))
-
-
-def _hphi_eig(metric: CompatibleMetric, h: TensorField, v: np.ndarray) -> float:
-    hphi = h.data @ metric.phi.data
-    hv = np.einsum("...ij,...j->...i", hphi, v)
-    g = metric.g.data
-    return float(np.mean(_gdot(g, hv, v) / _gdot(g, v, v)))
 
 
 def _sin_angle(g: np.ndarray, gv: np.ndarray, nv2: np.ndarray, v: np.ndarray,
@@ -235,14 +229,15 @@ def refine_splitting(frame: SplittingFrame, metric: CompatibleMetric,
                      iterations: int = 40) -> SplittingFrame:
     """Sharpen the splitting by the graph transform of the period map.
 
-    The unstable line is the forward-invariant limit of pushforwards,
-    the stable one of pullbacks (Hirsch, Pugh & Shub, Invariant
-    Manifolds, LNM 583); each sweep contracts the misalignment by the
-    squared multiplier, so the h-eigenvector seed (accurate to stencil
-    error) reaches machine precision in a few dozen rounds.  The
-    ``iterations`` sweeps are composed: normalization only rescales by
-    a positive factor, so k sweeps equal one pushforward by the exact
-    k-period transport diag(1, L^k), gathered once and normalized once.
+    The unstable line v_minus is the forward-invariant limit of
+    pushforwards, the stable line v_plus of pullbacks (Hirsch, Pugh &
+    Shub, Invariant Manifolds, LNM 583); each sweep contracts the
+    misalignment by the squared multiplier, so the h-eigenvector seed
+    (accurate to stencil error) reaches machine precision in a few dozen
+    rounds.  The ``iterations`` sweeps are composed: normalization only
+    rescales by a positive factor, so k sweeps equal one pushforward by
+    the exact k-period transport diag(1, L^k), gathered once and
+    normalized once.
     Blocks of at most b periods, with |lambda|^b <= 2^256, keep every
     float entry of L^b far from overflow; b >= 40 while |lambda| <= 84,
     so there the default is a single block.  Signs are re-aligned to
@@ -258,26 +253,23 @@ def refine_splitting(frame: SplittingFrame, metric: CompatibleMetric,
     trace = abs(int(np.trace(grid.monodromy)))
     lam = 0.5 * (trace + math.sqrt(max(trace * trace - 4, 0)))
     block = max(1, int(256 * math.log(2) / math.log(lam))) if lam > 1.0 else iterations
-    unstable, stable = frame.e_unstable.data, frame.e_stable.data
+    v_plus, v_minus = frame.v_plus.data, frame.v_minus.data
     done = 0
     while done < iterations:
         k = min(block, iterations - done)
-        unstable = normalize(_transported(unstable, "u", grid, k))
-        stable = normalize(_transported(stable, "u", grid, -k))
+        v_minus = normalize(_transported(v_minus, "u", grid, k))
+        v_plus = normalize(_transported(v_plus, "u", grid, -k))
         done += k
 
     def resign(new, seed):
         return new * np.sign(_gdot(g, new, seed))[..., None]
 
-    unstable = resign(unstable, frame.e_unstable.data)
-    stable = resign(stable, frame.e_stable.data)
-    v_plus = resign(stable, frame.v_plus.data)
-    v_minus = resign(unstable, frame.v_minus.data)
+    v_plus = resign(v_plus, frame.v_plus.data)
+    v_minus = resign(v_minus, frame.v_minus.data)
     u_plus = normalize((v_plus + v_minus) / np.sqrt(2.0))
     u_minus = normalize((v_plus - v_minus) / np.sqrt(2.0))
     tf = lambda d: TensorField(grid, d, "u")
-    return SplittingFrame(frame.mu, tf(unstable), tf(stable), tf(v_plus), tf(v_minus),
-                          tf(u_plus), tf(u_minus),
+    return SplittingFrame(frame.mu, tf(v_plus), tf(v_minus), tf(u_plus), tf(u_minus),
                           frame.hphi_stable_eig, frame.hphi_unstable_eig)
 
 
@@ -294,7 +286,7 @@ def splitting_invariance_residual(frame: SplittingFrame, metric: CompatibleMetri
     """
     grid, g = metric.grid, metric.g.data
     worst = 0.0
-    for field, sgn in ((frame.e_unstable, 1), (frame.e_stable, -1)):
+    for field, sgn in ((frame.v_minus, 1), (frame.v_plus, -1)):
         # evaluated at the image points q: u(q) = A v(Phi^{-n tau} q) against
         # v(q) in g(q), so only v is gathered and g v is formed once
         v = field.data

@@ -32,6 +32,20 @@ def test_run_verify_exit_zero(tmp_path):
     assert (tmp_path / "out" / "timings.json").exists()
 
 
+def test_verify_judges_sol_bracket_residuals(tmp_path, monkeypatch):
+    # the sol frame's brackets are stencil residuals, held to fd_scale h^4:
+    # 1.1e-4 against 4.2e-3 at 8^3
+    cfg = write_cfg(tmp_path, {"experiment": "verify", "model": {"model": "sol"},
+                               "grid": {"n_torus": 8, "n_fiber": 8}})
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "ok")]) == 0
+    real = cli.dynamics.sol_bracket_residuals
+    monkeypatch.setattr(cli.dynamics, "sol_bracket_residuals",
+                        lambda grid: real(grid) | {"y_x_plus": 1.0})
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 1
+    report = json.loads((tmp_path / "bad" / "report.json").read_text())
+    assert report["failures"] == ["residual sol_bracket.y_x_plus above tolerance"]
+
+
 def test_run_betti_parabolic(tmp_path):
     cfg = write_cfg(tmp_path, {"experiment": "betti",
                                "model": {"model": "hyperbolic", "matrix": [1, 1, 0, 1]}})

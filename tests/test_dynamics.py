@@ -1,10 +1,11 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
 import coskit as ck
-from coskit import dynamics as dy
+from coskit import dynamics as dy, tensors, variational
 from coskit.grids import Grid, _torus_permutation
 from coskit.tensors import TensorField, lie_bracket, symmetric_eigen
 
@@ -87,8 +88,8 @@ def test_splitting_alignment_with_torus_eigenvectors(frame32, model):
         perp = vn - (vn @ w3)[..., None] * w3
         return np.max(np.linalg.norm(perp, axis=-1))
 
-    assert max_sin(frame32.e_unstable.data, model.w_plus) < 1e-8
-    assert max_sin(frame32.e_stable.data, model.w_minus) < 1e-8
+    assert max_sin(frame32.v_minus.data, model.w_plus) < 1e-8
+    assert max_sin(frame32.v_plus.data, model.w_minus) < 1e-8
 
 
 def test_splitting_hphi_eigenvalues(frame32, model):
@@ -100,8 +101,8 @@ def test_splitting_hphi_eigenvalues(frame32, model):
 
 def test_splitting_frame_spans(frame32, crit32):
     structure, metric = crit32
-    frame = np.stack([structure.reeb.data, frame32.e_unstable.data,
-                      frame32.e_stable.data], axis=-1)
+    frame = np.stack([structure.reeb.data, frame32.v_minus.data,
+                      frame32.v_plus.data], axis=-1)
     dets = np.linalg.det(frame)
     assert float(np.min(np.abs(dets))) > 0.1
 
@@ -128,12 +129,12 @@ def _sweep_reference(frame, metric, iterations):
     pi_b, pj_b = _torus_permutation(grid.n_torus, linv)
     gdot = lambda u, v: np.einsum("...ij,...i,...j->...", g, u, v)
     norm = lambda v: v / np.sqrt(gdot(v, v))[..., None]
-    unstable, stable = frame.e_unstable.data, frame.e_stable.data
+    unstable, stable = frame.v_minus.data, frame.v_plus.data
     for _ in range(iterations):
         unstable = norm(np.einsum("ij,...j->...i", a, unstable[:, pi_b, pj_b]))
         stable = norm(np.einsum("ij,...j->...i", a_inv, stable[:, pi_f, pj_f]))
     resign = lambda v, seed: v * np.sign(gdot(v, seed))[..., None]
-    return resign(unstable, frame.e_unstable.data), resign(stable, frame.e_stable.data)
+    return resign(unstable, frame.v_minus.data), resign(stable, frame.v_plus.data)
 
 
 @pytest.mark.parametrize("iterations", [3, 40])
@@ -144,10 +145,10 @@ def test_refine_matches_sweep_loop(crit16_gluing, iterations):
     frame = dy.anosov_splitting(metric)
     rng = np.random.default_rng(7)
     noisy = lambda f: TensorField(f.grid, f.data + 0.1 * rng.standard_normal(f.data.shape), "u")
-    frame = dataclasses.replace(frame, e_unstable=noisy(frame.e_unstable),
-                                e_stable=noisy(frame.e_stable))
+    frame = dataclasses.replace(frame, v_minus=noisy(frame.v_minus),
+                                v_plus=noisy(frame.v_plus))
     refined = dy.refine_splitting(frame, metric, iterations)
-    for got, ref in zip((refined.e_unstable.data, refined.e_stable.data),
+    for got, ref in zip((refined.v_minus.data, refined.v_plus.data),
                         _sweep_reference(frame, metric, iterations)):
         sin = np.linalg.norm(np.cross(got, ref), axis=-1) / (
             np.linalg.norm(got, axis=-1) * np.linalg.norm(ref, axis=-1))
@@ -163,7 +164,7 @@ def test_refine_many_iterations_in_blocks():
     model = ck.build_hyperbolic_model([[5, 2], [2, 1]])
     _, metric = ck.critical_metric(model, Grid(16, 16, model.matrix))
     refined = dy.refine_splitting(dy.anosov_splitting(metric), metric, iterations=500)
-    for field in (refined.e_unstable, refined.e_stable, refined.v_plus, refined.v_minus):
+    for field in (refined.v_plus, refined.v_minus, refined.u_plus, refined.u_minus):
         assert np.all(np.isfinite(field.data))
     assert dy.splitting_invariance_residual(refined, metric, n_periods=10) < 1e-8
 
@@ -174,6 +175,25 @@ def test_splitting_invariance_over_long_horizon():
     _, metric = ck.critical_metric(model, Grid(16, 16, model.matrix))
     frame = dy.refine_splitting(dy.anosov_splitting(metric), metric)
     assert dy.splitting_invariance_residual(frame, metric, n_periods=40) < 1e-8
+
+
+def test_splitting_builds_one_lie_derivative(model, monkeypatch):
+    # h = (1/2) L_R phi is the only Lie derivative: the torsion check reads
+    # h's spectrum, not a second L_R g
+    _, metric = ck.critical_metric(model, Grid(12, 12, model.matrix))
+    calls = []
+    real = tensors.lie_derivative
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("coskit") and getattr(module, "lie_derivative", None) is real:
+            monkeypatch.setattr(module, "lie_derivative", counted)
+    monkeypatch.setattr(variational, "_torsion", lambda metric: pytest.fail("L_R g built"))
+    dy.anosov_splitting(metric)
+    assert len(calls) == 1
 
 
 def test_splitting_rejects_flat(flat16):
@@ -226,8 +246,7 @@ def test_bracket_perturbation_sensitivity(model, crit32):
         vp = fr.v_plus.data.copy()
         vp[..., 1] += eps * np.sin(2 * np.pi * t)
         from coskit.tensors import TensorField
-        fr_p = dy.SplittingFrame(fr.mu, fr.e_unstable, fr.e_stable,
-                                 TensorField(grid, vp, "u"), fr.v_minus,
+        fr_p = dy.SplittingFrame(fr.mu, TensorField(grid, vp, "u"), fr.v_minus,
                                  fr.u_plus, fr.u_minus,
                                  fr.hphi_stable_eig, fr.hphi_unstable_eig)
         values.append(dy.bracket_residuals(metric, fr_p)["reeb_v_plus"] - res0)
