@@ -49,11 +49,8 @@ def _build(p: dict):
     """(kind, model or None, structure, metric) for the chart of the resolved config p."""
     kind, n_torus, n_fiber = p["model.model"], p["grid.n_torus"], p["grid.n_fiber"]
     if kind == "hyperbolic":
-        matrix = p["model.matrix"]
-        if not np.array_equal(p["grid.monodromy"], matrix):
-            raise ConfigError(["grid.monodromy conflicts with model.matrix"])
-        model = build_hyperbolic_model(matrix, p["model.tau"], p["model.V"])
-        structure, metric = critical_metric(model, Grid(n_torus, n_fiber, matrix))
+        model = build_hyperbolic_model(p["model.matrix"], p["model.tau"], p["model.V"])
+        structure, metric = critical_metric(model, Grid(n_torus, n_fiber, model.matrix))
         return kind, model, structure, metric
     if kind == "flat_cokahler":
         structure, metric = flat_cokahler(Grid(n_torus, n_fiber))
@@ -84,19 +81,21 @@ def _roundoff_scale(metric) -> float:
 # 2.9 eps max|g|^2 max|g^-1| over 400 random hyperbolic gluings with
 # entries up to 28, tau = 1 and V in {0.5, 1}
 _CERT_FACTOR = 16.0
+# verify's absolute bound on exact identities, and the stencil residuals'
+# bound _FD_SCALE h^4 for the 4th-order differences
+_EXACT_TOL = 1e-8
+_FD_SCALE = 10.0
 
 
 def _run_verify(p):
     kind, model, structure, metric = _build(p)
     h = structure.grid.spacing[0]
     ginv_max = np.max(np.abs(metric.ginv))
-    tol_exact = p["tolerances.exact"]
     # the pointwise identities multiply g, g^-1 and g again: their roundoff
     # grows like eps max|g|^2 max|g^-1| and on an ill-conditioned metric
-    # exceeds an absolute tol_exact
-    tol_cert = max(tol_exact, _CERT_FACTOR * np.finfo(float).eps
+    # exceeds an absolute _EXACT_TOL
+    tol_cert = max(_EXACT_TOL, _CERT_FACTOR * np.finfo(float).eps
                    * np.max(np.abs(metric.g.data)) ** 2 * ginv_max)
-    tol_fd = p["tolerances.fd_scale"] * h ** 4
     residuals = dict(metric.certificate)
     residuals.update({f"structure.{k}": v for k, v in structure.residuals().items()})
     scalars = {}
@@ -105,14 +104,14 @@ def _run_verify(p):
         scalars["nabla_r_h_supnorm"] = variational.nabla_r_h_residual(metric)
         rep = variational.torsion_report(metric)
         scalars["energy"] = rep.energy
-        scalars["torsion_constancy"] = rep.constancy if rep.energy > 0 else 0.0
+        scalars["torsion_constancy"] = rep.constancy
     else:
         scalars["nabla_r_h_supnorm"] = variational.nabla_r_h_residual(metric)
         scalars.update({f"sol_bracket.{k}": v for k, v in
                         dynamics.sol_bracket_residuals(structure.grid).items()})
     exact_bad = [k for k in ALGEBRAIC_CERT_KEYS
                  if k in residuals and residuals[k] > tol_cert]
-    tol_stencil = max(tol_fd, tol_exact)
+    tol_stencil = max(_FD_SCALE * h ** 4, _EXACT_TOL)
     fd_bad = [k for k, v in residuals.items()
               if k not in ALGEBRAIC_CERT_KEYS and v > tol_stencil]
     # the sol frame's brackets are stencil residuals too; its nabla_R h
@@ -132,7 +131,7 @@ def _run_energy(p):
     rep = variational.torsion_report(metric)
     out = {"scalars": {"energy": rep.energy,
                        "torsion_mean": float(np.mean(rep.torsion_field)),
-                       "torsion_constancy": rep.constancy if rep.energy > 0 else 0.0,
+                       "torsion_constancy": rep.constancy,
                        "first_integral_residual": rep.first_integral_residual},
            "failures": [], "_roundoff_scale": _roundoff_scale(metric)}
     # the closed-form energy of each model; the flat one is zero exactly
@@ -147,13 +146,13 @@ def _run_energy(p):
     out["scalars"]["expected_energy"] = expected
     if expected:
         out["scalars"]["relative_error"] = abs(rep.energy - expected) / expected
-    if abs(rep.energy - expected) > p["tolerances.energy_rel"] * expected:
+    if abs(rep.energy - expected) > 1e-6 * expected:
         out["failures"].append("energy relative error above tolerance")
     return out
 
 
 def _run_lyapunov(p):
-    _, model, structure, metric = _build(p)
+    model = build_hyperbolic_model(p["model.matrix"], p["model.tau"], p["model.V"])
     horizon = p["dynamics.horizon"] * model.tau
     rng = np.random.default_rng(p["seed"])
     mu = model.mu
@@ -167,14 +166,13 @@ def _run_lyapunov(p):
         spread = max(spread, float(np.max(np.abs(ly - base))))
     sum_abs = max(abs(sum(r)) for r in rows)
     failures = []
-    if worst > p["tolerances.lyapunov_abs"]:
+    if worst > 1e-9:
         failures.append("lyapunov exponent error above tolerance")
-    if sum_abs > p["tolerances.lyapunov_sum"]:
+    if sum_abs > 1e-12:
         failures.append("lyapunov sum not zero")
     return {"scalars": {"mu": mu, "max_error": worst, "max_sum": sum_abs,
                         "base_point_spread": spread},
-            "tables": {"exponents": rows}, "failures": failures,
-            "_roundoff_scale": _roundoff_scale(metric)}
+            "tables": {"exponents": rows}, "failures": failures}
 
 
 def _run_betti(p):
@@ -209,7 +207,7 @@ def _run_first_variation(p):
         rows.append([fv, fd, rel])
         worst = max(worst, rel)
     failures = []
-    if worst > p["tolerances.first_variation_rel"]:
+    if worst > 1e-3:
         failures.append("first variation does not match centered differences")
     out = {"scalars": {"max_relative_error": worst},
            "tables": {"formula_fd_rel": rows}, "failures": failures}
@@ -238,7 +236,7 @@ def _run_gap_identity(p):
         min_gap = min(min_gap, rep.gap)
         worst_div = max(worst_div, abs(rep.divergence_residual))
     failures = []
-    if worst_gap > p["tolerances.gap_rel"]:
+    if worst_gap > 1e-6:
         failures.append("gap identity mismatch above tolerance")
     if min_gap < -1e-10:
         failures.append("negative energy gap")
@@ -252,8 +250,7 @@ def _run_optimize(p):
     chart = variational.deformation_chart(model, structure.grid)
     d0 = variational.random_deformation(structure.grid, p["deformation.seed"],
                                         amplitude=p["deformation.amplitude"])
-    result = variational.minimize_energy(d0, chart.mu, structure, steps=p["optimizer.steps"],
-                                         tolerance=p["optimizer.tolerance"])
+    result = variational.minimize_energy(d0, chart.mu, structure, steps=p["optimizer.steps"])
     reduction = result.gap_history[0] / max(result.gap_history[-1], 1e-300)
     failures = []
     if reduction < 1e4:
@@ -284,7 +281,8 @@ _ENERGY_FITS = ("relative_error", "torsion_constancy")
 # run and sweep alike, and a model with no scalars has no sweep; betti
 # (None) reads no model.  Missing on purpose: lyapunov_exponents takes
 # only a hyperbolic model, and optimize and gap_identity its deformation
-# chart.  contact_t3 is not critical:
+# chart.  lyapunov builds no chart, so it reads no grid key and has no
+# sweep.  contact_t3 is not critical:
 # its Euler-Lagrange residual tends to sqrt(2), not 0, so its verify sweep
 # leaves that residual out.
 EXPERIMENTS = {
@@ -293,7 +291,7 @@ EXPERIMENTS = {
     "energy": (_run_energy, {"hyperbolic": _ENERGY_FITS, "flat_cokahler": (),
                              "contact_t3": _ENERGY_FITS, "sol": _ENERGY_FITS}),
     "optimize": (_run_optimize, {"hyperbolic": ()}),
-    "lyapunov": (_run_lyapunov, {"hyperbolic": ("max_error",)}),
+    "lyapunov": (_run_lyapunov, {"hyperbolic": ()}),
     "betti": (_run_betti, None),
     "first_variation": (_run_first_variation,
                         {"hyperbolic": (), "flat_cokahler": (), "contact_t3": (),
@@ -328,7 +326,6 @@ def _choice(*options: str) -> tuple:
 INTEGER = (int, ("an integer", _is_integer))
 COUNT = (int, ("an integer", _is_integer), ("positive", lambda v: v > 0))
 REAL = (float, ("a finite real number", _is_real))
-NONNEGATIVE = (float, ("a finite real number", _is_real), ("non-negative", lambda v: v >= 0))
 STRING = (str, ("a string", lambda v: isinstance(v, str)))
 _INT64 = np.iinfo(np.int64)
 MATRIX = (lambda v: np.asarray(v, dtype=np.int64).reshape(2, 2),
@@ -343,7 +340,10 @@ class SameAs(str):
 
 
 _BUILT = tuple(e for e, (_, fits) in EXPERIMENTS.items() if fits is not None)
+# the experiments that run on each model
+_ON = {m: tuple(e for e in _BUILT if m in EXPERIMENTS[e][1]) for m in MODELS}
 _SWEPT = tuple(e for e, (_, fits) in EXPERIMENTS.items() if fits and any(fits.values()))
+_GRIDDED = ("verify", "energy", "optimize", "first_variation", "gap_identity")
 _DEFORMED = ("optimize", "first_variation", "gap_identity")
 
 # dotted key: (kind, default, the experiments that read it), in resolution
@@ -361,11 +361,10 @@ CONFIG_SCHEMA = {
     "model.matrix": (MATRIX, [2, 1, 1, 1], EXPERIMENTS),
     "model.tau": (REAL, 1.0, _BUILT),
     "model.V": (REAL, 1.0, _BUILT),
-    "model.mu": (REAL, 1.0, _BUILT),
-    "model.n": (INTEGER, 1, _BUILT),
-    "grid.n_torus": (INTEGER, 32, _BUILT),
-    "grid.n_fiber": (INTEGER, SameAs("grid.n_torus"), _BUILT),
-    "grid.monodromy": (MATRIX, SameAs("model.matrix"), _BUILT),
+    "model.mu": (REAL, 1.0, _ON["sol"]),
+    "model.n": (INTEGER, 1, _ON["contact_t3"]),
+    "grid.n_torus": (INTEGER, 32, _GRIDDED),
+    "grid.n_fiber": (INTEGER, SameAs("grid.n_torus"), _GRIDDED),
     "dynamics.horizon": (REAL, 50.0, ("lyapunov",)),
     "dynamics.seeds": (COUNT, 10, ("lyapunov",)),
     "deformation.seed": (INTEGER, SameAs("seed"), _DEFORMED),
@@ -373,14 +372,6 @@ CONFIG_SCHEMA = {
     "deformation.count": (COUNT, {"first_variation": 10, "*": 20},
                           ("first_variation", "gap_identity")),
     "optimizer.steps": (COUNT, 1500, ("optimize",)),
-    "optimizer.tolerance": (NONNEGATIVE, 0.0, ("optimize",)),
-    "tolerances.exact": (NONNEGATIVE, 1e-8, ("verify",)),
-    "tolerances.fd_scale": (NONNEGATIVE, 10.0, ("verify",)),
-    "tolerances.energy_rel": (NONNEGATIVE, 1e-6, ("energy",)),
-    "tolerances.lyapunov_abs": (NONNEGATIVE, 1e-9, ("lyapunov",)),
-    "tolerances.lyapunov_sum": (NONNEGATIVE, 1e-12, ("lyapunov",)),
-    "tolerances.first_variation_rel": (NONNEGATIVE, 1e-3, ("first_variation",)),
-    "tolerances.gap_rel": (NONNEGATIVE, 1e-6, ("gap_identity",)),
 }
 
 _SECTIONS = {key.split(".")[0] for key in CONFIG_SCHEMA if "." in key}

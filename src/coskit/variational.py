@@ -60,8 +60,9 @@ class TorsionReport:
 
     @property
     def constancy(self) -> float:
-        """stddev/mean of the torsion field; ~0 for critical metrics."""
-        return float(np.std(self.torsion_field) / np.mean(self.torsion_field))
+        """stddev/mean of the torsion field; ~0 for critical metrics, 0 for torsion-free ones."""
+        mean = np.mean(self.torsion_field)
+        return float(np.std(self.torsion_field) / mean) if mean > 0 else 0.0
 
 
 def _torsion(metric: CompatibleMetric) -> np.ndarray:
@@ -579,7 +580,7 @@ _STEP0 = 1e-2
 
 
 def minimize_energy(initial: Deformation, mu: float, structure: Structure,
-                    steps: int = 1000, tolerance: float = 0.0) -> OptimizationResult:
+                    steps: int = 1000) -> OptimizationResult:
     """Gradient descent on (u, r) against the energy-gap objective.
 
     Barzilai-Borwein steps with Armijo backtracking keep the gap
@@ -592,9 +593,10 @@ def minimize_energy(initial: Deformation, mu: float, structure: Structure,
     objective.  The line search evaluates only the gap of each trial;
     the gradient is formed only at accepted points, when the next step
     needs it.  Returns converged status when the line search stops
-    making progress above tolerance.  The result records, per accepted
-    step, the step size, the backtrack count and the squared gradient
-    norm.
+    making progress: it finds no Armijo step, or its accepted step
+    leaves the gap unchanged in floating point.  The result records, per
+    accepted step, the step size, the backtrack count and the squared
+    gradient norm.
     """
     grid = structure.grid
     if initial.grid != grid:
@@ -641,7 +643,7 @@ def minimize_energy(initial: Deformation, mu: float, structure: Structure,
         else:
             converged = True
             break
-        stalled = gap - gap_t <= tolerance * max(gap, 1e-300)
+        stalled = gap - gap_t <= 0.0
         prev = (x, g)
         x, gap, ru = x_t, gap_t, ru_t
         history.append(gap)

@@ -32,6 +32,7 @@ def test_torsion_report_flat(flat16):
     rep = va.torsion_report(metric)
     assert rep.energy == 0.0
     assert sup(rep.torsion_field) == 0.0
+    assert rep.constancy == 0.0
 
 
 def test_torsion_report_polar_not_below_critical(crit32, model):
@@ -567,7 +568,7 @@ def _reference_gap_and_gradient(u, r, mu, structure, weight):
     return gap, grad_u, grad_r
 
 
-def _reference_minimize(initial, mu, structure, steps, tolerance=0.0, step0=1e-2):
+def _reference_minimize(initial, mu, structure, steps, step0=1e-2):
     grid = structure.grid
     dens = structure.volume_density
     ht, hx, hy = grid.spacing
@@ -600,7 +601,7 @@ def _reference_minimize(initial, mu, structure, steps, tolerance=0.0, step0=1e-2
         else:
             converged = True
             break
-        if gap - gap_t <= tolerance * max(gap, 1e-300):
+        if gap - gap_t <= 0.0:
             u, r, gap = u_t, r_t, gap_t
             history.append(gap)
             n_done = n + 1
@@ -613,20 +614,18 @@ def _reference_minimize(initial, mu, structure, steps, tolerance=0.0, step0=1e-2
     return history, u, r, n_done, converged
 
 
-@pytest.mark.parametrize("mat, seed, steps, tolerance", [
-    ([[2, 1], [1, 1]], 31, 150, 0.0),
-    ([[-2, 1], [1, -1]], 32, 150, 0.0),
-    ([[3, 1], [2, 1]], 33, 150, 0.0),
-    ([[2, 1], [1, 1]], 34, 400, 1e-2),
-], ids=["L0", "L1", "L2", "L0-tolerance"])
-def test_minimize_bit_identical_to_unfused_reference(mat, seed, steps, tolerance):
+@pytest.mark.parametrize("mat, seed, steps", [
+    ([[2, 1], [1, 1]], 31, 150),
+    ([[-2, 1], [1, -1]], 32, 150),
+    ([[3, 1], [2, 1]], 33, 150),
+], ids=["L0", "L1", "L2"])
+def test_minimize_bit_identical_to_unfused_reference(mat, seed, steps):
     model = ck.build_hyperbolic_model(mat, tau=0.7, area=2.0)
     grid = Grid(8, 256, model.matrix)
     structure = ck.suspension_structure(model, grid)
     d0 = va.random_deformation(grid, seed, amplitude=0.3)
-    res = va.minimize_energy(d0, model.mu, structure, steps=steps, tolerance=tolerance)
-    history, u, r, n_done, converged = _reference_minimize(d0, model.mu, structure, steps,
-                                                           tolerance)
+    res = va.minimize_energy(d0, model.mu, structure, steps=steps)
+    history, u, r, n_done, converged = _reference_minimize(d0, model.mu, structure, steps)
     assert res.gap_history == history
     assert np.array_equal(res.deformation.u, u)
     assert np.array_equal(res.deformation.r, r)
@@ -634,8 +633,6 @@ def test_minimize_bit_identical_to_unfused_reference(mat, seed, steps, tolerance
     assert res.converged == converged
     assert res.final_sup_r == sup(r)
     assert res.final_sup_ru == sup(va.reeb_derivative(u, structure))
-    if tolerance > 0.0:
-        assert converged and n_done < steps   # the tolerance stopped this run
 
 
 def test_reeb_derivative_follows_rotating_reeb_field():
