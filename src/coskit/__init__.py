@@ -8,21 +8,19 @@ flow exactly, and minimizes the energy over compatible deformations.
 
 from .grids import Grid, GridError, integrate, partial_derivative, seam_transport, shift
 from .tensors import TensorCalculusError, TensorField, christoffel, covariant_derivative, \
-    exterior_derivative, hodge_star, lie_bracket, lie_derivative, nijenhuis, \
-    symmetric_eigen, tensor_norm2
+    exterior_derivative, hodge_star, lie_bracket, lie_derivative, symmetric_eigen, \
+    tensor_norm2
 from .cosymplectic import CompatibleMetric, Structure, StructureError, \
-    certify_compatible, d_alpha_plus, polar_compatible_metric, reeb_field
+    certify_compatible, d_alpha_plus, polar_compatible_metric
 from .models import HyperbolicModel, NotHyperbolicError, NotSymplecticError, \
     SolModel, build_hyperbolic_model, contact_t3_testbed, critical_frame, \
     critical_metric, flat_cokahler, sol_box_grid, sol_frame, sol_model, \
     sol_to_mapping_torus, suspension_structure
 from .variational import Deformation, GapReport, OptimizationResult, TorsionReport, \
-    deck_bump_scalar, deform, deformation_chart, energy, energy_gap, \
-    energy_gap_direct, euler_lagrange_residual, euler_lagrange_supnorm, \
-    exponential_curve, first_variation, lie_matrix_frame_check, minimize_energy, \
-    nabla_r_h_residual, random_deformation, random_global_scalar, random_tangent, \
-    tangent_project, tangent_residuals, torsion_closed_form, \
-    torsion_first_expansion, torsion_report
+    deform, deformation_chart, energy, energy_gap, energy_gap_direct, \
+    euler_lagrange_residual, euler_lagrange_supnorm, exponential_curve, first_variation, \
+    minimize_energy, nabla_r_h_residual, random_deformation, random_global_scalar, \
+    random_tangent, tangent_project, torsion_report
 from .dynamics import FlowCocycle, NotHyperbolicTorsionError, SplittingFrame, \
     anosov_splitting, bracket_residuals, contraction_law_residual, flow_transport, \
     lyapunov_exponents, reeb_flow, refine_splitting, sol_bracket_residuals, \

@@ -380,9 +380,10 @@ _SECTIONS = {key.split(".")[0] for key in CONFIG_SCHEMA if "." in key}
 def resolve_config(cfg, seed: int | None = None) -> dict:
     """The values the configured experiment reads, by dotted key, defaults filled in.
 
-    Every key of ``cfg`` is checked against CONFIG_SCHEMA, whichever experiment reads it,
-    and so is the pair of experiment and model against EXPERIMENTS; ConfigError lists
-    every violation.  A given ``seed`` replaces the config's, once checked.
+    Every key of ``cfg`` is checked against CONFIG_SCHEMA, and must be one that the
+    configured experiment reads; so is the pair of experiment and model against
+    EXPERIMENTS.  ConfigError lists every violation.  A given ``seed`` replaces the
+    config's, once checked.
     """
     if not isinstance(cfg, dict):
         raise ConfigError(["config root must be a JSON object"])
@@ -413,14 +414,18 @@ def resolve_config(cfg, seed: int | None = None) -> dict:
             values[key] = convert(default)
         if key == "seed" and seed is not None:
             values[key] = seed
-    fits = EXPERIMENTS.get(values.get("experiment"), (None, None))[1]
+    experiment = values.get("experiment")   # None if that key is bad
+    if experiment is not None:
+        bad += [f"key {key!r} is not read by experiment {experiment!r}" for key in given
+                if key in CONFIG_SCHEMA and experiment not in CONFIG_SCHEMA[key][2]]
+    fits = EXPERIMENTS.get(experiment, (None, None))[1]
     model = values.get("model.model")       # None if that key is bad
     if fits is not None and model is not None and model not in fits:
-        bad.append(f"experiment {values['experiment']!r} does not run on model.model {model!r}")
+        bad.append(f"experiment {experiment!r} does not run on model.model {model!r}")
     if bad:
         raise ConfigError(bad)
     return {key: values[key] for key, (_, _, readers) in CONFIG_SCHEMA.items()
-            if values["experiment"] in readers}
+            if experiment in readers}
 
 
 def run(cfg: dict, seed: int = 0) -> dict:

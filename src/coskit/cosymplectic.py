@@ -89,21 +89,6 @@ def _sup(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
-def reeb_field(alpha: TensorField, beta: TensorField) -> TensorField:
-    """Solve alpha(R) = 1, beta(R, .) = 0 pointwise.
-
-    In dimension 3 the kernel of the antisymmetric beta is spanned by
-    ker^k = (1/2) eps^{kij} beta_{ij}; normalizing by alpha(ker) (which
-    equals the alpha ^ beta density, nonzero by assumption) gives R.
-    """
-    b = beta.data
-    ker = np.stack([b[..., 1, 2], b[..., 2, 0], b[..., 0, 1]], axis=-1)
-    dens = np.einsum("...i,...i->...", alpha.data, ker)
-    if np.min(np.abs(dens)) < 1e-14:
-        raise StructureError("alpha ^ beta degenerate: Reeb system singular at a point")
-    return TensorField(alpha.grid, ker / dens[..., None], "u")
-
-
 @dataclass
 class CompatibleMetric:
     """A certified compatible metric: g, g^{-1} and the certificate.

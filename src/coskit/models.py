@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cosymplectic import CompatibleMetric, Structure, certify_compatible
-from .grids import Grid, _contract_slots, _int_det, _lift
+from .grids import Grid, _int_det
 from .tensors import TensorField
 
 
@@ -66,16 +66,10 @@ class HyperbolicModel:
 
     # -- closed-form tensors on the universal cover --------------------
 
-    def metric_matrix(self, t, scale: float = 1.0) -> np.ndarray:
-        """g(t) = tau^2 dt^2 + |lam|^{2t} th_+ (x) th_+ + |lam|^{-2t} th_- (x) th_-.
-
-        scale = c rebuilds the metric of the rescaled eigenvectors
-        (c w_+, w_- / c); it differs from scale 1 by a t-translation.
-        """
+    def metric_matrix(self, t) -> np.ndarray:
+        """g(t) = tau^2 dt^2 + |lam|^{2t} th_+ (x) th_+ + |lam|^{-2t} th_- (x) th_-."""
         t = np.asarray(t, dtype=float)
-        theta = self.dual_basis
-        tp = theta[0] / scale
-        tm = theta[1] * scale
+        tp, tm = self.dual_basis
         lam2t = np.abs(self.lam) ** (2.0 * t)
         block = (lam2t[..., None, None] * np.einsum("i,j->ij", tp, tp)
                  + (1.0 / lam2t)[..., None, None] * np.einsum("i,j->ij", tm, tm))
@@ -186,26 +180,6 @@ def critical_frame(model: HyperbolicModel, grid: Grid):
     u_plus = torus_vec((em - ep) / np.sqrt(2.0))
     u_minus = torus_vec((em + ep) / np.sqrt(2.0))
     return v_plus, v_minus, u_plus, u_minus
-
-
-def change_frame(field: TensorField, model: HyperbolicModel, to: str) -> TensorField:
-    """Convert tensor components to the basis ``to`` from the other one.
-
-    The bases are the coordinate basis (d_t, d_x, d_y) and the
-    eigenframe basis (d_t, w_+, w_-); the change of basis is the
-    constant matrix P = diag(1, [w_+ w_-]).  ``to="eigenframe"`` reads
-    coordinate components and ``to="coordinate"`` eigenframe ones.
-    Components with an even total index count per eigen-direction are
-    globally single-valued on the quotient even when lambda < 0 (the
-    pair sign squares away).
-    """
-    if to not in ("coordinate", "eigenframe"):
-        raise ValueError(f"unknown frame {to!r}")
-    p = _lift(model.eigenbasis)
-    p_inv = np.linalg.inv(p)
-    mat, mat_inv = (p_inv, p) if to == "eigenframe" else (p, p_inv)
-    return TensorField(field.grid, _contract_slots(field.data, field.sig, mat, mat_inv),
-                       field.sig)
 
 
 def flat_cokahler(grid: Grid) -> tuple[Structure, CompatibleMetric]:

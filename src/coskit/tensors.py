@@ -1,7 +1,7 @@
 """Coordinate tensor calculus on grid charts.
 
 Exterior derivative, Lie derivative, Levi-Civita connection, covariant
-derivative, Hodge star, Nijenhuis torsion, and pointwise symmetric
+derivative, Hodge star of 1-forms, and pointwise symmetric
 eigendecomposition.  All operations are pure functions from sampled
 component arrays to fresh arrays; tensor slots follow the conventions
 of :mod:`coskit.grids` (slot axes start at array axis 3, signature
@@ -37,8 +37,7 @@ class TensorField:
 
     data has shape grid.shape + (3,)*rank; sig is one 'u'/'d' per slot
     in storage order.  Components refer to the coordinate basis
-    (t, x, y); only models.change_frame returns another basis, the one
-    its caller names.
+    (t, x, y).
     """
 
     grid: Grid
@@ -159,14 +158,6 @@ def tensor_norm2(data: np.ndarray, sig: str, g: np.ndarray, ginv: np.ndarray) ->
     for s, kind in enumerate(sig):
         out = _on_slot(out, s, g if kind == "u" else ginv)
     return np.sum(out * data, axis=tuple(range(3, 3 + len(sig))))
-
-
-def frame_matrix(t2: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Evaluate a (0,2) tensor on a frame: M_ab = T(f_a, f_b).
-
-    frame has shape (..., 3, 3) with frame vectors as columns.
-    """
-    return np.swapaxes(frame, -1, -2) @ t2 @ frame
 
 
 # -- exterior derivative -------------------------------------------------
@@ -314,37 +305,15 @@ def hodge_star(omega: TensorField, g: np.ndarray, orientation: float = 1.0, *,
     """Star of a 1-form in dimension 3: (*w)_{jk} = s sqrt(g) eps_{ljk} w^l.
 
     orientation is +1 when dt^dx^dy is positively oriented for the
-    chart's volume form, -1 otherwise.  Star is an involution on
-    1-forms and a pointwise g-isometry onto 2-forms.  ginv = g^{-1}
-    raises the 1-form's index; the 2-form direction does not read it.
+    chart's volume form, -1 otherwise.  Star is a pointwise g-isometry
+    from 1-forms onto 2-forms.  ginv = g^{-1} raises the 1-form's index.
     """
-    eps = _EPS3.reshape(3, 9)
-    if omega.sig == "d":
-        sqg = orientation * np.sqrt(_det3(g))
-        wup = _on_slot(omega.data, 0, ginv)
-        star = (wup @ eps).reshape(wup.shape + (3,)) * sqg[..., None, None]
-        return TensorField(omega.grid, star, "dd")
-    if omega.sig == "dd":
-        # inverse direction, for the involution check
-        sqg = orientation * np.sqrt(_det3(g))
-        comp = 0.5 * (omega.data.reshape(omega.data.shape[:-2] + (9,)) @ eps.T)
-        low = _on_slot(comp, 0, g) / sqg[..., None]
-        return TensorField(omega.grid, low, "d")
-    raise TensorCalculusError("hodge_star implemented for 1- and 2-forms in dim 3")
-
-
-# -- Nijenhuis torsion ----------------------------------------------------
-
-def nijenhuis(phi: TensorField) -> TensorField:
-    """Nijenhuis bracket [phi, phi], a (1,2) tensor antisymmetric in its arguments."""
-    if phi.sig != "ud":
-        raise TensorCalculusError("nijenhuis expects a (1,1) tensor field")
-    grad = gradient(phi.data, phi.sig, phi.grid)    # [a, k, m] = d_a phi^k_m
-    # [k, i, j]: phi^m_i d_m phi^k_j and phi^k_m d_i phi^m_j
-    t1 = np.swapaxes(_on_slot(grad, 0, np.swapaxes(phi.data, -1, -2)), 3, 4)
-    t3 = np.swapaxes(_on_slot(grad, 1, phi.data), 3, 4)
-    n = t1 - np.swapaxes(t1, 4, 5) - t3 + np.swapaxes(t3, 4, 5)
-    return TensorField(phi.grid, n, "udd")
+    if omega.sig != "d":
+        raise TensorCalculusError("hodge_star takes a 1-form")
+    sqg = orientation * np.sqrt(_det3(g))
+    wup = _on_slot(omega.data, 0, ginv)
+    star = (wup @ _EPS3.reshape(3, 9)).reshape(wup.shape + (3,)) * sqg[..., None, None]
+    return TensorField(omega.grid, star, "dd")
 
 
 # -- pointwise symmetric eigendecomposition --------------------------------

@@ -12,8 +12,10 @@ parametrization over a critical metric:
 
 with (vp, vm) the lowered bracket frame of the critical metric.  The
 deformation is parametrized by (u = log p, r) so the constraint and
-p > 0 hold unconditionally; the closed-form torsion and the energy-gap
-identity are evaluated against the full tensor pipeline.
+p > 0 hold unconditionally.  energy_gap evaluates the closed-form
+energy gap of the family and energy_gap_direct the same gap through the
+full tensor pipeline; the family's closed-form torsion is checked
+against torsion_report in the test suite.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .cosymplectic import CompatibleMetric, Structure, certify_compatible, d_alp
 from .grids import Grid, partial_derivative
 from .models import HyperbolicModel, critical_frame
 from .tensors import TensorField, check_positive_definite, covariant_derivative, \
-    frame_matrix, lie_derivative, tensor_norm2
+    lie_derivative, tensor_norm2
 
 
 def _sup(a) -> float:
@@ -127,13 +129,6 @@ def nabla_r_h_residual(metric: CompatibleMetric) -> float:
 
 
 # -- tangent space of compatible metrics --------------------------------------
-
-
-def tangent_residuals(h_field: TensorField, metric: CompatibleMetric) -> dict[str, float]:
-    reeb, phi = metric.structure.reeb.data, metric.phi.data
-    h = h_field.data
-    return {"iota_reeb": _sup(reeb[..., None, :] @ h),
-            "phi_symmetry": _sup(np.swapaxes(phi, -1, -2) @ h - h @ phi)}
 
 
 def tangent_project(h_raw: TensorField, metric: CompatibleMetric) -> TensorField:
@@ -281,8 +276,6 @@ class DeformationChart:
     model: HyperbolicModel
     structure: Structure
     metric: CompatibleMetric
-    v_plus: TensorField
-    v_minus: TensorField
     vp_flat: np.ndarray
     vm_flat: np.ndarray
 
@@ -300,8 +293,7 @@ def deformation_chart(model: HyperbolicModel, grid: Grid) -> DeformationChart:
     structure, metric = critical_metric(model, grid)
     v_plus, v_minus, _, _ = critical_frame(model, grid)
     lower = lambda v: (metric.g.data @ v.data[..., None])[..., 0]
-    return DeformationChart(model, structure, metric, v_plus, v_minus,
-                            lower(v_plus), lower(v_minus))
+    return DeformationChart(model, structure, metric, lower(v_plus), lower(v_minus))
 
 
 def deform(chart: DeformationChart, d: Deformation) -> CompatibleMetric:
@@ -314,51 +306,6 @@ def deform(chart: DeformationChart, d: Deformation) -> CompatibleMetric:
          + r[..., None, None] * (_outer(vp, vm) + _outer(vm, vp))
          + p[..., None, None] * _outer(vm, vm))
     return certify_compatible(chart.structure, TensorField(chart.grid, g, "dd"))
-
-
-def lie_matrix_frame_check(chart: DeformationChart, d: Deformation) -> dict[str, float]:
-    """Evaluate [L_R g~] in the frame (R, v-, v+) against the two closed forms.
-
-    The direct Lie derivative fixes the lower-right entry: it matches
-    R(q) - 2 mu q; the variant R(q) - 2 mu p printed in some sources is
-    also evaluated so callers can record the discrepancy.
-    """
-    mu = chart.mu
-    structure = chart.structure
-    gt = deform(chart, d)
-    lg = lie_derivative(gt.g, structure.reeb)
-    frame = np.stack([structure.reeb.data, chart.v_minus.data, chart.v_plus.data],
-                     axis=-1)
-    m = frame_matrix(lg.data, frame)
-    rp = reeb_derivative(d.p, structure)
-    rq = reeb_derivative(d.q, structure)
-    rr = reeb_derivative(d.r, structure)
-    expected = np.zeros_like(m)
-    expected[..., 1, 1] = rp + 2.0 * mu * d.p
-    expected[..., 1, 2] = rr
-    expected[..., 2, 1] = rr
-    variant = expected.copy()
-    expected[..., 2, 2] = rq - 2.0 * mu * d.q
-    variant[..., 2, 2] = rq - 2.0 * mu * d.p
-    return {"q_form": _sup(m - expected), "p_form": _sup(m - variant)}
-
-
-def torsion_closed_form(d: Deformation, mu: float, structure: Structure) -> np.ndarray:
-    """|L_R g~|^2 = 8 mu^2 + 2 (2 mu r + r R(u) - R(r))^2 + 2 R(u)^2 + 8 mu R(u)."""
-    ru = reeb_derivative(d.u, structure)
-    rr = reeb_derivative(d.r, structure)
-    a = 2.0 * mu * d.r + d.r * ru - rr
-    return 8.0 * mu ** 2 + 2.0 * a ** 2 + 2.0 * ru ** 2 + 8.0 * mu * ru
-
-
-def torsion_first_expansion(d: Deformation, mu: float, structure: Structure) -> np.ndarray:
-    """Intermediate expansion 8(1+r^2) mu^2 + 4 (q R(p) - p R(q)) mu + 2 (R(r)^2 - R(p) R(q))."""
-    p, q = d.p, d.q
-    rp = reeb_derivative(p, structure)
-    rq = reeb_derivative(q, structure)
-    rr = reeb_derivative(d.r, structure)
-    return (8.0 * (1.0 + d.r ** 2) * mu ** 2 + 4.0 * (q * rp - p * rq) * mu
-            + 2.0 * (rr ** 2 - rp * rq))
 
 
 @dataclass
@@ -423,32 +370,6 @@ def random_deformation(grid: Grid, seed: int, amplitude: float = 0.3) -> Deforma
     u = random_global_scalar(grid, rng, amplitude)
     r = random_global_scalar(grid, rng, amplitude)
     return Deformation(grid, u, r)
-
-
-def deck_bump_scalar(grid: Grid, mode, phase: float = 0.0) -> np.ndarray:
-    """Smooth quotient scalar with genuine torus dependence.
-
-    Deck-sum of a compactly supported bump in t times a torus mode: on
-    the fundamental domain  f = chi(t) cos(2 pi n.z + psi)
-    + chi(t - 1) cos(2 pi (L^T n).z + psi)  with supp chi in (-1/2, 1/2),
-    which satisfies the seam rule exactly.  The bump (1 - (2s)^2)^6 is
-    C^5 with moderate derivative bounds, enough for clean 4th-order
-    stencil convergence; high monodromy-image frequencies make the
-    field useful for convergence-order tests (ratios), not for
-    absolute-tolerance identities.
-    """
-    n0 = np.asarray(mode, dtype=np.int64)
-    n1 = grid.monodromy.T @ n0
-    t, x, y = grid.coordinates()
-
-    def chi(s):
-        u = np.clip(2.0 * s, -1.0, 1.0)
-        return (1.0 - u * u) ** 6
-
-    tt = np.broadcast_to(t, grid.shape)
-    term0 = chi(tt) * np.cos(2.0 * np.pi * (n0[0] * x + n0[1] * y) + phase)
-    term1 = chi(tt - 1.0) * np.cos(2.0 * np.pi * (n1[0] * x + n1[1] * y) + phase)
-    return term0 + term1
 
 
 def random_tangent(metric: CompatibleMetric, rng: np.random.Generator,

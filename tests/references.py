@@ -1,0 +1,34 @@
+"""Test-side references: closed forms and tensors that only the tests evaluate."""
+
+import numpy as np
+
+from coskit.grids import _on_slot
+from coskit.tensors import TensorField, gradient
+from coskit.variational import reeb_derivative
+
+
+def torsion_closed_forms(d, mu, structure):
+    """|L_R g~|^2 of the deformation d = (u, r), in two closed forms.
+
+    The first expansion reads 8 (1 + r^2) mu^2 + 4 (q R(p) - p R(q)) mu
+    + 2 (R(r)^2 - R(p) R(q)); with p = e^u and p q - r^2 = 1 it becomes
+    the closed form 8 mu^2 + 2 (2 mu r + r R(u) - R(r))^2 + 2 R(u)^2
+    + 8 mu R(u).  Returns (closed form, first expansion).
+    """
+    p, q, r = d.p, d.q, d.r
+    ru, rp, rq, rr = (reeb_derivative(f, structure) for f in (d.u, p, q, r))
+    a = 2.0 * mu * r + r * ru - rr
+    closed = 8.0 * mu ** 2 + 2.0 * a ** 2 + 2.0 * ru ** 2 + 8.0 * mu * ru
+    first = (8.0 * (1.0 + r ** 2) * mu ** 2 + 4.0 * (q * rp - p * rq) * mu
+             + 2.0 * (rr ** 2 - rp * rq))
+    return closed, first
+
+
+def nijenhuis(phi):
+    """Nijenhuis bracket [phi, phi], a (1,2) tensor antisymmetric in its arguments."""
+    grad = gradient(phi.data, phi.sig, phi.grid)    # [a, k, m] = d_a phi^k_m
+    # [k, i, j]: phi^m_i d_m phi^k_j and phi^k_m d_i phi^m_j
+    t1 = np.swapaxes(_on_slot(grad, 0, np.swapaxes(phi.data, -1, -2)), 3, 4)
+    t3 = np.swapaxes(_on_slot(grad, 1, phi.data), 3, 4)
+    n = t1 - np.swapaxes(t1, 4, 5) - t3 + np.swapaxes(t3, 4, 5)
+    return TensorField(phi.grid, n, "udd")

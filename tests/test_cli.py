@@ -18,6 +18,22 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
 BASE = {"experiment": "verify",
         "model": {"model": "hyperbolic", "matrix": [2, 1, 1, 1], "tau": 1.0, "V": 1.0},
         "grid": {"n_torus": 16, "n_fiber": 16}, "seed": 0}
+# BASE without its grid, for lyapunov, which reads no grid key
+UNGRIDDED = {k: v for k, v in BASE.items() if k != "grid"}
+
+
+def read_keys_only(cfg):
+    """cfg without the keys that its experiment does not read, by CONFIG_SCHEMA's readers."""
+    experiment, out = cfg["experiment"], {}
+    for name, value in cfg.items():
+        if isinstance(value, dict):
+            value = {k: v for k, v in value.items()
+                     if experiment in cli.CONFIG_SCHEMA[f"{name}.{k}"][2]}
+            if value:
+                out[name] = value
+        elif experiment in cli.CONFIG_SCHEMA[name][2]:
+            out[name] = value
+    return out
 
 
 def test_run_verify_exit_zero(tmp_path):
@@ -47,8 +63,7 @@ def test_verify_judges_sol_bracket_residuals(tmp_path, monkeypatch):
 
 
 def test_run_betti_parabolic(tmp_path):
-    cfg = write_cfg(tmp_path, {"experiment": "betti",
-                               "model": {"model": "hyperbolic", "matrix": [1, 1, 0, 1]}})
+    cfg = write_cfg(tmp_path, {"experiment": "betti", "model": {"matrix": [1, 1, 0, 1]}})
     rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -69,9 +84,7 @@ def test_run_energy_flat_zero(tmp_path):
 def test_run_lyapunov_flat_zero(tmp_path, capsys):
     # lyapunov_exponents takes only a hyperbolic model: nothing computes the
     # flat chart's exponents, so the pair is refused rather than reported zero
-    cfg = write_cfg(tmp_path, {"experiment": "lyapunov",
-                               "model": {"model": "flat_cokahler"},
-                               "grid": {"n_torus": 16, "n_fiber": 16}})
+    cfg = write_cfg(tmp_path, {"experiment": "lyapunov", "model": {"model": "flat_cokahler"}})
     rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert json.loads(capsys.readouterr().out)["failures"] == [
@@ -112,11 +125,11 @@ def test_invalid_config_exit_code(tmp_path):
     (dict(BASE, grid={"n_torus": 16, "n_fiber": "abc"}),
      "grid.n_fiber must be an integer, got 'abc'"),
     (dict(BASE, grid={"n_torus": 4}), "GridError: "),
-    (dict(BASE, experiment="lyapunov", dynamics={"horizon": 0.3}), "ValueError: "),
+    (dict(UNGRIDDED, experiment="lyapunov", dynamics={"horizon": 0.3}), "ValueError: "),
     (dict(BASE, seed="x"), "seed must be an integer, got 'x'"),
     ([BASE], "config root must be a JSON object"),
     (dict(BASE, model={"model": "contact_t3", "n": "x"}), "model.n must be an integer, got 'x'"),
-    (dict(BASE, experiment="lyapunov", dynamics={"seeds": "x"}),
+    (dict(UNGRIDDED, experiment="lyapunov", dynamics={"seeds": "x"}),
      "dynamics.seeds must be an integer, got 'x'"),
     (dict(BASE, experiment="first_variation", deformation={"count": "x"}),
      "deformation.count must be an integer, got 'x'"),
@@ -143,22 +156,28 @@ def test_invalid_config_exit_code(tmp_path):
      "model.tau must be a finite real number, got None"),
     (dict(BASE, optimizer=3), "section 'optimizer' must be an object"),
     (dict(BASE, out=5), "out must be a string, got 5"),
-    (dict(BASE, experiment="lyapunov", dynamics={"seeds": 0}),
+    (dict(UNGRIDDED, experiment="lyapunov", dynamics={"seeds": 0}),
      "dynamics.seeds must be positive, got 0"),
-    (dict(BASE, experiment="betti", model={"matrix": [2 ** 63, 1, 1, 1]}),
+    ({"experiment": "betti", "model": {"matrix": [2 ** 63, 1, 1, 1]}},
      "model.matrix must be within the int64 range, got [9223372036854775808, 1, 1, 1]"),
     # (F41, F40; F40, F39) is in SL(2,Z); lambda ~ 2.3e8 makes the float64 metric singular
     (dict(BASE, model={"matrix": [165580141, 102334155, 102334155, 63245986]},
           grid={"n_torus": 8}),
      "TensorCalculusError: metric not positive definite"),
     # a pair that cli.EXPERIMENTS does not list
-    (dict(BASE, experiment="lyapunov", model={"model": "sol"}),
+    (dict(UNGRIDDED, experiment="lyapunov", model={"model": "sol"}),
      "experiment 'lyapunov' does not run on model.model 'sol'"),
     # the hyperbolic chart's monodromy is model.matrix; the stall stop is 0
     (dict(BASE, grid={"n_torus": 16, "monodromy": [2, 1, 1, 1]}),
      "unknown key 'grid.monodromy'"),
     (dict(BASE, experiment="optimize", optimizer={"steps": 10, "tolerance": 0.0}),
      "unknown key 'optimizer.tolerance'"),
+    # a key that the configured experiment does not read
+    (dict(BASE, experiment="lyapunov"), "key 'grid.n_torus' is not read by experiment 'lyapunov'"),
+    (dict(BASE, experiment="optimize", deformation={"count": 5}),
+     "key 'deformation.count' is not read by experiment 'optimize'"),
+    ({"experiment": "betti", "model": {"model": "hyperbolic"}},
+     "key 'model.model' is not read by experiment 'betti'"),
 ], ids=["non_hyperbolic", "n_torus_not_int", "n_fiber_not_int", "n_torus_too_small",
         "horizon_below_tau", "seed_not_int", "root_not_object", "model_n_not_int",
         "dynamics_seeds_not_int", "deformation_count_not_int", "deformation_seed_not_int",
@@ -166,7 +185,8 @@ def test_invalid_config_exit_code(tmp_path):
         "optimizer_key_misspelt", "matrix_not_int", "n_torus_not_whole", "seed_bool",
         "matrix_scalar", "tau_null", "optimizer_not_object", "out_not_string",
         "dynamics_seeds_zero", "matrix_beyond_int64", "fibonacci_gluing_singular_metric",
-        "lyapunov_on_sol", "grid_monodromy", "optimizer_tolerance"])
+        "lyapunov_on_sol", "grid_monodromy", "optimizer_tolerance", "grid_on_lyapunov",
+        "count_on_optimize", "model_on_betti"])
 def test_value_error_exit_code(tmp_path, capsys, cfg, start):
     path = write_cfg(tmp_path, cfg)
     rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -199,7 +219,8 @@ UNSWEPT = [(e, m) for e, (_, fits) in cli.EXPERIMENTS.items() if fits for m in c
     (dict(BASE, resolutions=[32, 16, 24]), "resolutions must be strictly increasing, got [32, 16, 24]"),
     (dict(BASE, resolutions=[8, "a", 16]), "resolutions must be at least 3 integers, got [8, 'a', 16]"),
 ] + [
-    (dict(BASE, experiment=experiment, model={"model": kind}, resolutions=[8, 10, 12]),
+    (read_keys_only(dict(BASE, experiment=experiment, model={"model": kind},
+                         resolutions=[8, 10, 12])),
      refusal("sweep", experiment, kind))
     for experiment, kind in UNSWEPT
 ], ids=["repeated", "unordered", "not_int"]
@@ -215,9 +236,10 @@ def test_sweep_value_error_exit_code(tmp_path, capsys, cfg, start):
 
 
 def test_every_pair_runs_its_check_or_is_refused(tmp_path, capsys, monkeypatch):
-    # all experiment x model pairs at 8^3, run and swept: the pairs that exit
-    # 2 are exactly those cli.EXPERIMENTS leaves out, each with its refusal;
-    # and every key an experiment resolves is read on one of its models
+    # all experiment x model pairs at 8^3, run and swept, each config holding
+    # only keys its experiment reads: the pairs that exit 2 are exactly those
+    # cli.EXPERIMENTS leaves out, each with its refusal; and every key an
+    # experiment resolves is read on one of its models
     reads = {e: set() for e in cli.EXPERIMENTS}
 
     class Recorded(dict):
@@ -231,10 +253,10 @@ def test_every_pair_runs_its_check_or_is_refused(tmp_path, capsys, monkeypatch):
     for command in refused:
         for experiment in cli.EXPERIMENTS:
             for model in cli.MODELS:
-                path = write_cfg(tmp_path, {
+                path = write_cfg(tmp_path, read_keys_only({
                     "experiment": experiment, "model": {"model": model},
                     "grid": {"n_torus": 8}, "resolutions": [8, 10, 12],
-                    "optimizer": {"steps": 20}})
+                    "optimizer": {"steps": 20}}))
                 rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
                 out = capsys.readouterr().out
                 assert rc in (0, 1, 2), (command, experiment, model)
@@ -305,7 +327,7 @@ def test_report_numpy_values_write_as_python_values(tmp_path):
 
 
 def test_seed_flag_overrides_config(tmp_path):
-    cfg = write_cfg(tmp_path, dict(BASE, experiment="lyapunov",
+    cfg = write_cfg(tmp_path, dict(UNGRIDDED, experiment="lyapunov",
                                    dynamics={"horizon": 20.0, "seeds": 2}))
     rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
                    "--seed", "7"])

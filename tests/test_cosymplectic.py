@@ -7,7 +7,7 @@ import coskit as ck
 from coskit import cosymplectic, tensors
 from coskit import dynamics as dy, variational as va
 from coskit.cosymplectic import ALGEBRAIC_CERT_KEYS, CompatibleMetric, StructureError, \
-    certify_compatible, polar_compatible_metric, reeb_field
+    certify_compatible, polar_compatible_metric
 from coskit.grids import Grid
 from coskit.tensors import TensorField, christoffel, inverse_metric
 from coskit.variational import energy, random_global_scalar
@@ -15,39 +15,6 @@ from coskit.variational import energy, random_global_scalar
 
 def sup(a):
     return float(np.max(np.abs(a)))
-
-
-# -- Reeb field extraction ----------------------------------------------------
-
-
-def test_reeb_field_suspension(crit32, model):
-    structure, _ = crit32
-    reeb = reeb_field(structure.alpha, structure.beta)
-    expected = np.array([1.0 / model.tau, 0.0, 0.0])
-    assert sup(reeb.data - expected) < 1e-14
-
-
-def test_reeb_field_flat(flat16):
-    structure, _ = flat16
-    reeb = reeb_field(structure.alpha, structure.beta)
-    assert sup(reeb.data - np.array([1.0, 0.0, 0.0])) < 1e-14
-
-
-def test_reeb_field_contact():
-    grid = Grid(32, 32)
-    structure, _ = ck.contact_t3_testbed(1, grid)
-    reeb = reeb_field(structure.alpha, structure.beta)
-    t = np.broadcast_to(grid.t, grid.shape)
-    expected = np.stack([np.zeros(grid.shape), np.cos(2 * np.pi * t),
-                         np.sin(2 * np.pi * t)], axis=-1)
-    assert sup(reeb.data - expected) < 1e-12
-
-
-def test_reeb_field_degenerate_raises(flat16):
-    structure, _ = flat16
-    zero_beta = TensorField(structure.grid, np.zeros(structure.grid.shape + (3, 3)), "dd")
-    with pytest.raises(StructureError):
-        reeb_field(structure.alpha, zero_beta)
 
 
 # -- certification --------------------------------------------------------------

@@ -67,11 +67,36 @@ def test_exponential_profile_through_seam(model):
     assert errs[0] / errs[1] > 2 ** 3.5
 
 
+def deck_bump_scalar(grid, mode, phase=0.0):
+    """Smooth quotient scalar with genuine torus dependence.
+
+    Deck-sum of a compactly supported bump in t times a torus mode: on
+    the fundamental domain  f = chi(t) cos(2 pi n.z + psi)
+    + chi(t - 1) cos(2 pi (L^T n).z + psi)  with supp chi in (-1/2, 1/2),
+    which satisfies the seam rule exactly.  The bump (1 - (2s)^2)^6 is
+    C^5 with moderate derivative bounds, enough for clean 4th-order
+    stencil convergence; high monodromy-image frequencies make the
+    field useful for convergence-order tests (ratios), not for
+    absolute-tolerance identities.
+    """
+    n0 = np.asarray(mode, dtype=np.int64)
+    n1 = grid.monodromy.T @ n0
+    t, x, y = grid.coordinates()
+
+    def chi(s):
+        u = np.clip(2.0 * s, -1.0, 1.0)
+        return (1.0 - u * u) ** 6
+
+    tt = np.broadcast_to(t, grid.shape)
+    term0 = chi(tt) * np.cos(2.0 * np.pi * (n0[0] * x + n0[1] * y) + phase)
+    term1 = chi(tt - 1.0) * np.cos(2.0 * np.pi * (n1[0] * x + n1[1] * y) + phase)
+    return term0 + term1
+
+
 @pytest.mark.parametrize("mode", [(1, 0), (1, 1), (2, 1)])
 def test_deck_bump_seam_convergence(model, mode):
     # smooth quotient scalars with torus dependence: t-derivative converges
     # at 4th order even though the stencil routes through the monodromy
-    from coskit.variational import deck_bump_scalar
     errs = []
     for n in (32, 64):
         g = Grid(n, n, model.matrix)

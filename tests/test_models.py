@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from coskit.models import NotHyperbolicError, NotSymplecticError, \
 from coskit import variational as va
 from coskit.tensors import TensorField
 from coskit import dynamics as dy
+from references import nijenhuis
 
 
 def sup(a):
@@ -101,18 +104,22 @@ def test_rescaled_eigenvectors_is_time_translation(model, grid32):
     c = 1.7
     delta = np.log(c) / model.log_lambda
     t = np.linspace(0.0, 1.0, 13)
-    g_scaled = model.metric_matrix(t, scale=c)
+    g_scaled = dataclasses.replace(model, w_plus=c * model.w_plus,
+                                   w_minus=model.w_minus / c).metric_matrix(t)
     g_shifted = model.metric_matrix(t - delta)
     assert sup(g_scaled - g_shifted) < 1e-12
     # half that translation (a nearby candidate factor) does not absorb it
     assert sup(g_scaled - model.metric_matrix(t - delta / 2.0)) > 0.1
 
 
-def test_suspension_structure_flavor_residuals(crit32):
-    structure, _ = crit32
-    res = structure.residuals()
-    assert res["alpha_of_reeb"] < 1e-14
-    assert res["reeb_in_kernel_of_beta"] < 1e-14
+def test_suspension_structure_flavor_residuals(crit32, flat16, contact32):
+    # each model's Reeb field solves alpha(R) = 1 and beta(R, .) = 0: on the
+    # suspension, the flat co-Kaehler chart and the contact testbed
+    for structure, _ in (crit32, flat16, contact32):
+        res = structure.residuals()
+        assert res["alpha_of_reeb"] < 1e-14
+        assert res["reeb_in_kernel_of_beta"] < 1e-14
+    res = crit32[0].residuals()
     assert res["d_alpha"] < 1e-13
     assert res["d_beta"] < 1e-13
 
@@ -188,7 +195,6 @@ def test_flat_cokahler_zero_energy(flat16):
 
 
 def test_flat_cokahler_nijenhuis_zero(flat16):
-    from coskit.tensors import nijenhuis
     _, metric = flat16
     assert sup(nijenhuis(metric.phi).data) == 0.0
 
@@ -293,22 +299,27 @@ def test_sol_map_out_of_scope_for_negative_lambda():
 
 
 def test_change_frame_diagonalizes_critical_metric(model, crit32):
-    from coskit.models import change_frame
+    # the eigenframe basis (d_t, w_+, w_-) is P = diag(1, [w_+ w_-]) in
+    # coordinates: its components are P^T g P, and P^-1 R for a vector
     structure, metric = crit32
     grid = metric.grid
-    g_eig = change_frame(metric.g, model, "eigenframe")
+    p = np.eye(3)
+    p[1:, 1:] = model.eigenbasis
+    p_inv = np.eye(3)
+    p_inv[1:, 1:] = model.dual_basis
+    g_eig = p.T @ metric.g.data @ p
     t = np.broadcast_to(grid.t, grid.shape)
     lam2t = np.abs(model.lam) ** (2 * t)
     expected = np.zeros(grid.shape + (3, 3))
     expected[..., 0, 0] = model.tau ** 2
     expected[..., 1, 1] = lam2t
     expected[..., 2, 2] = 1.0 / lam2t
-    assert sup(g_eig.data - expected) < 1e-12
-    back = change_frame(g_eig, model, "coordinate")
-    assert sup(back.data - metric.g.data) < 1e-12
+    assert sup(g_eig - expected) < 1e-12
+    back = p_inv.T @ g_eig @ p_inv
+    assert sup(back - metric.g.data) < 1e-12
     # the Reeb field has no torus components: unchanged by the basis change
-    r_eig = change_frame(structure.reeb, model, "eigenframe")
-    assert sup(r_eig.data - structure.reeb.data) == 0.0
+    r_eig = structure.reeb.data @ p_inv.T
+    assert sup(r_eig - structure.reeb.data) == 0.0
 
 
 # -- the three mu computations -----------------------------------------------------------

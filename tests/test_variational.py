@@ -7,6 +7,7 @@ from coskit.cosymplectic import ALGEBRAIC_CERT_KEYS, polar_compatible_metric
 from coskit.grids import Grid, _torus_permutation, partial_derivative
 from coskit.tensors import TensorField, symmetric_eigen
 from coskit import variational as va
+from references import torsion_closed_forms
 
 
 def sup(a):
@@ -113,10 +114,10 @@ def test_tangent_project_random_satisfies_invariants(crit32):
     _, metric = crit32
     rng = np.random.default_rng(3)
     h_raw = TensorField(metric.grid, rng.standard_normal(metric.grid.shape + (3, 3)), "dd")
-    h = va.tangent_project(h_raw, metric)
-    res = va.tangent_residuals(h, metric)
-    assert res["iota_reeb"] < 1e-10
-    assert res["phi_symmetry"] < 1e-10
+    h = va.tangent_project(h_raw, metric).data
+    reeb, phi = metric.structure.reeb.data, metric.phi.data
+    assert sup(reeb[..., None, :] @ h) < 1e-10                          # iota_R H = 0
+    assert sup(np.swapaxes(phi, -1, -2) @ h - h @ phi) < 1e-10          # H(phi ., .) = H(., phi .)
 
 
 # -- exponential curves --------------------------------------------------------------
@@ -438,12 +439,25 @@ def test_deform_constraint_built_in(chart32):
 
 
 def test_lie_matrix_q_form_matches_not_p_form(fiber_chart):
-    # the direct Lie derivative fixes the lower-right entry to
-    # R(q) - 2 mu q; the R(q) - 2 mu p variant is off by O(1)
+    # [L_R g~] in the frame F = (R, v-, v+) is F^T (L_R g~) F; the direct
+    # Lie derivative fixes its lower-right entry to R(q) - 2 mu q, and the
+    # variant R(q) - 2 mu p printed in some sources is off by O(1)
+    structure, mu = fiber_chart.structure, fiber_chart.mu
     d = va.random_deformation(fiber_chart.grid, seed=2, amplitude=0.3)
-    chk = va.lie_matrix_frame_check(fiber_chart, d)
-    assert chk["q_form"] < 1e-4
-    assert chk["p_form"] > 0.1
+    lg = tensors.lie_derivative(va.deform(fiber_chart, d).g, structure.reeb).data
+    v_plus, v_minus, _, _ = ck.critical_frame(fiber_chart.model, fiber_chart.grid)
+    f = np.stack([structure.reeb.data, v_minus.data, v_plus.data], axis=-1)
+    m = np.swapaxes(f, -1, -2) @ lg @ f
+    rp, rq, rr = (va.reeb_derivative(x, structure) for x in (d.p, d.q, d.r))
+    expected = np.zeros_like(m)
+    expected[..., 1, 1] = rp + 2.0 * mu * d.p
+    expected[..., 1, 2] = rr
+    expected[..., 2, 1] = rr
+    variant = expected.copy()
+    expected[..., 2, 2] = rq - 2.0 * mu * d.q
+    variant[..., 2, 2] = rq - 2.0 * mu * d.p
+    assert sup(m - expected) < 1e-4
+    assert sup(m - variant) > 0.1
 
 
 def test_deformed_h_eigenstructure(fiber_chart):
@@ -463,15 +477,14 @@ def test_torsion_closed_form_and_first_expansion(fiber_chart):
     for seed in range(5):
         d = va.random_deformation(fiber_chart.grid, seed=seed, amplitude=0.3)
         rep = va.torsion_report(va.deform(fiber_chart, d))
-        cf = va.torsion_closed_form(d, mu, fiber_chart.structure)
-        fe = va.torsion_first_expansion(d, mu, fiber_chart.structure)
+        cf, fe = torsion_closed_forms(d, mu, fiber_chart.structure)
         assert sup(cf - rep.torsion_field) < 1e-4 * mu ** 2
         assert sup(fe - rep.torsion_field) < 1e-4 * mu ** 2
 
 
 def test_torsion_closed_form_zero_deformation(fiber_chart):
     d0 = va.Deformation.zero(fiber_chart.grid)
-    cf = va.torsion_closed_form(d0, fiber_chart.mu, fiber_chart.structure)
+    cf, _ = torsion_closed_forms(d0, fiber_chart.mu, fiber_chart.structure)
     assert sup(cf - 8.0 * fiber_chart.mu ** 2) < 1e-13
 
 
