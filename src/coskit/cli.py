@@ -339,51 +339,56 @@ class SameAs(str):
     """A default that is the resolved value of the key named, an earlier row."""
 
 
-_BUILT = tuple(e for e, (_, fits) in EXPERIMENTS.items() if fits is not None)
-# the experiments that run on each model
-_ON = {m: tuple(e for e in _BUILT if m in EXPERIMENTS[e][1]) for m in MODELS}
-_SWEPT = tuple(e for e, (_, fits) in EXPERIMENTS.items() if fits and any(fits.values()))
-_GRIDDED = ("verify", "energy", "optimize", "first_variation", "gap_identity")
-_DEFORMED = ("optimize", "first_variation", "gap_identity")
+# the supported (experiment, model) pairs; the model is None for betti
+_PAIRS = frozenset((e, m) for e, (_, fits) in EXPERIMENTS.items() for m in (fits or (None,)))
 
-# dotted key: (kind, default, the experiments that read it), in resolution
-# order.  A default is a value; SameAs(key); {experiment: value, "*": value
-# for the others}; or None for a required key.  Domain rules that a
+
+def _pairs(experiments=EXPERIMENTS, models=MODELS + (None,)) -> frozenset:
+    """The supported pairs of these experiments on these models."""
+    return frozenset((e, m) for e, m in _PAIRS if e in experiments and m in models)
+
+
+_SWEPT = frozenset((e, m) for e, m in _PAIRS if m and EXPERIMENTS[e][1][m])
+_GRIDDED = _pairs(("verify", "energy", "optimize", "first_variation", "gap_identity"))
+_DEFORMED = _pairs(("optimize", "first_variation", "gap_identity"))
+
+# dotted key: (kind, default, the (experiment, model) pairs that read it), in
+# resolution order.  A default is a value; SameAs(key); {experiment: value,
+# "*": value for the others}; or None for a required key.  Domain rules that a
 # constructor enforces with a named error class (Grid's N >= 5, det and
 # trace of L, tau, V > 0, mu != 0, winding != 0, a horizon of at least one
 # period) are left to it.
 CONFIG_SCHEMA = {
-    "experiment": (_choice(*EXPERIMENTS), None, EXPERIMENTS),
-    "seed": (INTEGER, 0, EXPERIMENTS),
-    "out": (STRING, "coskit_out", EXPERIMENTS),
+    "experiment": (_choice(*EXPERIMENTS), None, _PAIRS),
+    "seed": (INTEGER, 0, _PAIRS),
+    "out": (STRING, "coskit_out", _PAIRS),
     "resolutions": (RESOLUTIONS, [16, 32, 64], _SWEPT),
-    "model.model": (_choice(*MODELS), "hyperbolic", _BUILT),
-    "model.matrix": (MATRIX, [2, 1, 1, 1], EXPERIMENTS),
-    "model.tau": (REAL, 1.0, _BUILT),
-    "model.V": (REAL, 1.0, _BUILT),
-    "model.mu": (REAL, 1.0, _ON["sol"]),
-    "model.n": (INTEGER, 1, _ON["contact_t3"]),
+    "model.model": (_choice(*MODELS), "hyperbolic", _pairs(models=MODELS)),
+    "model.matrix": (MATRIX, [2, 1, 1, 1], _pairs(models=("hyperbolic", None))),
+    "model.tau": (REAL, 1.0, _pairs(models=("hyperbolic",))),
+    "model.V": (REAL, 1.0, _pairs(models=("hyperbolic",))),
+    "model.mu": (REAL, 1.0, _pairs(models=("sol",))),
+    "model.n": (INTEGER, 1, _pairs(models=("contact_t3",))),
     "grid.n_torus": (INTEGER, 32, _GRIDDED),
     "grid.n_fiber": (INTEGER, SameAs("grid.n_torus"), _GRIDDED),
-    "dynamics.horizon": (REAL, 50.0, ("lyapunov",)),
-    "dynamics.seeds": (COUNT, 10, ("lyapunov",)),
+    "dynamics.horizon": (REAL, 50.0, _pairs(("lyapunov",))),
+    "dynamics.seeds": (COUNT, 10, _pairs(("lyapunov",))),
     "deformation.seed": (INTEGER, SameAs("seed"), _DEFORMED),
     "deformation.amplitude": (REAL, {"first_variation": 0.1, "*": 0.3}, _DEFORMED),
     "deformation.count": (COUNT, {"first_variation": 10, "*": 20},
-                          ("first_variation", "gap_identity")),
-    "optimizer.steps": (COUNT, 1500, ("optimize",)),
+                          _pairs(("first_variation", "gap_identity"))),
+    "optimizer.steps": (COUNT, 1500, _pairs(("optimize",))),
 }
 
 _SECTIONS = {key.split(".")[0] for key in CONFIG_SCHEMA if "." in key}
 
 
 def resolve_config(cfg, seed: int | None = None) -> dict:
-    """The values the configured experiment reads, by dotted key, defaults filled in.
+    """The values the configured (experiment, model) pair reads, by dotted key, defaults filled in.
 
     Every key of ``cfg`` is checked against CONFIG_SCHEMA, and must be one that the
-    configured experiment reads; so is the pair of experiment and model against
-    EXPERIMENTS.  ConfigError lists every violation.  A given ``seed`` replaces the
-    config's, once checked.
+    configured pair reads; so is the pair against EXPERIMENTS.  ConfigError lists
+    every violation.  A given ``seed`` replaces the config's, once checked.
     """
     if not isinstance(cfg, dict):
         raise ConfigError(["config root must be a JSON object"])
@@ -414,18 +419,24 @@ def resolve_config(cfg, seed: int | None = None) -> dict:
             values[key] = convert(default)
         if key == "seed" and seed is not None:
             values[key] = seed
-    experiment = values.get("experiment")   # None if that key is bad
-    if experiment is not None:
-        bad += [f"key {key!r} is not read by experiment {experiment!r}" for key in given
-                if key in CONFIG_SCHEMA and experiment not in CONFIG_SCHEMA[key][2]]
+    # each None if its key is bad; betti reads no model
+    experiment = values.get("experiment")
     fits = EXPERIMENTS.get(experiment, (None, None))[1]
-    model = values.get("model.model")       # None if that key is bad
+    model = values.get("model.model") if fits is not None else None
+    pair = (experiment, model)
+    for key in (k for k in given if k in CONFIG_SCHEMA):
+        readers = CONFIG_SCHEMA[key][2]
+        if experiment is not None and all(e != experiment for e, _ in readers):
+            bad.append(f"key {key!r} is not read by experiment {experiment!r}")
+        elif pair in _PAIRS and pair not in readers:
+            bad.append(f"key {key!r} is not read by experiment {experiment!r} "
+                       f"on model.model {model!r}")
     if fits is not None and model is not None and model not in fits:
         bad.append(f"experiment {experiment!r} does not run on model.model {model!r}")
     if bad:
         raise ConfigError(bad)
     return {key: values[key] for key, (_, _, readers) in CONFIG_SCHEMA.items()
-            if experiment in readers}
+            if pair in readers}
 
 
 def run(cfg: dict, seed: int = 0) -> dict:

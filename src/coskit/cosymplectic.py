@@ -146,7 +146,7 @@ def certify_compatible(structure: Structure, g: TensorField) -> CompatibleMetric
     only for structurally unusable input (g not symmetric positive
     definite); interpretation of the residuals is left to the caller.
     """
-    tensors.check_positive_definite(g.data)
+    chol = tensors.check_positive_definite(g.data)
     if _sup(g.data - np.swapaxes(g.data, -1, -2)) > 1e-12 * max(1.0, _sup(g.data)):
         raise StructureError("metric is not symmetric")
     gd = g.data
@@ -155,6 +155,10 @@ def certify_compatible(structure: Structure, g: TensorField) -> CompatibleMetric
     alpha, reeb = structure.alpha.data[..., None, :], structure.reeb.data[..., :, None]
     ginv = inverse_metric(gd)
     ginv.flags.writeable = False
+    # the star reads sqrt(det g) off the factor, which is dropped before
+    # the other identities allocate
+    hodge = _sup(hodge_star(structure.alpha, chol, structure.orientation, ginv=ginv).data - beta)
+    del chol
     phi = ginv @ beta
     phi_t = np.swapaxes(phi, -1, -2)
     r_low = (gd @ reeb)[..., 0]
@@ -168,8 +172,7 @@ def certify_compatible(structure: Structure, g: TensorField) -> CompatibleMetric
         "phi_of_reeb": _sup(phi @ reeb),
         "metric_reconstruction": _sup(
             gd - phi_t @ gd @ phi - np.swapaxes(alpha, -1, -2) * alpha),
-        "hodge_alpha_beta": _sup(
-            hodge_star(structure.alpha, gd, structure.orientation, ginv=ginv).data - beta),
+        "hodge_alpha_beta": hodge,
     }
     if structure.flavor != "cosymplectic":
         dalpha = exterior_derivative(structure.alpha).data

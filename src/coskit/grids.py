@@ -340,6 +340,41 @@ def partial_derivative(data: np.ndarray, index_sig: str, grid: Grid, axis: int) 
     return out
 
 
+# -- sums along a vector field ----------------------------------------------
+
+def _field_components(x: np.ndarray) -> tuple[tuple[int, float | np.ndarray], ...]:
+    """(c, X^c) for each component of the vector field data x that is not identically zero.
+
+    In axis order; X^c is a Python float where the component is constant
+    on the grid, and the component array where it is not.
+    """
+    out = []
+    for c in range(3):
+        comp = x[..., c]
+        v = float(comp.flat[0])
+        if np.any(comp != v):
+            out.append((c, comp))
+        elif v != 0.0:
+            out.append((c, v))
+    return tuple(out)
+
+
+def _sum_along(components, term, shape: tuple) -> np.ndarray:
+    """sum_c X^c term(c) over _field_components, in place and in axis order.
+
+    term(c) returns a fresh array with the grid axes first; zeros of
+    ``shape`` if there is no component.  The order is that of the full
+    contraction, so skipping the zero components changes no bit, and a
+    float X^c gives the same products as the constant component array.
+    """
+    out = None
+    for c, xc in components:
+        d = term(c)
+        d *= xc if isinstance(xc, float) else xc.reshape(xc.shape + (1,) * (d.ndim - 3))
+        out = d if out is None else np.add(out, d, out=out)
+    return np.zeros(shape) if out is None else out
+
+
 # -- quadrature ---------------------------------------------------------
 
 def integrate(values: np.ndarray, density: np.ndarray, grid: Grid) -> float:

@@ -1,11 +1,14 @@
 """Coordinate tensor calculus on grid charts.
 
 Exterior derivative, Lie derivative, Levi-Civita connection, covariant
-derivative, Hodge star of 1-forms, and pointwise symmetric
-eigendecomposition.  All operations are pure functions from sampled
-component arrays to fresh arrays; tensor slots follow the conventions
-of :mod:`coskit.grids` (slot axes start at array axis 3, signature
-strings over 'u'/'d').
+derivative along a vector field, Hodge star of 1-forms, and pointwise
+symmetric eigendecomposition.  All operations are pure functions from
+sampled component arrays to fresh arrays; tensor slots follow the
+conventions of :mod:`coskit.grids` (slot axes start at array axis 3,
+signature strings over 'u'/'d').  The Lie and covariant derivatives sum
+their terms along the field by the kernel of :mod:`coskit.grids`
+(``_field_components``, ``_sum_along``), as the Reeb derivative of
+:mod:`coskit.variational` does.
 
 Inner products of tensors use full index contraction with g and its
 inverse: one factor of g per contravariant slot pair, one factor of
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, _on_slot, partial_derivative
+from .grids import Grid, _field_components, _on_slot, _sum_along, partial_derivative
 
 _EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -81,17 +84,6 @@ def inverse_metric(g: np.ndarray) -> np.ndarray:
         raise TensorCalculusError("matrix field is singular at a grid point")
     inv /= det[..., None, None]
     return inv
-
-
-def _det3(g: np.ndarray) -> np.ndarray:
-    """Determinant of a (..., 3, 3) field by cofactor expansion along row 0.
-
-    The cofactors and the order of the sum are those of inverse_metric,
-    so both give the same determinant bit for bit.
-    """
-    t0, t1, t2 = (g[..., 0, j] * (g[..., 1, j1] * g[..., 2, j2] - g[..., 1, j2] * g[..., 2, j1])
-                  for j, (j1, j2) in enumerate(_CYCLIC))
-    return t0 + t1 + t2
 
 
 def _cholesky3(g: np.ndarray) -> np.ndarray | None:
@@ -221,31 +213,12 @@ def lie_derivative(t: TensorField, x: TensorField) -> TensorField:
     if x.sig != "u":
         raise TensorCalculusError("Lie derivative direction must be a vector field")
     grid = t.grid
-    out = _along_field(t, x, lambda c: partial_derivative(t.data, t.sig, grid, c))
+    out = _sum_along(_field_components(x.data),
+                     lambda c: partial_derivative(t.data, t.sig, grid, c), t.data.shape)
     grad_x = gradient(x.data, x.sig, grid)      # [c, a] = d_c X^a
     if np.any(grad_x):
         out -= _derivation(t.data, t.sig, np.swapaxes(grad_x, -1, -2))
     return TensorField(grid, out, t.sig)
-
-
-def _along_field(t: TensorField, x: TensorField, term) -> np.ndarray:
-    """sum_c X^c term(c) over the axes c where X^c is nonzero somewhere.
-
-    The sum runs in axis order, as the contraction of the stacked terms
-    does, so skipping the identically zero components changes no bit.
-    """
-    out = None
-    for c in range(3):
-        xc = x.data[..., c]
-        if not np.any(xc):
-            continue
-        d = term(c)
-        d *= xc.reshape(xc.shape + (1,) * len(t.sig))
-        if out is None:
-            out = d
-        else:
-            out += d
-    return np.zeros(t.data.shape) if out is None else out
 
 
 def lie_bracket(x: TensorField, y: TensorField) -> TensorField:
@@ -273,15 +246,12 @@ def christoffel(g: TensorField, ginv: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def covariant_derivative(t: TensorField, gamma: np.ndarray,
-                         x: TensorField | None = None) -> TensorField:
-    """nabla T, with a new leading covariant slot; contracted with X if given.
+def covariant_derivative(t: TensorField, gamma: np.ndarray, x: TensorField) -> TensorField:
+    """nabla_X T = sum_a X^a (d_a T + D_m T), D_m the derivation of m = Gamma^k_{a j}.
 
-    Each axis a contributes d_a T + D_m T, where D_m is the derivation of
-    the slice m = Gamma^k_{a j} (see _derivation).  With X given,
-    nabla_X T = sum_a X^a (d_a T + ...) is accumulated only over the
-    axes where X^a is nonzero somewhere, and the rank+1 array nabla T is
-    never built; the result is the full contraction bit for bit.
+    (See _derivation.)  The sum runs only over the axes where X^a is
+    nonzero somewhere, and the rank+1 array nabla T is never built; the
+    result is the full contraction bit for bit.
     """
     grid = t.grid
 
@@ -290,27 +260,24 @@ def covariant_derivative(t: TensorField, gamma: np.ndarray,
         d += _derivation(t.data, t.sig, gamma[..., :, a, :])
         return d
 
-    if x is not None:
-        return TensorField(grid, _along_field(t, x, along), t.sig)
-    out = np.empty(t.data.shape[:3] + (3,) + t.data.shape[3:])
-    for a in range(3):
-        out[:, :, :, a] = along(a)
-    return TensorField(grid, out, "d" + t.sig)
+    return TensorField(grid, _sum_along(_field_components(x.data), along, t.data.shape), t.sig)
 
 
 # -- Hodge star -----------------------------------------------------------
 
-def hodge_star(omega: TensorField, g: np.ndarray, orientation: float = 1.0, *,
+def hodge_star(omega: TensorField, chol: np.ndarray, orientation: float = 1.0, *,
                ginv: np.ndarray) -> TensorField:
     """Star of a 1-form in dimension 3: (*w)_{jk} = s sqrt(g) eps_{ljk} w^l.
 
     orientation is +1 when dt^dx^dy is positively oriented for the
     chart's volume form, -1 otherwise.  Star is a pointwise g-isometry
-    from 1-forms onto 2-forms.  ginv = g^{-1} raises the 1-form's index.
+    from 1-forms onto 2-forms.  chol is the lower Cholesky factor of g
+    (check_positive_definite), and sqrt(det g) = C_00 C_11 C_22;
+    ginv = g^{-1} raises the 1-form's index.
     """
     if omega.sig != "d":
         raise TensorCalculusError("hodge_star takes a 1-form")
-    sqg = orientation * np.sqrt(_det3(g))
+    sqg = orientation * chol[..., 0, 0] * chol[..., 1, 1] * chol[..., 2, 2]
     wup = _on_slot(omega.data, 0, ginv)
     star = (wup @ _EPS3.reshape(3, 9)).reshape(wup.shape + (3,)) * sqg[..., None, None]
     return TensorField(omega.grid, star, "dd")

@@ -12,10 +12,14 @@ parametrization over a critical metric:
 
 with (vp, vm) the lowered bracket frame of the critical metric.  The
 deformation is parametrized by (u = log p, r) so the constraint and
-p > 0 hold unconditionally.  energy_gap evaluates the closed-form
-energy gap of the family and energy_gap_direct the same gap through the
-full tensor pipeline; the family's closed-form torsion is checked
-against torsion_report in the test suite.
+p > 0 hold unconditionally.  energy_gap evaluates the family's energy
+gap from (u, r) alone, by the one formula that minimize_energy
+descends, and energy_gap_direct the same gap through the full tensor
+pipeline; the family's closed-form torsion is checked against
+torsion_report in the test suite.  Every Reeb derivative here is a sum
+along the Reeb field by the kernel of :mod:`coskit.grids`
+(``_field_components``, ``_sum_along``), the one that the Lie and
+covariant derivatives use.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .cosymplectic import CompatibleMetric, Structure, certify_compatible, d_alpha_plus
-from .grids import Grid, partial_derivative
+from .grids import Grid, _field_components, _sum_along, partial_derivative
 from .models import HyperbolicModel, critical_frame
 from .tensors import TensorField, check_positive_definite, covariant_derivative, \
     lie_derivative, tensor_norm2
@@ -43,7 +47,9 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def reeb_derivative(scalar: np.ndarray, structure: Structure) -> np.ndarray:
     """R(f) for a scalar field, by 4th-order differences along the Reeb field."""
-    return _reeb_stacked(scalar, _reeb_coefficients(structure), structure.grid)
+    grid = structure.grid
+    return _sum_along(_field_components(structure.reeb.data),
+                      lambda c: partial_derivative(scalar, "", grid, c), scalar.shape)
 
 
 # -- torsion and criticality diagnostics -------------------------------------
@@ -52,13 +58,8 @@ def reeb_derivative(scalar: np.ndarray, structure: Structure) -> np.ndarray:
 @dataclass
 class TorsionReport:
     torsion_field: np.ndarray        # |L_R g|^2 pointwise
-    mu_field: np.ndarray             # 2^{-3/2} |L_R g|
     energy: float
     first_integral_residual: float   # sup |R(torsion)|
-
-    @property
-    def mu(self) -> float:
-        return float(np.mean(self.mu_field))
 
     @property
     def constancy(self) -> float:
@@ -76,10 +77,8 @@ def _torsion(metric: CompatibleMetric) -> np.ndarray:
 def torsion_report(metric: CompatibleMetric) -> TorsionReport:
     structure = metric.structure
     torsion = np.maximum(_torsion(metric), 0.0)
-    mu_field = np.sqrt(torsion) * 2.0 ** (-1.5)
     return TorsionReport(
         torsion_field=torsion,
-        mu_field=mu_field,
         energy=structure.integrate(torsion),
         first_integral_residual=_sup(reeb_derivative(torsion, structure)),
     )
@@ -264,10 +263,6 @@ class Deformation:
     def q(self) -> np.ndarray:
         return (1.0 + self.r ** 2) * np.exp(-self.u)
 
-    @classmethod
-    def zero(cls, grid: Grid) -> "Deformation":
-        return cls(grid, np.zeros(grid.shape), np.zeros(grid.shape))
-
 
 @dataclass
 class DeformationChart:
@@ -317,17 +312,16 @@ class GapReport:
 def energy_gap(d: Deformation, mu: float, structure: Structure) -> GapReport:
     """E(g~) - E(g) = int [2 (2 mu r + r R(u) - R(r))^2 + 2 R(u)^2] alpha ^ beta >= 0.
 
-    The discarded term 8 mu R(u) integrates to zero exactly on the
-    twisted grid (stencil shifts are grid bijections); its quadrature
-    residual is reported as a certificate of the discrete divergence
-    theorem.
+    The objective that minimize_energy descends (_gap_and_gradient), with
+    its preconditions.  The discarded term 8 mu R(u) integrates to zero
+    exactly on the twisted grid (stencil shifts are grid bijections); its
+    quadrature residual is reported as a certificate of the discrete
+    divergence theorem.
     """
-    ru = reeb_derivative(d.u, structure)
-    rr = reeb_derivative(d.r, structure)
-    a = 2.0 * mu * d.r + d.r * ru - rr
-    gap = structure.integrate(2.0 * a ** 2 + 2.0 * ru ** 2)
-    div = structure.integrate(8.0 * mu * ru)
-    return GapReport(gap=gap, divergence_residual=div)
+    components, weight = _gap_setup(structure)
+    gap, ru, _ = _gap_and_gradient(np.stack((d.u, d.r), axis=-1), mu, components,
+                                   structure.grid, weight)
+    return GapReport(gap=gap, divergence_residual=structure.integrate(8.0 * mu * ru))
 
 
 def energy_gap_direct(chart: DeformationChart, d: Deformation) -> float:
@@ -436,33 +430,6 @@ class OptimizationResult:
     grad_norm2: list[float] = dc_field(default_factory=list)
 
 
-def _reeb_coefficients(structure: Structure) -> tuple[tuple[int, float | np.ndarray], ...]:
-    """(axis, coefficient) of each Reeb component that is not identically zero, in axis order.
-
-    The coefficient is a float where the component is constant on the
-    grid, and the component array where it is not.
-    """
-    coeffs = []
-    for ax in range(3):
-        comp = structure.reeb.data[..., ax]
-        c = float(comp.flat[0])
-        if np.any(comp != c):
-            coeffs.append((ax, comp))
-        elif c != 0.0:
-            coeffs.append((ax, c))
-    return tuple(coeffs)
-
-
-def _reeb_stacked(x: np.ndarray, coeffs, grid: Grid) -> np.ndarray:
-    """sum_ax c_ax d_ax f: R(f) for a scalar field f, or for each scalar stacked
-    on the last axis of x when every coefficient is a float."""
-    out = None
-    for ax, c in coeffs:
-        term = c * partial_derivative(x, "", grid, ax)
-        out = term if out is None else out + term
-    return out
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """Sum of a b over both stacked components, summed per component in order."""
     return float(np.sum(a[..., 0] * b[..., 0]) + np.sum(a[..., 1] * b[..., 1]))
@@ -474,20 +441,42 @@ def _bb_step(dx: np.ndarray, dg: np.ndarray, step: float) -> float:
     return _dot(dx, dx) / denom if denom > 0 else step
 
 
-def _gap_and_gradient(x, mu, coeffs, grid, weight):
+def _gap_setup(structure: Structure):
+    """The Reeb components and the quadrature weight of the (u, r) gap.
+
+    ValueError unless the chart is closed (no open t-axis) and the
+    alpha^beta density and the Reeb components are constant.  Then the
+    integral is a plain sum times one weight, and the Reeb derivative is
+    a constant-coefficient sum of stencils, whose adjoint is its negative
+    (shifts are grid bijections), which makes the gap's gradient exact.
+    """
+    dens = structure.volume_density
+    if structure.grid.open_t or np.max(dens) - np.min(dens) > 1e-12 * np.max(np.abs(dens)):
+        raise ValueError("the energy gap assumes a closed chart and a constant alpha^beta density")
+    components = _field_components(structure.reeb.data)
+    if any(isinstance(c, np.ndarray) for _, c in components):
+        raise ValueError("the energy gap assumes a Reeb field with constant components")
+    ht, hx, hy = structure.grid.spacing
+    return components, abs(float(dens.flat[0])) * ht * hx * hy
+
+
+def _gap_and_gradient(x, mu, components, grid, weight):
     """Energy gap at the stacked state x = (u, r), R(u), and its deferred gradient.
 
-    The gradient costs a second stencil call, so it is returned as a
-    function that the descent calls only at the trials it accepts.
+    R acts on both stacked scalars at once.  The gradient costs a second
+    stencil call, so it is returned as a function that the descent calls
+    only at the trials it accepts.
     """
-    d = _reeb_stacked(x, coeffs, grid)
+    def reeb(f):
+        return _sum_along(components, lambda c: partial_derivative(f, "", grid, c), f.shape)
+
+    d = reeb(x)
     r, ru, rr = x[..., 1], d[..., 0], d[..., 1]
     a = 2.0 * mu * r + r * ru - rr
     gap = float(np.sum(2.0 * a ** 2 + 2.0 * ru ** 2) * weight)
 
     def gradient() -> np.ndarray:
-        dy = _reeb_stacked(np.stack((4.0 * a * r + 4.0 * ru, 4.0 * a), axis=-1),
-                           coeffs, grid)
+        dy = reeb(np.stack((4.0 * a * r + 4.0 * ru, 4.0 * a), axis=-1))
         g = np.empty_like(x)
         g[..., 0] = -weight * dy[..., 0]
         g[..., 1] = weight * (4.0 * a * (2.0 * mu + ru) + dy[..., 1])
@@ -506,11 +495,8 @@ def minimize_energy(initial: Deformation, mu: float, structure: Structure,
 
     Barzilai-Borwein steps with Armijo backtracking keep the gap
     monotonically non-increasing.  Preconditions, each a ValueError:
-    ``initial`` lives on ``structure.grid``, the alpha^beta density is
-    constant and the Reeb field has constant components.  With constant
-    components the Reeb derivative is a constant-coefficient sum of
-    stencils, whose adjoint is its negative (shifts are grid
-    bijections), which makes the gradient exact for the discrete
+    ``initial`` lives on ``structure.grid``, and those of energy_gap
+    (see _gap_setup), which make the gradient exact for the discrete
     objective.  The line search evaluates only the gap of each trial;
     the gradient is formed only at accepted points, when the next step
     needs it.  Returns converged status when the line search stops
@@ -527,18 +513,10 @@ def minimize_energy(initial: Deformation, mu: float, structure: Structure,
     # temporaries, or temporaries kept alive into the line search, fragmented
     # it enough to raise the descent benchmark's peak RSS by 5 %.
     final = Deformation(grid, initial.u, initial.r)
-    dens = structure.volume_density
-    if np.max(dens) - np.min(dens) > 1e-12 * np.max(np.abs(dens)):
-        raise ValueError("optimizer assumes a constant alpha^beta density")
-    coeffs = _reeb_coefficients(structure)
-    if any(isinstance(c, np.ndarray) for _, c in coeffs):
-        raise ValueError("optimizer assumes a Reeb field with constant components")
-    ht, hx, hy = grid.spacing
-    weight = abs(float(dens.flat[0])) * ht * hx * hy
-    del dens
+    components, weight = _gap_setup(structure)
 
     x = np.stack((initial.u, initial.r), axis=-1)
-    gap, ru, gradient = _gap_and_gradient(x, mu, coeffs, grid, weight)
+    gap, ru, gradient = _gap_and_gradient(x, mu, components, grid, weight)
     history, step_sizes, backtracks, grad_norm2 = [gap], [], [], []
     step = _STEP0
     prev = None
@@ -557,7 +535,7 @@ def minimize_energy(initial: Deformation, mu: float, structure: Structure,
         for halvings in range(60):
             gradient = None
             x_t = x - trial * g
-            gap_t, ru_t, gradient = _gap_and_gradient(x_t, mu, coeffs, grid, weight)
+            gap_t, ru_t, gradient = _gap_and_gradient(x_t, mu, components, grid, weight)
             if gap_t <= gap - 1e-4 * trial * gnorm2:
                 break
             trial *= 0.5

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from coskit.grids import _on_slot
-from coskit.tensors import TensorField, gradient
+from coskit.grids import _on_slot, partial_derivative
+from coskit.tensors import TensorField, _derivation, gradient
 from coskit.variational import reeb_derivative
 
 
@@ -32,3 +32,16 @@ def nijenhuis(phi):
     t3 = np.swapaxes(_on_slot(grad, 1, phi.data), 3, 4)
     n = t1 - np.swapaxes(t1, 4, 5) - t3 + np.swapaxes(t3, 4, 5)
     return TensorField(phi.grid, n, "udd")
+
+
+def covariant_gradient(t, gamma):
+    """nabla T with a new leading covariant slot: d_a T + D_m T per axis a, m = Gamma^k_{a j}.
+
+    The terms of coskit's covariant_derivative along a field, before the
+    contraction with the field.
+    """
+    out = np.empty(t.data.shape[:3] + (3,) + t.data.shape[3:])
+    for a in range(3):
+        out[:, :, :, a] = partial_derivative(t.data, t.sig, t.grid, a) \
+            + _derivation(t.data, t.sig, gamma[..., :, a, :])
+    return TensorField(t.grid, out, "d" + t.sig)

@@ -78,7 +78,7 @@ def test_criterion_04_h_eigenstructure(crit32, model):
     eig_err = sup(w - np.array([mu, 0.0, -mu]))
     assert aligned
     assert eig_err < 1e-5
-    mu_torsion = rep.mu
+    mu_torsion = float(np.mean(np.sqrt(rep.torsion_field / 8.0)))
     mu_eigen = float(np.mean(w[..., 0]))
     worst_pair = max(abs(mu_torsion - mu), abs(mu_eigen - mu), abs(mu_torsion - mu_eigen))
     assert worst_pair < 1e-6

@@ -23,15 +23,24 @@ UNGRIDDED = {k: v for k, v in BASE.items() if k != "grid"}
 
 
 def read_keys_only(cfg):
-    """cfg without the keys that its experiment does not read, by CONFIG_SCHEMA's readers."""
+    """cfg without the keys that its pair of experiment and model does not read, by
+    CONFIG_SCHEMA's readers; on a pair that cli.EXPERIMENTS leaves out, without the
+    keys that its experiment reads on no model."""
     experiment, out = cfg["experiment"], {}
+    fits = cli.EXPERIMENTS[experiment][1]
+    model = None if fits is None else cfg.get("model", {}).get("model", "hyperbolic")
+
+    def read(key):
+        readers = cli.CONFIG_SCHEMA[key][2]
+        return (experiment, model) in readers or (
+            fits is not None and model not in fits and any(e == experiment for e, _ in readers))
+
     for name, value in cfg.items():
         if isinstance(value, dict):
-            value = {k: v for k, v in value.items()
-                     if experiment in cli.CONFIG_SCHEMA[f"{name}.{k}"][2]}
+            value = {k: v for k, v in value.items() if read(f"{name}.{k}")}
             if value:
                 out[name] = value
-        elif experiment in cli.CONFIG_SCHEMA[name][2]:
+        elif read(name):
             out[name] = value
     return out
 
@@ -178,6 +187,21 @@ def test_invalid_config_exit_code(tmp_path):
      "key 'deformation.count' is not read by experiment 'optimize'"),
     ({"experiment": "betti", "model": {"model": "hyperbolic"}},
      "key 'model.model' is not read by experiment 'betti'"),
+    # a key that the configured experiment reads on other models only
+    (dict(BASE, model={"model": "sol", "tau": 1.0}),
+     "key 'model.tau' is not read by experiment 'verify' on model.model 'sol'"),
+    (dict(BASE, model={"model": "contact_t3", "V": 1.0}),
+     "key 'model.V' is not read by experiment 'verify' on model.model 'contact_t3'"),
+    (dict(BASE, experiment="energy", model={"model": "flat_cokahler", "matrix": [2, 1, 1, 1]}),
+     "key 'model.matrix' is not read by experiment 'energy' on model.model 'flat_cokahler'"),
+    (dict(BASE, experiment="first_variation", model={"model": "sol", "n": 2}),
+     "key 'model.n' is not read by experiment 'first_variation' on model.model 'sol'"),
+    (dict(BASE, model={"model": "hyperbolic", "mu": 2.0}),
+     "key 'model.mu' is not read by experiment 'verify' on model.model 'hyperbolic'"),
+    (dict(BASE, model={"model": "sol"}, resolutions=[8, 10, 12]),
+     "key 'resolutions' is not read by experiment 'verify' on model.model 'sol'"),
+    (dict(BASE, experiment="energy", model={"model": "flat_cokahler"}, resolutions=[8, 10, 12]),
+     "key 'resolutions' is not read by experiment 'energy' on model.model 'flat_cokahler'"),
 ], ids=["non_hyperbolic", "n_torus_not_int", "n_fiber_not_int", "n_torus_too_small",
         "horizon_below_tau", "seed_not_int", "root_not_object", "model_n_not_int",
         "dynamics_seeds_not_int", "deformation_count_not_int", "deformation_seed_not_int",
@@ -186,7 +210,9 @@ def test_invalid_config_exit_code(tmp_path):
         "matrix_scalar", "tau_null", "optimizer_not_object", "out_not_string",
         "dynamics_seeds_zero", "matrix_beyond_int64", "fibonacci_gluing_singular_metric",
         "lyapunov_on_sol", "grid_monodromy", "optimizer_tolerance", "grid_on_lyapunov",
-        "count_on_optimize", "model_on_betti"])
+        "count_on_optimize", "model_on_betti", "tau_on_sol", "V_on_contact",
+        "matrix_on_flat", "n_on_sol", "mu_on_hyperbolic", "resolutions_on_verify_sol",
+        "resolutions_on_energy_flat"])
 def test_value_error_exit_code(tmp_path, capsys, cfg, start):
     path = write_cfg(tmp_path, cfg)
     rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -270,6 +296,28 @@ def test_every_pair_runs_its_check_or_is_refused(tmp_path, capsys, monkeypatch):
     consulted = {"experiment", "seed", "out", "model.model", "resolutions"}
     for experiment, keys in reads.items():
         assert set(resolve({"experiment": experiment})) - consulted <= keys, experiment
+
+
+def test_every_resolved_key_is_read_by_its_pair():
+    # each supported pair's runner, at the smallest grid and sizes, reads
+    # every key that resolve_config returns for the pair, bar those that
+    # run, sweep and the support check read themselves
+    consulted = {"experiment", "seed", "out", "model.model", "resolutions"}
+    smallest = {"grid.n_torus": 5, "grid.n_fiber": 5, "deformation.count": 1,
+                "optimizer.steps": 1, "dynamics.seeds": 1, "dynamics.horizon": 1.0}
+    for experiment, (runner, fits) in cli.EXPERIMENTS.items():
+        for model in fits or (None,):
+            p = cli.resolve_config({"experiment": experiment}
+                                   | ({"model": {"model": model}} if model else {}))
+            read = set()
+
+            class Recorded(dict):
+                def __getitem__(self, key):
+                    read.add(key)
+                    return dict.__getitem__(self, key)
+
+            runner(Recorded(p | {k: v for k, v in smallest.items() if k in p}))
+            assert set(p) - consulted <= read, (experiment, model, set(p) - consulted - read)
 
 
 def test_first_variation_passes_at_12_on_every_admitted_model(tmp_path, capsys):

@@ -11,7 +11,7 @@ from coskit.tensors import TensorField, TensorCalculusError, christoffel, \
     lie_derivative, sqrtm_spd, symmetric_eigen, tensor_norm2
 from coskit import variational as va
 from coskit.variational import random_global_scalar
-from references import nijenhuis
+from references import covariant_gradient, nijenhuis
 
 
 def sup(a):
@@ -142,7 +142,7 @@ def test_christoffel_eigenframe_closed_form(model):
 def test_metric_compatibility_and_geodesic_reeb(crit32):
     structure, metric = crit32
     gamma = metric.connection
-    ng = covariant_derivative(metric.g, gamma)
+    ng = covariant_gradient(metric.g, gamma)
     assert sup(ng.data) < 1e-11
     nr = covariant_derivative(structure.reeb, gamma, structure.reeb)
     assert sup(nr.data) < 1e-12
@@ -156,7 +156,7 @@ def test_nabla_g_machine_zero_any_metric(model):
         grid = Grid(n, n, model.matrix)
         chart = va.deformation_chart(model, grid)
         gt = va.deform(chart, va.random_deformation(grid, seed=2, amplitude=0.3))
-        ng = covariant_derivative(gt.g, christoffel(gt.g, gt.ginv))
+        ng = covariant_gradient(gt.g, christoffel(gt.g, gt.ginv))
         assert sup(ng.data) < 1e-11
 
 
@@ -206,7 +206,7 @@ def lie_reference(t, x):
 
 
 def covariant_reference(t, gamma, x):
-    out = covariant_derivative(t, gamma).data
+    out = covariant_gradient(t, gamma).data
     gax, slots = [0, 1, 2], list(range(4, 4 + len(t.sig)))
     return np.einsum(out, gax + [3] + slots, x.data, gax + [3], gax + slots)
 
@@ -277,7 +277,8 @@ def test_reeb_kernels_stencil_only_nonzero_axes(monkeypatch, chart, calls):
 
 def test_hodge_alpha_is_beta(crit32):
     structure, metric = crit32
-    star = hodge_star(structure.alpha, metric.g.data, structure.orientation, ginv=metric.ginv)
+    chol = tensors.check_positive_definite(metric.g.data)
+    star = hodge_star(structure.alpha, chol, structure.orientation, ginv=metric.ginv)
     assert sup(star.data - structure.beta.data) < 1e-12
 
 
@@ -285,7 +286,7 @@ def test_hodge_flat_dt():
     grid = Grid(16, 16)
     structure, metric = ck.flat_cokahler(grid)
     dt = TensorField(grid, np.broadcast_to(np.array([1.0, 0, 0]), grid.shape + (3,)).copy(), "d")
-    star = hodge_star(dt, metric.g.data, ginv=metric.ginv)
+    star = hodge_star(dt, tensors.check_positive_definite(metric.g.data), ginv=metric.ginv)
     expected = np.zeros(grid.shape + (3, 3))
     expected[..., 1, 2] = 1.0
     expected[..., 2, 1] = -1.0
@@ -296,7 +297,7 @@ def test_hodge_involution_and_isometry(model, grid32, crit32):
     _, metric = crit32
     omega = random_global_one_form(model, grid32, seed=11)
     g, ginv = metric.g.data, metric.ginv
-    star = hodge_star(omega, g, ginv=ginv)
+    star = hodge_star(omega, tensors.check_positive_definite(g), ginv=ginv)
     # the inverse direction on 2-forms: (*s)_l = g_lk (1/2) eps^{kij} s_ij / sqrt(g)
     eps = np.zeros((3, 3, 3))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -327,7 +328,7 @@ def test_nijenhuis_covariant_derivative_identity(crit32):
     structure, metric = crit32
     rng = np.random.default_rng(12)
     n = nijenhuis(metric.phi).data
-    nphi = covariant_derivative(metric.phi, metric.connection)
+    nphi = covariant_gradient(metric.phi, metric.connection)
     for _ in range(4):
         x = rng.standard_normal(3)
         y = rng.standard_normal(3)
@@ -470,8 +471,13 @@ def test_cholesky3_and_det3_match_lapack(field):
     c, ref = tensors._cholesky3(g), np.linalg.cholesky(g)
     assert sup(c - ref) <= 1e-14 * sup(ref)
     assert np.all(np.triu(c, 1) == 0.0)
-    det, det_ref = tensors._det3(g), np.linalg.det(g)
+    det, det_ref = factor_det(c), np.linalg.det(g)
     assert sup(det - det_ref) <= 1e-14 * sup(det_ref)
+
+
+def factor_det(c):
+    """det g = (C_00 C_11 C_22)^2 from the lower Cholesky factor C."""
+    return np.prod(np.diagonal(c, axis1=-2, axis2=-1), axis=-1) ** 2
 
 
 LEIBNIZ_TERMS = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
@@ -479,25 +485,29 @@ LEIBNIZ_TERMS = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
 
 
 def test_cholesky3_and_det3_within_rounding_bounds_at_condition_1e8():
-    # in a random orientation the condition number amplifies rounding, so
-    # two backward-stable algorithms differ in the factor (~cond^1/2 eps)
-    # and in the determinant (~cond eps); judge each against its own bound
-    g = rotated_spd_field((8, 8, 8), seed=7, cond=1e8)
+    # in a random orientation the condition number amplifies rounding: the
+    # factor is backward stable, and the determinant read off it is within
+    # a relative 4 cond eps of the exact one, a bound that the cofactor
+    # expansion along row 0 misses by orders of magnitude
+    cond = 1e8
+    g = rotated_spd_field((8, 8, 8), seed=7, cond=cond)
     eps = np.finfo(float).eps
     c = tensors._cholesky3(g)
     backward = np.max(np.abs(c @ np.swapaxes(c, -1, -2) - g), axis=(-2, -1))
     assert np.all(backward <= 4 * eps * np.max(np.abs(g), axis=(-2, -1)))
-    # exact rational determinant of the float entries, and the sum of the
-    # absolute values of its six products, which bounds the rounding
-    det = tensors._det3(g)
+    cofactor = sum(g[..., 0, j] * (g[..., 1, j1] * g[..., 2, j2] - g[..., 1, j2] * g[..., 2, j1])
+                   for j, (j1, j2) in enumerate(((1, 2), (2, 0), (0, 1))))
+    dets = {"factor": factor_det(c), "cofactor": cofactor}
+    worst = dict.fromkeys(dets, 0.0)
     for point in np.ndindex(g.shape[:3]):
+        # the exact rational determinant of the float entries
         m = [[Fraction(v) for v in row] for row in g[point].tolist()]
-        exact, bound = Fraction(0), Fraction(0)
-        for (i, j, k), sign in LEIBNIZ_TERMS:
-            term = m[0][i] * m[1][j] * m[2][k]
-            exact += sign * term
-            bound += abs(term)
-        assert abs(Fraction(float(det[point])) - exact) <= 3 * eps * bound
+        exact = sum(sign * m[0][i] * m[1][j] * m[2][k] for (i, j, k), sign in LEIBNIZ_TERMS)
+        for name, det in dets.items():
+            rel = abs(Fraction(float(det[point])) - exact) / exact
+            worst[name] = max(worst[name], float(rel))
+    assert worst["factor"] <= 4 * cond * eps
+    assert worst["cofactor"] > 4 * cond * eps
 
 
 def test_check_positive_definite_returns_factor_or_names_point():
@@ -617,6 +627,6 @@ def test_tensor_layer_calls_no_einsum(monkeypatch):
     lg = lie_derivative(metric.g, reeb)
     gamma = christoffel(metric.g, metric.ginv)
     covariant_derivative(lg, gamma, reeb)
-    covariant_derivative(lg, gamma)
     tensor_norm2(lg.data, "dd", metric.g.data, metric.ginv)
-    hodge_star(structure.alpha, metric.g.data, structure.orientation, ginv=metric.ginv)
+    hodge_star(structure.alpha, tensors.check_positive_definite(metric.g.data),
+               structure.orientation, ginv=metric.ginv)

@@ -25,7 +25,7 @@ def test_torsion_report_critical(crit32, model):
     assert rep.constancy < 1e-12
     assert np.all(rep.torsion_field >= 0.0)
     assert rep.first_integral_residual < 1e-10
-    assert abs(rep.mu - model.mu) < 1e-6
+    assert abs(np.mean(np.sqrt(rep.torsion_field / 8.0)) - model.mu) < 1e-6
 
 
 def test_torsion_report_flat(flat16):
@@ -420,7 +420,7 @@ def test_first_variation_builds_no_connection(monkeypatch, model):
 
 
 def test_deform_zero_is_identity(chart32):
-    d0 = va.Deformation.zero(chart32.grid)
+    d0 = va.Deformation(chart32.grid, 0.0, 0.0)
     gt = va.deform(chart32, d0)
     assert sup(gt.g.data - chart32.metric.g.data) < 1e-13
 
@@ -465,11 +465,11 @@ def test_deformed_h_eigenstructure(fiber_chart):
     # with mu = 2^{-3/2} |L_R g| pointwise
     d = va.random_deformation(fiber_chart.grid, seed=6, amplitude=0.3)
     gt = va.deform(fiber_chart, d)
-    rep = va.torsion_report(gt)
+    mu_field = np.sqrt(va.torsion_report(gt).torsion_field / 8.0)
     w, _, _ = symmetric_eigen(gt.h_tensor(), gt.g.data, gt.ginv)
-    assert sup(w[..., 0] - rep.mu_field) < 1e-5
+    assert sup(w[..., 0] - mu_field) < 1e-5
     assert sup(w[..., 1]) < 1e-5
-    assert sup(w[..., 2] + rep.mu_field) < 1e-5
+    assert sup(w[..., 2] + mu_field) < 1e-5
 
 
 def test_torsion_closed_form_and_first_expansion(fiber_chart):
@@ -483,7 +483,7 @@ def test_torsion_closed_form_and_first_expansion(fiber_chart):
 
 
 def test_torsion_closed_form_zero_deformation(fiber_chart):
-    d0 = va.Deformation.zero(fiber_chart.grid)
+    d0 = va.Deformation(fiber_chart.grid, 0.0, 0.0)
     cf, _ = torsion_closed_forms(d0, fiber_chart.mu, fiber_chart.structure)
     assert sup(cf - 8.0 * fiber_chart.mu ** 2) < 1e-13
 
@@ -492,7 +492,7 @@ def test_torsion_closed_form_zero_deformation(fiber_chart):
 
 
 def test_energy_gap_zero_deformation(fiber_chart):
-    rep = va.energy_gap(va.Deformation.zero(fiber_chart.grid),
+    rep = va.energy_gap(va.Deformation(fiber_chart.grid, 0.0, 0.0),
                         fiber_chart.mu, fiber_chart.structure)
     assert rep.gap == 0.0
     assert rep.divergence_residual == 0.0
@@ -543,7 +543,7 @@ def test_energy_gap_flow_invariant_u_is_zero(model):
 
 
 def test_minimize_from_zero_terminates_immediately(fiber_chart):
-    res = va.minimize_energy(va.Deformation.zero(fiber_chart.grid),
+    res = va.minimize_energy(va.Deformation(fiber_chart.grid, 0.0, 0.0),
                              fiber_chart.mu, fiber_chart.structure, steps=50)
     assert res.converged
     assert res.gap_history[-1] == 0.0
@@ -649,21 +649,37 @@ def test_minimize_bit_identical_to_unfused_reference(mat, seed, steps):
 
 
 def test_reeb_derivative_follows_rotating_reeb_field():
-    # the contact testbed's R = cos(2 pi n t) d_x + sin(2 pi n t) d_y has non-constant components
-    grid = Grid(16, 16)
-    structure, _ = ck.contact_t3_testbed(2, grid)
-    f = np.random.default_rng(4).standard_normal(grid.shape)
-    r = structure.reeb.data
-    expected = (r[..., 1] * partial_derivative(f, "", grid, 1)
-                + r[..., 2] * partial_derivative(f, "", grid, 2))
-    assert np.array_equal(va.reeb_derivative(f, structure), expected)
+    # the contact testbed's R = cos(2 pi n t) d_x + sin(2 pi n t) d_y has non-constant
+    # components; the suspension's (1/tau) d_t is constant, summed with a float
+    # coefficient, which must give the products of the constant component array
+    model = ck.build_hyperbolic_model([[2, 1], [1, 1]], tau=0.7)
+    suspension = Grid(16, 16, model.matrix)
+    for structure in (ck.contact_t3_testbed(2, Grid(16, 16))[0],
+                      ck.suspension_structure(model, suspension)):
+        grid = structure.grid
+        f = np.random.default_rng(4).standard_normal(grid.shape)
+        r = structure.reeb.data
+        expected = sum(r[..., c] * partial_derivative(f, "", grid, c)
+                       for c in range(3) if np.any(r[..., c]))
+        assert np.array_equal(va.reeb_derivative(f, structure), expected)
 
 
 def test_minimize_rejects_non_constant_reeb_field():
     # the contact testbed's alpha ^ beta density is constant, its Reeb field is not
     structure, _ = ck.contact_t3_testbed(1, Grid(16, 16))
     with pytest.raises(ValueError, match="Reeb field with constant components"):
-        va.minimize_energy(va.Deformation.zero(structure.grid), 1.0, structure, steps=5)
+        va.minimize_energy(va.Deformation(structure.grid, 0.0, 0.0), 1.0, structure, steps=5)
+
+
+def test_energy_gap_refuses_open_chart():
+    # the gap is a plain sum times one weight: on the open Sol box that sum
+    # would drop the trapezoid end weights of structure.integrate
+    structure, _ = ck.sol_model(1.0, ck.sol_box_grid(8, 16))
+    d = va.Deformation(structure.grid, 0.1, 0.0)
+    with pytest.raises(ValueError, match="closed chart"):
+        va.energy_gap(d, 1.0, structure)
+    with pytest.raises(ValueError, match="closed chart"):
+        va.minimize_energy(d, 1.0, structure, steps=5)
 
 
 def test_minimize_rejects_deformation_on_another_grid(fiber_chart):
