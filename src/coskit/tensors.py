@@ -10,6 +10,16 @@ their terms along the field by the kernel of :mod:`coskit.grids`
 (``_field_components``, ``_sum_along``), as the Reeb derivative of
 :mod:`coskit.variational` does.
 
+Only exact zeros are skipped, and a skip changes no bit.  The stencil's
+paired differences of a field that is finite, bitwise constant and, on
+a closed chart, equal to its own push-forward by one period are +0.0
+wherever they are read; ``gradient`` and ``exterior_derivative`` return
+those zeros without stencilling, and ``lie_derivative`` forms no
+gradient of such a direction (the suspension forms tau dt and V dx^dy,
+its Reeb field tau^{-1} d_t, the flat co-Kaehler metric).  The
+open t-axis of a box chart is never skipped: its one-sided rows need not
+cancel exactly.
+
 Inner products of tensors use full index contraction with g and its
 inverse: one factor of g per contravariant slot pair, one factor of
 g^{-1} per covariant slot pair.  This is the norm entering the torsion
@@ -22,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, _field_components, _on_slot, _sum_along, partial_derivative
+from .grids import Grid, _field_components, _on_slot, _sum_along, _transported, \
+    partial_derivative
 
 _EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -54,9 +65,41 @@ class TensorField:
             self.data = np.broadcast_to(self.data, expected).copy()
 
 
+def _stencil_is_zero(data: np.ndarray, sig: str, grid: Grid) -> bool:
+    """True when every stencil difference of data is exactly +0.0.
+
+    So it is when data is finite, bitwise constant (-0.0 and +0.0 differ)
+    and on a closed chart, and when on a twisted chart two t-slabs (the
+    ghost width; all slabs are equal) pushed forward by +1 and -1 period
+    equal it bit for bit: then each paired difference of grids._centered
+    is x - x = +0.0.  A few probe points reject a varying field before
+    any full pass.
+    """
+    if grid.open_t or data.dtype != np.float64:
+        return False
+    first = data[0, 0, 0]
+    if not np.all(np.isfinite(first)):
+        return False
+    m, n = grid.shape[:2]
+    probes = data[[m - 1, m // 2, 1], [n // 3, n - 1, n // 2], [n // 2, n // 3, n - 1]]
+    bits = first.view(np.int64)
+    if not np.all(probes.view(np.int64) == bits) or not np.all(data.view(np.int64) == bits):
+        return False
+    return grid.is_flat or all(
+        np.all(_transported(data[:2], sig, grid, periods).view(np.int64) == bits)
+        for periods in (1, -1))
+
+
 def gradient(data: np.ndarray, sig: str, grid: Grid) -> np.ndarray:
-    """All three partials, stacked into a new leading derivative slot."""
-    out = np.empty(data.shape[:3] + (3,) + data.shape[3:])
+    """All three partials, stacked into a new leading derivative slot.
+
+    Zeros, with no stencil, where the stencil would return exact zeros
+    (see _stencil_is_zero): the same bits.
+    """
+    out_shape = data.shape[:3] + (3,) + data.shape[3:]
+    if _stencil_is_zero(data, sig, grid):
+        return np.zeros(out_shape)
+    out = np.empty(out_shape)
     for ax in range(3):
         out[:, :, :, ax] = partial_derivative(data, sig, grid, ax)
     return out
@@ -164,21 +207,28 @@ def _check_antisymmetric(data: np.ndarray, k: int):
 
 
 def exterior_derivative(omega: TensorField) -> TensorField:
-    """d on 0-, 1- and 2-forms; centered stencils give d(d .) = 0 to roundoff."""
+    """d on 0-, 1- and 2-forms; centered stencils give d(d .) = 0 to roundoff.
+
+    A form whose stencil gradient is exactly zero (constant and carried
+    to itself across the seam, such as the suspension's tau dt and
+    V dx^dy) gets the zero (k+1)-form directly, the same bits as the
+    stencilled sum.
+    """
     k = len(omega.sig)
     if omega.sig != "d" * k:
         raise TensorCalculusError("exterior derivative expects a covariant form")
+    if k > 2:
+        raise TensorCalculusError(f"no {k}-forms beyond top degree in dimension 3")
     _check_antisymmetric(omega.data, k)
-    grad = gradient(omega.data, omega.sig, omega.grid)
-    if k == 0:
-        return TensorField(omega.grid, grad, "d")
+    grid, sig = omega.grid, "d" * (k + 1)
+    if _stencil_is_zero(omega.data, omega.sig, grid):
+        return TensorField(grid, np.zeros(grid.shape + (3,) * (k + 1)), sig)
+    grad = gradient(omega.data, omega.sig, grid)
     if k == 1:
-        d = grad - np.swapaxes(grad, 3, 4)
-        return TensorField(omega.grid, d, "dd")
-    if k == 2:
-        d = grad - np.swapaxes(grad, 3, 4) + np.moveaxis(grad, 3, 5)
-        return TensorField(omega.grid, d, "ddd")
-    raise TensorCalculusError(f"no {k}-forms beyond top degree in dimension 3")
+        grad = grad - np.swapaxes(grad, 3, 4)
+    elif k == 2:
+        grad = grad - np.swapaxes(grad, 3, 4) + np.moveaxis(grad, 3, 5)
+    return TensorField(grid, grad, sig)
 
 
 # -- Lie derivative -------------------------------------------------------
@@ -206,18 +256,21 @@ def lie_derivative(t: TensorField, x: TensorField) -> TensorField:
 
     Only exact zeros are skipped: T is stenciled only along the axes c
     where X^c is nonzero somewhere, and the d X terms are dropped when
-    the stencil gradient of X is exactly zero (a constant field such as
-    the suspension Reeb field (1/tau) d_t).  The result is the full sum
-    bit for bit.
+    the stencil gradient of X is exactly zero.  For a constant X carried
+    to itself across the seam, such as the suspension Reeb field
+    (1/tau) d_t, that gradient is not formed at all (see
+    _stencil_is_zero).  The result is the full sum bit for bit.
     """
     if x.sig != "u":
         raise TensorCalculusError("Lie derivative direction must be a vector field")
     grid = t.grid
     out = _sum_along(_field_components(x.data),
                      lambda c: partial_derivative(t.data, t.sig, grid, c), t.data.shape)
-    grad_x = gradient(x.data, x.sig, grid)      # [c, a] = d_c X^a
-    if np.any(grad_x):
-        out -= _derivation(t.data, t.sig, np.swapaxes(grad_x, -1, -2))
+    # no zeros array for a field whose stencil gradient is exactly zero
+    if not _stencil_is_zero(x.data, x.sig, grid):
+        grad_x = gradient(x.data, x.sig, grid)      # [c, a] = d_c X^a
+        if np.any(grad_x):
+            out -= _derivation(t.data, t.sig, np.swapaxes(grad_x, -1, -2))
     return TensorField(grid, out, t.sig)
 
 

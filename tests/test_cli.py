@@ -602,3 +602,27 @@ def test_verify_passes_ill_conditioned_gluing():
                       "grid": {"n_torus": 16}})
     assert report["residuals"]["metric_reconstruction"] > 1e-8
     assert report["pass"], report["failures"]
+
+
+@pytest.mark.parametrize("model, skipped, stencilled", [
+    ({"model": "hyperbolic", "matrix": [2, 1, 1, 1]}, 9, 27),
+    ({"model": "hyperbolic", "matrix": [-2, 1, 1, -1]}, 9, 27),
+    ({"model": "contact_t3"}, 37, 40),
+], ids=["hyperbolic-trace+", "hyperbolic-trace-", "contact_t3"])
+def test_verify_stencil_passes(monkeypatch, model, skipped, stencilled):
+    # a suspension's d alpha, d beta and Reeb-field gradient are exact zeros,
+    # and skipping them saves 18 of its 27 passes; on the contact testbed only
+    # Christoffel's gradient of the constant metric (2 pi n)^2 dt^2 + dx^2 + dy^2
+    real = ck.grids._centered
+    p = cli.resolve_config({"experiment": "verify", "model": model,
+                            "grid": {"n_torus": 8, "n_fiber": 8}})
+
+    def passes():
+        seen = []
+        monkeypatch.setattr(ck.grids, "_centered", lambda *args: seen.append(1) or real(*args))
+        assert cli._run_verify(p)["failures"] == []
+        return len(seen)
+
+    assert passes() == skipped
+    monkeypatch.setattr(ck.tensors, "_stencil_is_zero", lambda *args: False)
+    assert passes() == stencilled

@@ -196,9 +196,14 @@ def test_covariant_derivative_linear_in_direction(crit32):
 # formula, stacking all three partials and contracting them with X by einsum
 
 
+def stencil_gradient(data, sig, grid):
+    """All three partials by partial_derivative, axis by axis, with no skip."""
+    return np.stack([ck.partial_derivative(data, sig, grid, a) for a in range(3)], axis=3)
+
+
 def lie_reference(t, x):
-    grad_t = tensors.gradient(t.data, t.sig, t.grid)
-    grad_x = tensors.gradient(x.data, x.sig, t.grid)
+    grad_t = stencil_gradient(t.data, t.sig, t.grid)
+    grad_x = stencil_gradient(x.data, x.sig, t.grid)
     gax, slots = [0, 1, 2], list(range(4, 4 + len(t.sig)))
     out = np.einsum(grad_t, gax + [3] + slots, x.data, gax + [3], gax + slots)
     out -= tensors._derivation(t.data, t.sig, np.swapaxes(grad_x, -1, -2))
@@ -270,6 +275,148 @@ def test_reeb_kernels_stencil_only_nonzero_axes(monkeypatch, chart, calls):
     assert sum(d is lg.data for d in seen) == calls
 
 
+
+
+# -- exact-zero derivatives ------------------------------------------------------
+# a finite, bitwise constant field that the seam carries to itself has an
+# exactly zero stencil gradient, and gradient and exterior_derivative return
+# it without a stencil; each skipped result must equal the stencilled one
+# bit for bit, compared by tobytes() so that a -0.0 shows
+
+
+def unskipped(monkeypatch, fn, *args):
+    """fn(*args) with the exact-zero skip turned off: the stencilled result."""
+    with monkeypatch.context() as m:
+        m.setattr(tensors, "_stencil_is_zero", lambda *a: False)
+        return fn(*args)
+
+
+def refuse_stencils(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("stencil run on an exact-zero field")
+    monkeypatch.setattr(tensors, "partial_derivative", refuse)
+
+
+SUSPENSIONS = [(matrix, tau, area) for matrix in ([[2, 1], [1, 1]], [[-2, 1], [1, -1]])
+               for tau in (0.7, 1.0) for area in (1.0, 2.0)]
+
+
+def suspension_id(case):
+    matrix, tau, area = case
+    return f"trace{'+' if matrix[0][0] > 0 else '-'}-tau{tau}-V{area}"
+
+
+def critical8(matrix, tau, area):
+    model = ck.build_hyperbolic_model(matrix, tau=tau, area=area)
+    return ck.critical_metric(model, Grid(8, 8, model.matrix))
+
+
+@pytest.fixture(scope="module", params=[None] + SUSPENSIONS,
+                ids=lambda c: "flat" if c is None else suspension_id(c))
+def constant_structure(request):
+    """(tau dt, V dx^dy, tau^-1 d_t) on the flat chart and on suspensions of both trace signs."""
+    if request.param is None:
+        return ck.flat_cokahler(Grid(8, 8))[0]
+    return critical8(*request.param)[0]
+
+
+def test_exact_zero_forms_skip_bit_identical(constant_structure, monkeypatch):
+    grid = constant_structure.grid
+    scalar = TensorField(grid, np.full(grid.shape, 2.5), "")
+    fields = (scalar, constant_structure.alpha, constant_structure.beta)
+    grads = [unskipped(monkeypatch, tensors.gradient, f.data, f.sig, grid) for f in fields]
+    ds = [unskipped(monkeypatch, exterior_derivative, f).data for f in fields]
+    for f, grad in zip(fields, grads):
+        assert grad.tobytes() == stencil_gradient(f.data, f.sig, grid).tobytes()
+    refuse_stencils(monkeypatch)
+    for f, grad, d in zip(fields, grads, ds):
+        assert tensors._stencil_is_zero(f.data, f.sig, grid)
+        assert tensors.gradient(f.data, f.sig, grid).tobytes() == grad.tobytes()
+        out = exterior_derivative(f)
+        assert out.sig == "d" * (len(f.sig) + 1)
+        assert out.data.tobytes() == d.tobytes()
+
+
+@pytest.mark.parametrize("case", SUSPENSIONS, ids=suspension_id)
+def test_lie_along_suspension_reeb_skip_bit_identical(case, monkeypatch):
+    structure, metric = critical8(*case)
+    reeb = structure.reeb
+    fields = (metric.g, metric.phi, structure.alpha, structure.beta)
+    refs = [unskipped(monkeypatch, lie_derivative, f, reeb).data for f in fields]
+    stenciled = []
+    real = tensors.partial_derivative
+
+    def recording(data, *args):
+        stenciled.append(data)
+        return real(data, *args)
+
+    monkeypatch.setattr(tensors, "partial_derivative", recording)
+    for f, ref in zip(fields, refs):
+        assert lie_derivative(f, reeb).data.tobytes() == ref.tobytes()
+    assert not any(d is reeb.data for d in stenciled)
+
+
+def test_christoffel_flat_cokahler_skip_bit_identical(flat8, monkeypatch):
+    _, metric = flat8
+    ref = unskipped(monkeypatch, christoffel, metric.g, metric.ginv)
+    refuse_stencils(monkeypatch)
+    assert christoffel(metric.g, metric.ginv).tobytes() == ref.tobytes()
+
+
+def seam_moved(grid, sig):
+    data = np.zeros(grid.shape + (3,))
+    data[..., 1] = 1.0                      # dx, or d_x
+    return TensorField(grid, data, sig)
+
+
+@pytest.mark.parametrize("matrix", [[[2, 1], [1, 1]], [[-2, 1], [1, -1]]], ids=["L+", "L-"])
+@pytest.mark.parametrize("sig", ["d", "u"])
+def test_no_skip_on_constant_field_the_seam_moves(matrix, sig):
+    # dx and d_x are constant on the chart, but the gluing carries them to
+    # other constants, so their t-derivative is nonzero at the seam
+    grid = Grid(8, 8, matrix)
+    f = seam_moved(grid, sig)
+    assert not tensors._stencil_is_zero(f.data, sig, grid)
+    grad = tensors.gradient(f.data, sig, grid)
+    assert grad.tobytes() == stencil_gradient(f.data, sig, grid).tobytes()
+    assert np.any(grad[[0, 1, -2, -1], :, :, 0])
+    assert not np.any(grad[2:-2])
+    if sig == "d":
+        d = exterior_derivative(f).data
+        assert np.any(d[0]) and not np.any(d[2:-2])
+
+
+def test_no_skip_on_open_box():
+    structure, metric = ck.sol_model(1.0, ck.sol_box_grid(8, 16))
+    grid = structure.grid
+    for f in (structure.alpha, structure.beta, structure.reeb):
+        assert not tensors._stencil_is_zero(f.data, f.sig, grid)
+        assert tensors.gradient(f.data, f.sig, grid).tobytes() \
+            == stencil_gradient(f.data, f.sig, grid).tobytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_no_skip_on_nonfinite_constant(value):
+    for grid in (Grid(8, 8), Grid(8, 8, [[2, 1], [1, 1]])):
+        data = np.full(grid.shape + (3,), value)
+        assert not tensors._stencil_is_zero(data, "d", grid)
+        with np.errstate(invalid="ignore"):
+            grad = tensors.gradient(data, "d", grid)
+            d = exterior_derivative(TensorField(grid, data, "d")).data
+        assert np.all(np.isnan(grad)) and np.all(np.isnan(d))   # inf - inf, nan - nan
+
+
+def test_no_skip_past_the_probes():
+    # one point off the probes breaks constancy; so does one -0.0 among
+    # +0.0, whose stencil gradient holds -0.0 entries
+    grid = Grid(8, 8, [[2, 1], [1, 1]])
+    for value in (1.0 + 2.0 ** -52, -0.0):
+        data = np.zeros(grid.shape + (3,)) if value == 0.0 else np.ones(grid.shape + (3,))
+        data[3, 2, 5, 1] = value
+        assert not tensors._stencil_is_zero(data, "u", grid)
+        grad = tensors.gradient(data, "u", grid)
+        assert grad.tobytes() == stencil_gradient(data, "u", grid).tobytes()
+        assert np.any(np.signbit(grad)) if value == 0.0 else np.any(grad)
 
 
 # -- Hodge star ---------------------------------------------------------------
