@@ -14,9 +14,9 @@ their sup-norm residuals; nothing downstream trusts a metric that did
 not pass through the certifier.
 
 A certified metric holds g, the read-only g^{-1} its certifier formed,
-and the certificate; phi and the Levi-Civita connection are derived
-from that g^{-1} on first use and then kept.  g and g^{-1} are one
-snapshot, so g.data must not be mutated after certification.
+and the certificate; phi, the one derived field kept, is formed from
+that g^{-1} on first use.  g and g^{-1} are one snapshot, so g.data
+must not be mutated after certification.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import numpy as np
 
 from . import tensors
 from .grids import Grid, integrate
-from .tensors import TensorField, christoffel, exterior_derivative, hodge_star, \
-    inverse_metric, lie_derivative
+from .tensors import TensorField, exterior_derivative, hodge_star, inverse_metric, \
+    lie_derivative
 
 FLAVORS = ("cosymplectic", "general_r_invariant")
 
@@ -94,9 +94,9 @@ class CompatibleMetric:
     """A certified compatible metric: g, g^{-1} and the certificate.
 
     g^{-1} is the read-only inverse that certify_compatible formed; phi =
-    g^{-1} beta and the Levi-Civita connection are derived from it on
-    first use.  g and g^{-1} are one snapshot: do not mutate g.data
-    after certification.
+    g^{-1} beta, the one derived field kept, is formed from it on first
+    use.  g and g^{-1} are one snapshot: do not mutate g.data after
+    certification.
     """
 
     structure: Structure
@@ -115,11 +115,6 @@ class CompatibleMetric:
     @cached_property
     def phi(self) -> TensorField:
         return TensorField(self.grid, self.ginv @ self.structure.beta.data, "ud")
-
-    @cached_property
-    def connection(self) -> np.ndarray:
-        """Christoffel symbols Gamma^k_{ij} as a [k, i, j] array."""
-        return christoffel(self.g, self.ginv)
 
     def h_tensor(self) -> TensorField:
         """h = (1/2) L_R phi; symmetric, anticommutes with phi, kills R."""

@@ -1,7 +1,7 @@
 """Coordinate tensor calculus on grid charts.
 
-Exterior derivative, Lie derivative, Levi-Civita connection, covariant
-derivative along a vector field, Hodge star of 1-forms, and pointwise
+Exterior derivative, Lie derivative, covariant derivative along a vector
+field (from a given nabla X), Hodge star of 1-forms, and pointwise
 symmetric eigendecomposition.  All operations are pure functions from
 sampled component arrays to fresh arrays; tensor slots follow the
 conventions of :mod:`coskit.grids` (slot axes start at array axis 3,
@@ -283,10 +283,10 @@ def lie_bracket(x: TensorField, y: TensorField) -> TensorField:
 def christoffel(g: TensorField, ginv: np.ndarray) -> np.ndarray:
     """Levi-Civita Gamma^k_{ij} = (1/2) g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij}).
 
-    The index l is raised by the slot kernel: the bracket, read as a
-    pointwise 9 x 3 matrix from l to the pair (i, j), acts on the l slot
-    of g^{kl}.  So Gamma comes out as a C-contiguous [k, i, j] array, the
-    layout whose slices Gamma^k_{a j} covariant_derivative reads fastest.
+    No run path builds it; the tests check the Reeb covariant derivatives
+    against it.  The index l is raised by the slot kernel: the bracket,
+    read as a pointwise 9 x 3 matrix from l to the pair (i, j), acts on the
+    l slot of g^{kl}, so Gamma comes out as a C-contiguous [k, i, j] array.
     ginv is g^{-1} as its caller holds it (a certified metric's ginv); g
     is not checked here.
     """
@@ -299,21 +299,14 @@ def christoffel(g: TensorField, ginv: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def covariant_derivative(t: TensorField, gamma: np.ndarray, x: TensorField) -> TensorField:
-    """nabla_X T = sum_a X^a (d_a T + D_m T), D_m the derivation of m = Gamma^k_{a j}.
+def covariant_derivative(t: TensorField, x: TensorField, nabla_x: np.ndarray) -> TensorField:
+    """nabla_X T = L_X T + D_m T for the torsion-free nabla, D_m the derivation of m = nabla_x.
 
-    (See _derivation.)  The sum runs only over the axes where X^a is
-    nonzero somewhere, and the rank+1 array nabla T is never built; the
-    result is the full contraction bit for bit.
+    m[a, c] = nabla_c X^a is the caller's (see _derivation); no Gamma is formed.
     """
-    grid = t.grid
-
-    def along(a):
-        d = partial_derivative(t.data, t.sig, grid, a)
-        d += _derivation(t.data, t.sig, gamma[..., :, a, :])
-        return d
-
-    return TensorField(grid, _sum_along(_field_components(x.data), along, t.data.shape), t.sig)
+    out = lie_derivative(t, x).data
+    out += _derivation(t.data, t.sig, nabla_x)
+    return TensorField(t.grid, out, t.sig)
 
 
 # -- Hodge star -----------------------------------------------------------

@@ -88,8 +88,21 @@ def energy(metric: CompatibleMetric) -> float:
     return metric.structure.integrate(_torsion(metric))
 
 
+def _reeb_connection(metric: CompatibleMetric):
+    """T = L_R g, dalpha+ and nabla R = (g^-1 T - dalpha+) / 2; see euler_lagrange_residual."""
+    t = lie_derivative(metric.g, metric.structure.reeb)
+    dap = d_alpha_plus(metric).data
+    return t, dap, 0.5 * (metric.ginv @ t.data - dap)
+
+
 def euler_lagrange_residual(metric: CompatibleMetric) -> TensorField:
     """nabla_R L_R g - (L_R g)(., dalpha+ .), the Euler-Lagrange field of the energy.
+
+    With T = L_R g, nabla_R S = L_R S + D(nabla R) S with nabla R =
+    (1/2) (g^-1 T - dalpha+) and D the derivation of tensors._derivation:
+    for a compatible metric (alpha = g(R, .)) the Koszul formula gives
+    g(nabla_X R, Y) = (1/2) (T(X, Y) + d alpha(X, Y)), and no Christoffel
+    symbols are formed.
 
     The first variation pairs it with tangent fields only, so a metric is
     critical iff its tangential part (tangent_project) vanishes; on the
@@ -106,12 +119,9 @@ def euler_lagrange_residual(metric: CompatibleMetric) -> TensorField:
     -2 <EL, H> approaches first_variation, the exact derivative of the
     discrete energy, at 4th order.
     """
-    structure = metric.structure
-    lg = lie_derivative(metric.g, structure.reeb)
-    nabla = covariant_derivative(lg, metric.connection, structure.reeb)
-    dap = d_alpha_plus(metric)
-    el = nabla.data
-    el -= lg.data @ dap.data
+    lg, dap, nabla_r = _reeb_connection(metric)
+    el = covariant_derivative(lg, metric.structure.reeb, nabla_r).data
+    el -= lg.data @ dap
     return TensorField(metric.grid, el, "dd")
 
 
@@ -122,8 +132,8 @@ def euler_lagrange_supnorm(metric: CompatibleMetric) -> float:
 
 def nabla_r_h_residual(metric: CompatibleMetric) -> float:
     """sup |nabla_R h|; vanishes iff the metric is critical (cosymplectic case)."""
-    nh = covariant_derivative(metric.h_tensor(), metric.connection,
-                              metric.structure.reeb)
+    nh = covariant_derivative(metric.h_tensor(), metric.structure.reeb,
+                              _reeb_connection(metric)[2])
     return float(np.sqrt(np.max(tensor_norm2(nh.data, "ud", metric.g.data, metric.ginv))))
 
 

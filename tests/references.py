@@ -37,11 +37,18 @@ def nijenhuis(phi):
 def covariant_gradient(t, gamma):
     """nabla T with a new leading covariant slot: d_a T + D_m T per axis a, m = Gamma^k_{a j}.
 
-    The terms of coskit's covariant_derivative along a field, before the
-    contraction with the field.
+    The Levi-Civita form that coskit's covariant_derivative, the Lie
+    derivative plus the derivation of a given nabla X, is checked against.
     """
     out = np.empty(t.data.shape[:3] + (3,) + t.data.shape[3:])
     for a in range(3):
         out[:, :, :, a] = partial_derivative(t.data, t.sig, t.grid, a) \
             + _derivation(t.data, t.sig, gamma[..., :, a, :])
     return TensorField(t.grid, out, "d" + t.sig)
+
+
+def covariant_reference(t, gamma, x):
+    """nabla_X T from the Christoffel symbols gamma: covariant_gradient contracted with X."""
+    out = covariant_gradient(t, gamma).data
+    gax, slots = [0, 1, 2], list(range(4, 4 + len(t.sig)))
+    return np.einsum(out, gax + [3] + slots, x.data, gax + [3], gax + slots)

@@ -9,7 +9,7 @@ from coskit import dynamics as dy, variational as va
 from coskit.cosymplectic import ALGEBRAIC_CERT_KEYS, CompatibleMetric, StructureError, \
     certify_compatible, polar_compatible_metric
 from coskit.grids import Grid
-from coskit.tensors import TensorField, christoffel, inverse_metric
+from coskit.tensors import TensorField, inverse_metric
 from coskit.variational import energy, random_global_scalar
 
 
@@ -135,8 +135,8 @@ def test_polar_degenerate_beta_raises(flat16):
 
 def test_certified_metric_inverts_g_once(monkeypatch, model):
     # one inversion per certification along certify -> first variation ->
-    # curve pair -> energies; phi, the connection and every g^-1 contraction
-    # read the certifier's inverse
+    # curve pair -> energies; phi and every g^-1 contraction read the
+    # certifier's inverse
     grid = Grid(8, 8, model.matrix)
     chart = va.deformation_chart(model, grid)
     hyper = va.deform(chart, va.random_deformation(grid, seed=2, amplitude=0.25))
@@ -175,24 +175,7 @@ def test_phi_and_connection_bit_identical_to_fresh_inverse(crit16_gluing):
     _, contact = ck.contact_t3_testbed(1, Grid(8, 8))
     for m in (metric, contact):
         assert np.array_equal(m.phi.data, inverse_metric(m.g.data) @ m.structure.beta.data)
-        assert np.array_equal(m.connection, christoffel(m.g, inverse_metric(m.g.data)))
-        assert m.phi is m.phi and m.connection is m.connection
-
-
-def test_connection_builds_christoffel_once(monkeypatch, flat8):
-    # Gamma is built by the one public builder, so the benchmark's tracer
-    # sees it, and only on the first read of the cached property
-    calls = []
-
-    def counting(g, ginv):
-        calls.append(g)
-        return christoffel(g, ginv)
-
-    monkeypatch.setattr(cosymplectic, "christoffel", counting)
-    _, metric = flat8
-    fresh = certify_compatible(metric.structure, metric.g)
-    assert fresh.connection is fresh.connection
-    assert calls == [fresh.g]
+        assert m.phi is m.phi
 
 
 def test_certified_inverse_is_read_only(flat8):

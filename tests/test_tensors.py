@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 import coskit as ck
-from coskit import grids, tensors
+from coskit import cli, grids, tensors
 from coskit.grids import Grid
 from coskit.tensors import TensorField, TensorCalculusError, christoffel, \
     covariant_derivative, exterior_derivative, hodge_star, inverse_metric, lie_bracket, \
     lie_derivative, sqrtm_spd, symmetric_eigen, tensor_norm2
 from coskit import variational as va
 from coskit.variational import random_global_scalar
-from references import covariant_gradient, nijenhuis
+from references import covariant_gradient, covariant_reference, nijenhuis
 
 
 def sup(a):
@@ -141,11 +141,11 @@ def test_christoffel_eigenframe_closed_form(model):
 
 def test_metric_compatibility_and_geodesic_reeb(crit32):
     structure, metric = crit32
-    gamma = metric.connection
+    gamma = christoffel(metric.g, metric.ginv)
     ng = covariant_gradient(metric.g, gamma)
     assert sup(ng.data) < 1e-11
-    nr = covariant_derivative(structure.reeb, gamma, structure.reeb)
-    assert sup(nr.data) < 1e-12
+    nr = covariant_reference(structure.reeb, gamma, structure.reeb)
+    assert sup(nr) < 1e-12
 
 
 def test_nabla_g_machine_zero_any_metric(model):
@@ -163,8 +163,8 @@ def test_nabla_g_machine_zero_any_metric(model):
 def test_nabla_r_phi_on_compatible_metrics(crit32, model):
     from coskit import variational as va
     structure, metric = crit32
-    nphi = covariant_derivative(metric.phi, metric.connection, structure.reeb)
-    assert sup(nphi.data) < 1e-11
+    nphi = covariant_reference(metric.phi, christoffel(metric.g, metric.ginv), structure.reeb)
+    assert sup(nphi) < 1e-11
     # deformed compatible metric: residual is stencil error, 4th order
     # (16^3 is preasymptotic for mode-3 content, so measure 32 -> 64)
     sups = []
@@ -172,21 +172,26 @@ def test_nabla_r_phi_on_compatible_metrics(crit32, model):
         grid = Grid(n, n, model.matrix)
         chart = va.deformation_chart(model, grid)
         gt = va.deform(chart, va.random_deformation(grid, seed=7, amplitude=0.3))
-        nphi_t = covariant_derivative(gt.phi, christoffel(gt.g, gt.ginv), chart.structure.reeb)
-        sups.append(sup(nphi_t.data))
+        nphi_t = covariant_reference(gt.phi, christoffel(gt.g, gt.ginv), chart.structure.reeb)
+        sups.append(sup(nphi_t))
     assert sups[0] < 0.05
     assert sups[0] / sups[1] > 2 ** 3.5
 
 
 def test_covariant_derivative_linear_in_direction(crit32):
     structure, metric = crit32
+    gamma = christoffel(metric.g, metric.ginv)
     rng = np.random.default_rng(8)
     x = TensorField(metric.grid, np.broadcast_to(rng.random(3), metric.grid.shape + (3,)).copy(), "u")
     y = TensorField(metric.grid, np.broadcast_to(rng.random(3), metric.grid.shape + (3,)).copy(), "u")
     both = TensorField(metric.grid, x.data + 2.0 * y.data, "u")
-    da = covariant_derivative(metric.phi, metric.connection, x).data
-    db = covariant_derivative(metric.phi, metric.connection, y).data
-    dc = covariant_derivative(metric.phi, metric.connection, both).data
+
+    def along(v):
+        # nabla_c V^a, the (1,1) field that covariant_derivative takes
+        return covariant_derivative(metric.phi, v,
+                                    np.swapaxes(covariant_gradient(v, gamma).data, -1, -2)).data
+
+    da, db, dc = along(x), along(y), along(both)
     assert sup(dc - da - 2.0 * db) < 1e-12
 
 
@@ -208,12 +213,6 @@ def lie_reference(t, x):
     out = np.einsum(grad_t, gax + [3] + slots, x.data, gax + [3], gax + slots)
     out -= tensors._derivation(t.data, t.sig, np.swapaxes(grad_x, -1, -2))
     return out
-
-
-def covariant_reference(t, gamma, x):
-    out = covariant_gradient(t, gamma).data
-    gax, slots = [0, 1, 2], list(range(4, 4 + len(t.sig)))
-    return np.einsum(out, gax + [3] + slots, x.data, gax + [3], gax + slots)
 
 
 RESTRICTION_GLUINGS = {"L0": [[2, 1], [1, 1]], "L1": [[-2, 1], [1, -1]], "L2": [[3, 1], [2, 1]]}
@@ -243,8 +242,10 @@ def test_reeb_kernels_bit_identical_to_full_gradient(reeb_case):
     lg = lie_derivative(metric.g, reeb)
     assert np.all(lg.data == lie_reference(metric.g, reeb))
     assert np.all(lie_derivative(metric.phi, reeb).data == lie_reference(metric.phi, reeb))
-    nabla = covariant_derivative(lg, metric.connection, reeb)
-    assert np.all(nabla.data == covariant_reference(lg, metric.connection, reeb))
+    nabla_r = va._reeb_connection(metric)[2]
+    nabla = covariant_derivative(lg, reeb, nabla_r)
+    ref = lie_reference(lg, reeb) + tensors._derivation(lg.data, "dd", nabla_r)
+    assert np.all(nabla.data == ref)
 
 
 @pytest.mark.parametrize("chart, calls", [("suspension", 1), ("contact", 2), ("tilted", 3)])
@@ -260,7 +261,7 @@ def test_reeb_kernels_stencil_only_nonzero_axes(monkeypatch, chart, calls):
     if chart == "tilted":
         reeb = TensorField(reeb.grid, reeb.data + np.array([1.0, 0.0, 0.0]), "u")
     lg = lie_derivative(metric.g, reeb)
-    gamma = metric.connection
+    nabla_r = va._reeb_connection(metric)[2]
     seen = []
 
     def counting(data, *args):
@@ -271,8 +272,58 @@ def test_reeb_kernels_stencil_only_nonzero_axes(monkeypatch, chart, calls):
     lie_derivative(metric.g, reeb)
     assert sum(d is metric.g.data for d in seen) == calls
     seen.clear()
-    covariant_derivative(lg, gamma, reeb)
+    covariant_derivative(lg, reeb, nabla_r)
     assert sum(d is lg.data for d in seen) == calls
+
+
+# -- the Reeb covariant derivatives against the Christoffel form -----------------
+# coskit forms nabla_R S as L_R S + D(nabla R) S with nabla R = (g^-1 T - dalpha+) / 2,
+# T = L_R g; the reference is christoffel and covariant_gradient contracted with R
+
+
+def reeb_residuals_and_references(metric):
+    """(EL, reference EL, nabla_R h, reference nabla_R h) of a compatible metric."""
+    reeb = metric.structure.reeb
+    gamma = christoffel(metric.g, metric.ginv)
+    lg = lie_derivative(metric.g, reeb)
+    el_ref = covariant_reference(lg, gamma, reeb) - lg.data @ ck.d_alpha_plus(metric).data
+    del lg
+    h = metric.h_tensor()
+    nh = covariant_derivative(h, reeb, va._reeb_connection(metric)[2]).data
+    return va.euler_lagrange_residual(metric).data, el_ref, nh, covariant_reference(h, gamma, reeb)
+
+
+def metric_sup(metric, data, sig):
+    return float(np.sqrt(np.max(tensor_norm2(data, sig, metric.g.data, metric.ginv))))
+
+
+def test_reeb_covariant_derivatives_match_christoffel(reeb_case):
+    # the suspension's R = (1/tau) d_t and g(R, .) = tau dt are constant, so
+    # both forms take the same differences and agree to roundoff (at most
+    # 0.015 roundoff scales at 16^3); on the undeformed contact testbed and
+    # the Sol box they agree bit for bit
+    metric = reeb_case
+    el, el_ref, nh, nh_ref = reeb_residuals_and_references(metric)
+    scale = cli._roundoff_scale(metric)
+    assert metric_sup(metric, el - el_ref, "dd") <= scale
+    assert metric_sup(metric, nh - nh_ref, "ud") <= scale
+    assert va.nabla_r_h_residual(metric) == metric_sup(metric, nh, "ud")
+
+
+def test_reeb_covariant_derivatives_converge_to_christoffel_on_deformed_contact():
+    # a deformed contact metric: R is not constant, and the two forms are
+    # different 4th-order discretizations (ratios 10.8 from 16^3 to 32^3 and
+    # 14.5 from 32^3 to 64^3)
+    diffs = []
+    for n in (32, 64):
+        _, g0 = ck.contact_t3_testbed(1, Grid(n, n))
+        metric = va.exponential_curve(g0, va.random_tangent(g0, np.random.default_rng(1), 0.3), 1)
+        del g0
+        el, el_ref, nh, nh_ref = reeb_residuals_and_references(metric)
+        diffs.append((metric_sup(metric, el - el_ref, "dd"), metric_sup(metric, nh - nh_ref, "ud")))
+        del metric, el, el_ref, nh, nh_ref
+    for coarse, fine in zip(*diffs):
+        assert np.log2(coarse / fine) >= 3.5
 
 
 
@@ -475,7 +526,7 @@ def test_nijenhuis_covariant_derivative_identity(crit32):
     structure, metric = crit32
     rng = np.random.default_rng(12)
     n = nijenhuis(metric.phi).data
-    nphi = covariant_gradient(metric.phi, metric.connection)
+    nphi = covariant_gradient(metric.phi, christoffel(metric.g, metric.ginv))
     for _ in range(4):
         x = rng.standard_normal(3)
         y = rng.standard_normal(3)
@@ -772,8 +823,8 @@ def test_tensor_layer_calls_no_einsum(monkeypatch):
     reeb = structure.reeb
     assert np.any(tensors.gradient(reeb.data, "u", reeb.grid))    # the slot terms run
     lg = lie_derivative(metric.g, reeb)
-    gamma = christoffel(metric.g, metric.ginv)
-    covariant_derivative(lg, gamma, reeb)
+    covariant_gradient(lg, christoffel(metric.g, metric.ginv))
+    covariant_derivative(lg, reeb, va._reeb_connection(metric)[2])
     tensor_norm2(lg.data, "dd", metric.g.data, metric.ginv)
     hodge_star(structure.alpha, tensors.check_positive_definite(metric.g.data),
                structure.orientation, ginv=metric.ginv)

@@ -406,7 +406,7 @@ def test_first_variation_builds_no_connection(monkeypatch, model):
     rng = np.random.default_rng(19)
     cases = [(base, va.random_tangent(base, rng, 0.1, model=model)),
              (contact, va.random_tangent(contact, rng, 0.1))]
-    for module, name in ((tensors, "christoffel"), (cosymplectic, "christoffel"),
+    for module, name in ((tensors, "christoffel"),
                          (tensors, "covariant_derivative"), (va, "covariant_derivative"),
                          (cosymplectic, "d_alpha_plus"), (va, "d_alpha_plus")):
         refuse(module, name)
