@@ -16,7 +16,9 @@ not pass through the certifier.
 A certified metric holds g, the read-only g^{-1} its certifier formed,
 and the certificate; phi, the one derived field kept, is formed from
 that g^{-1} on first use.  g and g^{-1} are one snapshot, so g.data
-must not be mutated after certification.
+must not be mutated after certification.  The models enforce this: they
+pass g at the axes it varies along, so TensorField stores it as a
+read-only broadcast view and a write raises ValueError.
 """
 
 from __future__ import annotations

@@ -151,8 +151,7 @@ def critical_metric(model: HyperbolicModel, grid: Grid) -> tuple[Structure, Comp
     identity exactly (exponential algebra, no discretization).
     """
     structure = suspension_structure(model, grid)
-    t = np.broadcast_to(grid.t, grid.shape)
-    g = TensorField(grid, model.metric_matrix(t), "dd")
+    g = TensorField(grid, model.metric_matrix(grid.t), "dd")
     return structure, certify_compatible(structure, g)
 
 
@@ -167,11 +166,10 @@ def critical_frame(model: HyperbolicModel, grid: Grid):
     only up to overall sign when lambda < 0; all quadratic
     combinations are single-valued.
     """
-    t = np.broadcast_to(grid.t, grid.shape)
-    ep, em = model.frame_vectors(t)
+    ep, em = model.frame_vectors(grid.t)
 
     def torus_vec(xy):
-        data = np.zeros(grid.shape + (3,))
+        data = np.zeros(xy.shape[:-1] + (3,))
         data[..., 1:] = xy
         return TensorField(grid, data, "u")
 
@@ -187,8 +185,7 @@ def flat_cokahler(grid: Grid) -> tuple[Structure, CompatibleMetric]:
     if not grid.is_flat:
         raise ValueError("flat co-Kaehler model needs an untwisted grid")
     structure = _constant_structure(grid, 1.0, 1.0)
-    g = TensorField(grid, np.broadcast_to(np.eye(3), grid.shape + (3, 3)).copy(), "dd")
-    return structure, certify_compatible(structure, g)
+    return structure, certify_compatible(structure, TensorField(grid, np.eye(3), "dd"))
 
 
 # -- Sol model on an open box chart -----------------------------------------
@@ -227,22 +224,18 @@ def sol_model(mu: float, grid: Grid) -> tuple[Structure, CompatibleMetric]:
         raise ValueError("sol model lives on an open box chart")
     model = SolModel(float(mu))
     structure = _constant_structure(grid, mu, 1.0)
-    t = np.broadcast_to(grid.t, grid.shape)
-    g = TensorField(grid, model.metric_matrix(t), "dd")
-    metric = certify_compatible(structure, g)
-    return structure, metric
+    g = TensorField(grid, model.metric_matrix(grid.t), "dd")
+    return structure, certify_compatible(structure, g)
 
 
 def sol_frame(grid: Grid) -> tuple[TensorField, TensorField, TensorField]:
     """(Y, X_+, X_-) = (d_t, e^t d_{x+}, e^{-t} d_{x-}): the sol basis fields."""
-    t = np.broadcast_to(grid.t, grid.shape)
-    y = np.zeros(grid.shape + (3,))
-    y[..., 0] = 1.0
-    xp = np.zeros(grid.shape + (3,))
+    t = grid.t
+    xp = np.zeros(t.shape + (3,))
     xp[..., 1] = np.exp(t)
-    xm = np.zeros(grid.shape + (3,))
+    xm = np.zeros(t.shape + (3,))
     xm[..., 2] = np.exp(-t)
-    return (TensorField(grid, y, "u"), TensorField(grid, xp, "u"),
+    return (TensorField(grid, [1.0, 0.0, 0.0], "u"), TensorField(grid, xp, "u"),
             TensorField(grid, xm, "u"))
 
 
@@ -268,25 +261,22 @@ def contact_t3_testbed(winding: int, grid: Grid) -> tuple[Structure, CompatibleM
         raise ValueError("contact testbed needs an untwisted grid")
     n = int(winding)
     w = 2.0 * np.pi * n
-    t = np.broadcast_to(grid.t, grid.shape)
-    c, s = np.cos(w * t), np.sin(w * t)
+    c, s = np.cos(w * grid.t), np.sin(w * grid.t)
 
-    alpha = np.zeros(grid.shape + (3,))
+    alpha = np.zeros(c.shape + (3,))
     alpha[..., 1] = c
     alpha[..., 2] = s
-    beta = np.zeros(grid.shape + (3, 3))
+    beta = np.zeros(c.shape + (3, 3))
     beta[..., 0, 1] = -w * s
     beta[..., 1, 0] = w * s
     beta[..., 0, 2] = w * c
     beta[..., 2, 0] = -w * c
-    reeb = np.zeros(grid.shape + (3,))
-    reeb[..., 1] = c
-    reeb[..., 2] = s
-    g = np.broadcast_to(np.diag([w * w, 1.0, 1.0]), grid.shape + (3, 3)).copy()
+    g = np.diag([w * w, 1.0, 1.0])
 
+    # R has alpha's components; both are read-only views of one array
     structure = Structure(grid, TensorField(grid, alpha, "d"),
                           TensorField(grid, beta, "dd"),
-                          TensorField(grid, reeb, "u"), "general_r_invariant")
+                          TensorField(grid, alpha, "u"), "general_r_invariant")
     return structure, certify_compatible(structure, TensorField(grid, g, "dd"))
 
 

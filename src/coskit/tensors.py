@@ -10,15 +10,19 @@ their terms along the field by the kernel of :mod:`coskit.grids`
 (``_field_components``, ``_sum_along``), as the Reeb derivative of
 :mod:`coskit.variational` does.
 
-Only exact zeros are skipped, and a skip changes no bit.  The stencil's
-paired differences of a field that is finite, bitwise constant and, on
+A field is stored at the axes it varies along: a ``TensorField`` built
+from fewer grid axes than the chart keeps a read-only broadcast view, so
+its strides are zero on the axes it does not vary along (the suspension
+forms tau dt and V dx^dy and its Reeb field tau^{-1} d_t on all three,
+the critical metric on x and y).  Only exact zeros are skipped, and a
+skip changes no bit.  The stencil's paired differences of a field that
+is finite, stored constant (zero strides on all three grid axes) and, on
 a closed chart, equal to its own push-forward by one period are +0.0
 wherever they are read; ``gradient`` and ``exterior_derivative`` return
 those zeros without stencilling, and ``lie_derivative`` forms no
-gradient of such a direction (the suspension forms tau dt and V dx^dy,
-its Reeb field tau^{-1} d_t, the flat co-Kaehler metric).  The
-open t-axis of a box chart is never skipped: its one-sided rows need not
-cancel exactly.
+gradient of such a direction.  A full-shape array is never skipped: its
+stencil gives the same zeros at full cost.  The open t-axis of a box
+chart is never skipped: its one-sided rows need not cancel exactly.
 
 Inner products of tensors use full index contraction with g and its
 inverse: one factor of g per contravariant slot pair, one factor of
@@ -51,7 +55,12 @@ class TensorField:
 
     data has shape grid.shape + (3,)*rank; sig is one 'u'/'d' per slot
     in storage order.  Components refer to the coordinate basis
-    (t, x, y).
+    (t, x, y).  Input of that shape is kept as given, with no copy.
+    Input with fewer grid axes (a constant (3,)*rank array, or a
+    (M, 1, 1) + (3,)*rank field of t alone) is kept as a read-only
+    np.broadcast_to view, with zero strides on the axes it does not
+    vary along: no memory per grid point, and the exact-zero skip reads
+    constancy off the strides (see _stencil_is_zero).
     """
 
     grid: Grid
@@ -59,34 +68,30 @@ class TensorField:
     sig: str
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
+        data = np.asarray(self.data, dtype=float)
         expected = self.grid.shape + (3,) * len(self.sig)
-        if self.data.shape != expected:
-            self.data = np.broadcast_to(self.data, expected).copy()
+        self.data = data if data.shape == expected else np.broadcast_to(data, expected)
 
 
 def _stencil_is_zero(data: np.ndarray, sig: str, grid: Grid) -> bool:
     """True when every stencil difference of data is exactly +0.0.
 
-    So it is when data is finite, bitwise constant (-0.0 and +0.0 differ)
-    and on a closed chart, and when on a twisted chart two t-slabs (the
-    ghost width; all slabs are equal) pushed forward by +1 and -1 period
-    equal it bit for bit: then each paired difference of grids._centered
-    is x - x = +0.0.  A few probe points reject a varying field before
-    any full pass.
+    So it is when data is float64, stored constant (zero strides on all
+    three grid axes, as TensorField keeps a constant), finite and on a
+    closed chart, and when on a twisted chart one t-slab (all slabs are
+    the same memory) pushed forward by +1 and -1 period equals it bit for
+    bit (-0.0 and +0.0 differ): then each paired difference of
+    grids._centered is x - x = +0.0.  A full-shape array is never
+    skipped, whatever it holds.
     """
-    if grid.open_t or data.dtype != np.float64:
+    if grid.open_t or data.dtype != np.float64 or any(data.strides[:3]):
         return False
     first = data[0, 0, 0]
     if not np.all(np.isfinite(first)):
         return False
-    m, n = grid.shape[:2]
-    probes = data[[m - 1, m // 2, 1], [n // 3, n - 1, n // 2], [n // 2, n // 3, n - 1]]
     bits = first.view(np.int64)
-    if not np.all(probes.view(np.int64) == bits) or not np.all(data.view(np.int64) == bits):
-        return False
     return grid.is_flat or all(
-        np.all(_transported(data[:2], sig, grid, periods).view(np.int64) == bits)
+        np.all(_transported(data[:1], sig, grid, periods).view(np.int64) == bits)
         for periods in (1, -1))
 
 
@@ -209,10 +214,10 @@ def _check_antisymmetric(data: np.ndarray, k: int):
 def exterior_derivative(omega: TensorField) -> TensorField:
     """d on 0-, 1- and 2-forms; centered stencils give d(d .) = 0 to roundoff.
 
-    A form whose stencil gradient is exactly zero (constant and carried
-    to itself across the seam, such as the suspension's tau dt and
-    V dx^dy) gets the zero (k+1)-form directly, the same bits as the
-    stencilled sum.
+    A form whose stencil gradient is exactly zero (stored constant and
+    carried to itself across the seam, such as the suspension's tau dt
+    and V dx^dy) gets the zero (k+1)-form directly, stored constant, the
+    same bits as the stencilled sum.
     """
     k = len(omega.sig)
     if omega.sig != "d" * k:
@@ -222,7 +227,7 @@ def exterior_derivative(omega: TensorField) -> TensorField:
     _check_antisymmetric(omega.data, k)
     grid, sig = omega.grid, "d" * (k + 1)
     if _stencil_is_zero(omega.data, omega.sig, grid):
-        return TensorField(grid, np.zeros(grid.shape + (3,) * (k + 1)), sig)
+        return TensorField(grid, np.zeros((3,) * (k + 1)), sig)
     grad = gradient(omega.data, omega.sig, grid)
     if k == 1:
         grad = grad - np.swapaxes(grad, 3, 4)
@@ -256,8 +261,8 @@ def lie_derivative(t: TensorField, x: TensorField) -> TensorField:
 
     Only exact zeros are skipped: T is stenciled only along the axes c
     where X^c is nonzero somewhere, and the d X terms are dropped when
-    the stencil gradient of X is exactly zero.  For a constant X carried
-    to itself across the seam, such as the suspension Reeb field
+    the stencil gradient of X is exactly zero.  For a stored-constant X
+    carried to itself across the seam, such as the suspension Reeb field
     (1/tau) d_t, that gradient is not formed at all (see
     _stencil_is_zero).  The result is the full sum bit for bit.
     """

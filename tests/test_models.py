@@ -124,6 +124,41 @@ def test_suspension_structure_flavor_residuals(crit32, flat16, contact32):
     assert res["d_beta"] < 1e-13
 
 
+# -- storage --------------------------------------------------------------------------
+# each model field is stored at the grid axes it varies along, with zero
+# strides elsewhere; a copy to the full shape would lose both the memory
+# saving and the exact-zero skip, which reads constancy off the strides
+
+
+def varying_axes(field):
+    return tuple(a for a in range(3) if field.data.strides[a])
+
+
+@pytest.mark.parametrize("matrix", [[[2, 1], [1, 1]], [[-2, 1], [1, -1]]], ids=["L+", "L-"])
+def test_model_fields_stored_at_the_axes_they_vary_along(matrix):
+    model = build_hyperbolic_model(matrix)
+    box = ck.sol_box_grid(8, 8)
+    fields = {}
+    for name, (structure, metric) in (
+            ("critical", critical_metric(model, Grid(8, 8, model.matrix))),
+            ("flat", ck.flat_cokahler(Grid(8, 8))),
+            ("contact", ck.contact_t3_testbed(1, Grid(8, 8))),
+            ("sol", ck.sol_model(1.0, box))):
+        for part in ("alpha", "beta", "reeb"):
+            fields[f"{name}.{part}"] = getattr(structure, part)
+        fields[f"{name}.g"] = metric.g
+    for i, f in enumerate(ck.critical_frame(model, Grid(8, 8, model.matrix))):
+        fields[f"critical_frame[{i}]"] = f
+    for i, f in enumerate(ck.sol_frame(box)):
+        fields[f"sol_frame[{i}]"] = f
+    t_only = {"critical.g", "contact.alpha", "contact.beta", "contact.reeb", "sol.g",
+              "critical_frame[0]", "critical_frame[1]", "critical_frame[2]",
+              "critical_frame[3]", "sol_frame[1]", "sol_frame[2]"}
+    for name, f in fields.items():
+        assert f.data.shape[:3] == f.grid.shape
+        assert varying_axes(f) == ((0,) if name in t_only else ()), name
+
+
 # -- Sol model ---------------------------------------------------------------------
 
 

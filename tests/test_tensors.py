@@ -328,11 +328,35 @@ def test_reeb_covariant_derivatives_converge_to_christoffel_on_deformed_contact(
 
 
 
-# -- exact-zero derivatives ------------------------------------------------------
-# a finite, bitwise constant field that the seam carries to itself has an
-# exactly zero stencil gradient, and gradient and exterior_derivative return
-# it without a stencil; each skipped result must equal the stencilled one
-# bit for bit, compared by tobytes() so that a -0.0 shows
+# -- storage and exact-zero derivatives ------------------------------------------
+# a TensorField keeps input with fewer grid axes as a read-only broadcast view;
+# a finite, stored-constant field (zero strides on all three grid axes) that
+# the seam carries to itself has an exactly zero stencil gradient, and
+# gradient and exterior_derivative return it without a stencil; each skipped
+# result must equal the stencilled one bit for bit, compared by tobytes() so
+# that a -0.0 shows
+
+
+def test_full_shape_input_kept_as_given():
+    grid = Grid(8, 8)
+    data = np.random.default_rng(0).random(grid.shape + (3, 3))
+    f = TensorField(grid, data, "dd")
+    assert f.data is data and f.data.flags.writeable
+
+
+@pytest.mark.parametrize("data, strides", [
+    (np.eye(3), (0, 0, 0, 24, 8)),
+    (np.arange(8.0).reshape(8, 1, 1, 1, 1) * np.eye(3), (72, 0, 0, 24, 8)),
+], ids=["constant", "t-only"])
+def test_fewer_grid_axes_stored_as_zero_stride_view(data, strides):
+    grid = Grid(8, 8)
+    f = TensorField(grid, data, "dd")
+    assert f.data.shape == grid.shape + (3, 3) and f.data.strides == strides
+    assert np.shares_memory(f.data, data)
+    with pytest.raises(ValueError):
+        f.data[0, 0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        f.data += 1.0
 
 
 def unskipped(monkeypatch, fn, *args):
@@ -373,12 +397,17 @@ def constant_structure(request):
 
 def test_exact_zero_forms_skip_bit_identical(constant_structure, monkeypatch):
     grid = constant_structure.grid
-    scalar = TensorField(grid, np.full(grid.shape, 2.5), "")
+    scalar = TensorField(grid, 2.5, "")
     fields = (scalar, constant_structure.alpha, constant_structure.beta)
     grads = [unskipped(monkeypatch, tensors.gradient, f.data, f.sig, grid) for f in fields]
     ds = [unskipped(monkeypatch, exterior_derivative, f).data for f in fields]
     for f, grad in zip(fields, grads):
         assert grad.tobytes() == stencil_gradient(f.data, f.sig, grid).tobytes()
+    # the same scalar as a full array is stencilled, to the same bytes
+    full = TensorField(grid, np.full(grid.shape, 2.5), "")
+    assert not tensors._stencil_is_zero(full.data, full.sig, grid)
+    assert tensors.gradient(full.data, full.sig, grid).tobytes() == grads[0].tobytes()
+    assert exterior_derivative(full).data.tobytes() == ds[0].tobytes()
     refuse_stencils(monkeypatch)
     for f, grad, d in zip(fields, grads, ds):
         assert tensors._stencil_is_zero(f.data, f.sig, grid)
@@ -414,9 +443,12 @@ def test_christoffel_flat_cokahler_skip_bit_identical(flat8, monkeypatch):
     assert christoffel(metric.g, metric.ginv).tobytes() == ref.tobytes()
 
 
-def seam_moved(grid, sig):
+def seam_moved(grid, sig, stored):
+    """dx, or d_x: stored constant, or as a full array."""
+    if stored:
+        return TensorField(grid, [0.0, 1.0, 0.0], sig)
     data = np.zeros(grid.shape + (3,))
-    data[..., 1] = 1.0                      # dx, or d_x
+    data[..., 1] = 1.0
     return TensorField(grid, data, sig)
 
 
@@ -424,17 +456,20 @@ def seam_moved(grid, sig):
 @pytest.mark.parametrize("sig", ["d", "u"])
 def test_no_skip_on_constant_field_the_seam_moves(matrix, sig):
     # dx and d_x are constant on the chart, but the gluing carries them to
-    # other constants, so their t-derivative is nonzero at the seam
+    # other constants, so their t-derivative is nonzero at the seam; the
+    # stored constant passes the stride test and is refused by the seam check
     grid = Grid(8, 8, matrix)
-    f = seam_moved(grid, sig)
-    assert not tensors._stencil_is_zero(f.data, sig, grid)
-    grad = tensors.gradient(f.data, sig, grid)
-    assert grad.tobytes() == stencil_gradient(f.data, sig, grid).tobytes()
-    assert np.any(grad[[0, 1, -2, -1], :, :, 0])
-    assert not np.any(grad[2:-2])
-    if sig == "d":
-        d = exterior_derivative(f).data
-        assert np.any(d[0]) and not np.any(d[2:-2])
+    for stored in (True, False):
+        f = seam_moved(grid, sig, stored)
+        assert not any(f.data.strides[:3]) if stored else all(f.data.strides[:3])
+        assert not tensors._stencil_is_zero(f.data, sig, grid)
+        grad = tensors.gradient(f.data, sig, grid)
+        assert grad.tobytes() == stencil_gradient(f.data, sig, grid).tobytes()
+        assert np.any(grad[[0, 1, -2, -1], :, :, 0])
+        assert not np.any(grad[2:-2])
+        if sig == "d":
+            d = exterior_derivative(f).data
+            assert np.any(d[0]) and not np.any(d[2:-2])
 
 
 def test_no_skip_on_open_box():
@@ -448,19 +483,28 @@ def test_no_skip_on_open_box():
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_no_skip_on_nonfinite_constant(value):
+    # the stored constant passes the stride test and is refused as not finite
     for grid in (Grid(8, 8), Grid(8, 8, [[2, 1], [1, 1]])):
-        data = np.full(grid.shape + (3,), value)
-        assert not tensors._stencil_is_zero(data, "d", grid)
-        with np.errstate(invalid="ignore"):
-            grad = tensors.gradient(data, "d", grid)
-            d = exterior_derivative(TensorField(grid, data, "d")).data
-        assert np.all(np.isnan(grad)) and np.all(np.isnan(d))   # inf - inf, nan - nan
+        for data in (np.full(grid.shape + (3,), value),
+                     TensorField(grid, np.full(3, value), "d").data):
+            assert not tensors._stencil_is_zero(data, "d", grid)
+            with np.errstate(invalid="ignore"):
+                grad = tensors.gradient(data, "d", grid)
+                d = exterior_derivative(TensorField(grid, data, "d")).data
+            assert np.all(np.isnan(grad)) and np.all(np.isnan(d))   # inf - inf, nan - nan
 
 
-def test_no_skip_past_the_probes():
-    # one point off the probes breaks constancy; so does one -0.0 among
-    # +0.0, whose stencil gradient holds -0.0 entries
+def test_no_skip_on_full_arrays():
+    # a full-shape array is never skipped: a constant one is stencilled to
+    # the same zeros, and one point breaks constancy, as does one -0.0
+    # among +0.0, whose stencil gradient holds -0.0 entries
     grid = Grid(8, 8, [[2, 1], [1, 1]])
+    d_t = TensorField(grid, [1.0, 0.0, 0.0], "u").data
+    constant = np.array(d_t)
+    assert tensors._stencil_is_zero(d_t, "u", grid)
+    assert not tensors._stencil_is_zero(constant, "u", grid)
+    assert tensors.gradient(constant, "u", grid).tobytes() \
+        == tensors.gradient(d_t, "u", grid).tobytes()
     for value in (1.0 + 2.0 ** -52, -0.0):
         data = np.zeros(grid.shape + (3,)) if value == 0.0 else np.ones(grid.shape + (3,))
         data[3, 2, 5, 1] = value
