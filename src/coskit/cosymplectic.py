@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tensors
-from .grids import Grid, integrate
+from .grids import Grid, _stored_constant, integrate
 from .tensors import TensorField, exterior_derivative, hodge_star, inverse_metric, \
     lie_derivative
 
@@ -181,10 +181,15 @@ def d_alpha_plus(metric: CompatibleMetric) -> TensorField:
     """(1,1) metric dual of d alpha: g(., dalpha+ .) = d alpha.
 
     Vanishes on cosymplectic charts and equals phi on contact charts.
+    Where exterior_derivative returns d alpha as its stored-constant
+    zero, dalpha+ is that zero too, with no g^-1 product: g^-1 0 is +0.0
+    at every point, since each row of a positive definite g^-1 has a
+    positive diagonal entry.
     """
-    dalpha = exterior_derivative(metric.structure.alpha).data
-    plus = metric.ginv @ dalpha
-    return TensorField(metric.grid, plus, "ud")
+    dalpha = exterior_derivative(metric.structure.alpha)
+    if _stored_constant(dalpha.data):
+        return TensorField(metric.grid, dalpha.data[0, 0, 0], "ud")
+    return TensorField(metric.grid, metric.ginv @ dalpha.data, "ud")
 
 
 # -- polar-decomposition metric builder -----------------------------------

@@ -209,10 +209,19 @@ def _transported(data: np.ndarray, index_sig: str, grid: Grid, n: int) -> np.nda
     The matrices are exact integer powers, so on integer-valued data
     whose carried values stay below 2^53, ``_transported(_transported(f,
     n), m)`` equals ``_transported(f, n + m)`` bit for bit.  Works on any
-    number of t-slabs, e.g. the ghost slabs of :func:`_padded`.
+    number of t-slabs, e.g. the ghost slabs of :func:`_padded`.  Data
+    whose torus axes have size 1 (a field constant over the torus, stored
+    as its t-column) is its own gather, and only its slots are carried.
     """
     (a, _), (a_inv, (pi, pj)) = _period_pair(grid, n)
-    return _contract_slots(data[:, pi, pj], index_sig, a, a_inv)
+    if data.shape[1:3] != (1, 1):
+        data = data[:, pi, pj]
+    return _contract_slots(data, index_sig, a, a_inv)
+
+
+def _stored_constant(data: np.ndarray) -> bool:
+    """True when data has zero strides on all three grid axes: one value, stored once."""
+    return not any(data.strides[:3])
 
 
 def _contract_slots(data: np.ndarray, index_sig: str, mat: np.ndarray,

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, _field_components, _on_slot, _sum_along, _transported, \
-    partial_derivative
+from .grids import Grid, _field_components, _on_slot, _stored_constant, _sum_along, \
+    _transported, partial_derivative
 
 _EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -84,7 +84,7 @@ def _stencil_is_zero(data: np.ndarray, sig: str, grid: Grid) -> bool:
     grids._centered is x - x = +0.0.  A full-shape array is never
     skipped, whatever it holds.
     """
-    if grid.open_t or data.dtype != np.float64 or any(data.strides[:3]):
+    if grid.open_t or data.dtype != np.float64 or not _stored_constant(data):
         return False
     first = data[0, 0, 0]
     if not np.all(np.isfinite(first)):
@@ -206,7 +206,16 @@ _ANTISYMMETRY_TOL = 1e-9
 
 
 def _check_antisymmetric(data: np.ndarray, k: int):
-    if k == 2 and np.max(np.abs(data + np.swapaxes(data, 3, 4))) \
+    """TensorCalculusError unless a 2-form is antisymmetric to _ANTISYMMETRY_TOL.
+
+    A stored constant (zero strides on all three grid axes) is checked
+    at one point, which holds every value the field has.
+    """
+    if k != 2:
+        return
+    if _stored_constant(data):
+        data = data[:1, :1, :1]
+    if np.max(np.abs(data + np.swapaxes(data, 3, 4))) \
             > _ANTISYMMETRY_TOL * max(1.0, np.max(np.abs(data))):
         raise TensorCalculusError("input form is not antisymmetric")
 

@@ -19,7 +19,9 @@ pipeline; the family's closed-form torsion is checked against
 torsion_report in the test suite.  Every Reeb derivative here is a sum
 along the Reeb field by the kernel of :mod:`coskit.grids`
 (``_field_components``, ``_sum_along``), the one that the Lie and
-covariant derivatives use.
+covariant derivatives use.  A (u, r) state constant over the torus is
+evaluated and descended on its t-column, with every sum taken over the
+full grid, so it gives the bits of the full-grid computation.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .cosymplectic import CompatibleMetric, Structure, certify_compatible, d_alpha_plus
-from .grids import Grid, _field_components, _sum_along, partial_derivative
+from .grids import Grid, _field_components, _stored_constant, _sum_along, partial_derivative
 from .models import HyperbolicModel, critical_frame
 from .tensors import TensorField, check_positive_definite, covariant_derivative, \
     lie_derivative, tensor_norm2
@@ -89,9 +91,15 @@ def energy(metric: CompatibleMetric) -> float:
 
 
 def _reeb_connection(metric: CompatibleMetric):
-    """T = L_R g, dalpha+ and nabla R = (g^-1 T - dalpha+) / 2; see euler_lagrange_residual."""
+    """T = L_R g, dalpha+ and nabla R = (g^-1 T - dalpha+) / 2; see euler_lagrange_residual.
+
+    dalpha+ is None where d_alpha_plus returns it as a stored-constant
+    zero (cosymplectic charts): subtracting its +0.0 changes no bit.
+    """
     t = lie_derivative(metric.g, metric.structure.reeb)
     dap = d_alpha_plus(metric).data
+    if _stored_constant(dap):
+        return t, None, 0.5 * (metric.ginv @ t.data)
     return t, dap, 0.5 * (metric.ginv @ t.data - dap)
 
 
@@ -109,8 +117,9 @@ def euler_lagrange_residual(metric: CompatibleMetric) -> TensorField:
     suspension's critical metrics the whole residual cancels to roundoff.
     It is no test of criticality on its own: on the contact_t3 testbed it
     is tangent, of sup norm sqrt(2), and the energy falls along it.  On
-    cosymplectic charts dalpha+ vanishes (up to stencil error) and
-    the residual reduces to nabla_R L_R g.  The cross term carries
+    cosymplectic charts dalpha+ vanishes (exactly where d alpha is a
+    stored-constant zero, and then its terms are not formed) and the
+    residual reduces to nabla_R L_R g.  The cross term carries
     coefficient 1 here because this package uses the determinant
     convention for the exterior derivative ((da)(X,Y) = X a(Y) - Y a(X)
     on coordinate fields); almost-contact sources that normalize d with
@@ -121,7 +130,8 @@ def euler_lagrange_residual(metric: CompatibleMetric) -> TensorField:
     """
     lg, dap, nabla_r = _reeb_connection(metric)
     el = covariant_derivative(lg, metric.structure.reeb, nabla_r).data
-    el -= lg.data @ dap
+    if dap is not None:
+        el -= lg.data @ dap
     return TensorField(metric.grid, el, "dd")
 
 
@@ -323,13 +333,15 @@ def energy_gap(d: Deformation, mu: float, structure: Structure) -> GapReport:
     """E(g~) - E(g) = int [2 (2 mu r + r R(u) - R(r))^2 + 2 R(u)^2] alpha ^ beta >= 0.
 
     The objective that minimize_energy descends (_gap_and_gradient), with
-    its preconditions.  The discarded term 8 mu R(u) integrates to zero
-    exactly on the twisted grid (stencil shifts are grid bijections); its
-    quadrature residual is reported as a certificate of the discrete
-    divergence theorem.
+    its preconditions, on the same state: the (u, r) t-column where the
+    deformation is constant over the torus (see _state), with the bits of
+    the full-grid evaluation.  The discarded term 8 mu R(u) integrates to
+    zero exactly on the twisted grid (stencil shifts are grid
+    bijections); its quadrature residual is reported as a certificate of
+    the discrete divergence theorem.
     """
     components, weight = _gap_setup(structure)
-    gap, ru, _ = _gap_and_gradient(np.stack((d.u, d.r), axis=-1), mu, components,
+    gap, ru, _ = _gap_and_gradient(_state(d, components), mu, components,
                                    structure.grid, weight)
     return GapReport(gap=gap, divergence_residual=structure.integrate(8.0 * mu * ru))
 
@@ -440,15 +452,28 @@ class OptimizationResult:
     grad_norm2: list[float] = dc_field(default_factory=list)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of a b over both stacked components, summed per component in order."""
-    return float(np.sum(a[..., 0] * b[..., 0]) + np.sum(a[..., 1] * b[..., 1]))
+def _grid_sum(a: np.ndarray, shape: tuple) -> float:
+    """Sum of a over the grid, a broadcast into a new contiguous array of ``shape``.
+
+    A t-column and its full-grid copy give the same bits: the sum runs
+    over the same array in the same order.  Summing the column with a
+    multiplicity would round differently.
+    """
+    full = np.empty(shape)
+    full[...] = a
+    return np.sum(full)
 
 
-def _bb_step(dx: np.ndarray, dg: np.ndarray, step: float) -> float:
+def _dot(a: np.ndarray, b: np.ndarray, shape: tuple) -> float:
+    """Grid sum of a b over both stacked components, summed per component in order."""
+    return float(_grid_sum(a[..., 0] * b[..., 0], shape)
+                 + _grid_sum(a[..., 1] * b[..., 1], shape))
+
+
+def _bb_step(dx: np.ndarray, dg: np.ndarray, step: float, shape: tuple) -> float:
     """Barzilai-Borwein step dx.dx / dx.dg; ``step`` unchanged unless dx.dg > 0."""
-    denom = _dot(dx, dg)
-    return _dot(dx, dx) / denom if denom > 0 else step
+    denom = _dot(dx, dg, shape)
+    return _dot(dx, dx, shape) / denom if denom > 0 else step
 
 
 def _gap_setup(structure: Structure):
@@ -470,12 +495,30 @@ def _gap_setup(structure: Structure):
     return components, abs(float(dens.flat[0])) * ht * hx * hy
 
 
+def _state(d: Deformation, components) -> np.ndarray:
+    """The stacked state x = (u, r), as its (M, 1, 1, 2) t-column when it is one.
+
+    That is when every torus point of each t-slab holds the same bits
+    (-0.0 and +0.0 differ) and R has only a t-component, so that R(x) is
+    constant over the torus too; every state built from
+    random_global_scalar is.  Any other state is kept at full shape.
+    """
+    x = np.stack((d.u, d.r), axis=-1)
+    col = x[:, :1, :1]
+    if any(c != 0 for c, _ in components) or np.any(x.view(np.int64) != col.view(np.int64)):
+        return x
+    return col.copy()
+
+
 def _gap_and_gradient(x, mu, components, grid, weight):
     """Energy gap at the stacked state x = (u, r), R(u), and its deferred gradient.
 
-    R acts on both stacked scalars at once.  The gradient costs a second
-    stencil call, so it is returned as a function that the descent calls
-    only at the trials it accepts.
+    R acts on both stacked scalars at once.  x is the full grid or its
+    t-column (see _state): every pointwise step is the same on both, and
+    the gap is summed over the full grid (_grid_sum), so both give the
+    same bits.  The gradient costs a second stencil call, so it is
+    returned as a function that the descent calls only at the trials it
+    accepts.
     """
     def reeb(f):
         return _sum_along(components, lambda c: partial_derivative(f, "", grid, c), f.shape)
@@ -483,7 +526,7 @@ def _gap_and_gradient(x, mu, components, grid, weight):
     d = reeb(x)
     r, ru, rr = x[..., 1], d[..., 0], d[..., 1]
     a = 2.0 * mu * r + r * ru - rr
-    gap = float(np.sum(2.0 * a ** 2 + 2.0 * ru ** 2) * weight)
+    gap = float(_grid_sum(2.0 * a ** 2 + 2.0 * ru ** 2, grid.shape) * weight)
 
     def gradient() -> np.ndarray:
         dy = reeb(np.stack((4.0 * a * r + 4.0 * ru, 4.0 * a), axis=-1))
@@ -513,7 +556,9 @@ def minimize_energy(initial: Deformation, mu: float, structure: Structure,
     making progress: it finds no Armijo step, or its accepted step
     leaves the gap unchanged in floating point.  The result records, per
     accepted step, the step size, the backtrack count and the squared
-    gradient norm.
+    gradient norm.  A start constant over the torus descends on its
+    (M, 1, 1) t-column (see _state), every sum still taken over the full
+    grid, so the result has the bits of the full-grid descent.
     """
     grid = structure.grid
     if initial.grid != grid:
@@ -525,7 +570,7 @@ def minimize_energy(initial: Deformation, mu: float, structure: Structure,
     final = Deformation(grid, initial.u, initial.r)
     components, weight = _gap_setup(structure)
 
-    x = np.stack((initial.u, initial.r), axis=-1)
+    x = _state(initial, components)
     gap, ru, gradient = _gap_and_gradient(x, mu, components, grid, weight)
     history, step_sizes, backtracks, grad_norm2 = [gap], [], [], []
     step = _STEP0
@@ -535,9 +580,9 @@ def minimize_energy(initial: Deformation, mu: float, structure: Structure,
     for n in range(steps):
         g, gradient = gradient(), None
         if prev is not None:
-            step = _bb_step(x - prev[0], g - prev[1], step)
+            step = _bb_step(x - prev[0], g - prev[1], step, grid.shape)
             prev = None
-        gnorm2 = _dot(g, g)
+        gnorm2 = _dot(g, g, grid.shape)
         if gnorm2 == 0.0:
             converged = True
             break

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import coskit as ck
-from coskit.grids import Grid, GridError, _period_pair, _torus_permutation, \
+from coskit.grids import Grid, GridError, _period_pair, _torus_permutation, _transported, \
     integrate, partial_derivative, seam_transport, shift
 
 
@@ -302,6 +302,24 @@ def test_period_transport_is_shared_and_read_only(mat):
             assert not (a.flags.writeable or pi.flags.writeable or pj.flags.writeable)
         # memoized per (N, L, n): an equal grid gets the same arrays
         assert _period_pair(Grid(16, 8, np.array(mat)), n) is pair
+
+
+@pytest.mark.parametrize("mat", GLUINGS[:2], ids=GLUING_IDS[:2])
+@pytest.mark.parametrize("sig", ["", "u", "dd"])
+def test_transported_column_is_its_own_gather(mat, sig):
+    # a (k, 1, 1) + slots t-column skips the torus gather; carried by the
+    # same slot matrices, it gives the bits of its full-shape copy, on
+    # both trace signs
+    grid = Grid(8, 16, np.array(mat))
+    rng = np.random.default_rng(7)
+    for k in (1, 2, 5):
+        column = rng.standard_normal((k, 1, 1) + (3,) * len(sig))
+        full = np.broadcast_to(column, (k,) + grid.shape[1:] + column.shape[3:]).copy()
+        for n in (1, -1, 2, -3):
+            moved = _transported(column, sig, grid, n)
+            expected = _transported(full, sig, grid, n)
+            assert moved.shape == column.shape
+            assert np.broadcast_to(moved, expected.shape).tobytes() == expected.tobytes()
 
 
 def test_discrete_divergence_theorem(model, grid32):

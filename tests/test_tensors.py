@@ -73,6 +73,26 @@ def test_d_rejects_nonantisymmetric():
         exterior_derivative(bad)
 
 
+def test_antisymmetry_check_on_stored_constant_and_full_form():
+    # a stored constant is checked at one point: the same verdict and the
+    # same exception as the full-shape copy, checked at every point
+    grid = Grid(8, 8, [[2, 1], [1, 1]])
+    bad = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, -2.5, 0.0]])
+    stored = TensorField(grid, bad, "dd")
+    assert not any(stored.data.strides[:3])
+    for form in (stored, TensorField(grid, np.broadcast_to(bad, grid.shape + (3, 3)).copy(),
+                                     "dd")):
+        with pytest.raises(TensorCalculusError, match="not antisymmetric"):
+            exterior_derivative(form)
+    good = bad - bad.T
+    exterior_derivative(TensorField(grid, good, "dd"))
+    # one bad point of a full-shape form is found
+    full = np.broadcast_to(good, grid.shape + (3, 3)).copy()
+    full[3, 4, 5] = bad
+    with pytest.raises(TensorCalculusError, match="not antisymmetric"):
+        exterior_derivative(TensorField(grid, full, "dd"))
+
+
 # -- Lie derivative ---------------------------------------------------------
 
 

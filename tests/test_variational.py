@@ -5,7 +5,7 @@ import coskit as ck
 from coskit import cosymplectic, tensors
 from coskit.cosymplectic import ALGEBRAIC_CERT_KEYS, polar_compatible_metric
 from coskit.grids import Grid, _torus_permutation, partial_derivative
-from coskit.tensors import TensorField, symmetric_eigen
+from coskit.tensors import TensorField, covariant_derivative, symmetric_eigen
 from coskit import variational as va
 from references import torsion_closed_forms
 
@@ -90,6 +90,30 @@ def test_el_vs_nabla_r_h_ratio(model):
         el = va.euler_lagrange_supnorm(gt)
         nh = va.nabla_r_h_residual(gt)
         assert 0.25 < el / nh < 4.0
+
+
+@pytest.mark.parametrize("mat", [[[2, 1], [1, 1]], [[-2, 1], [1, -1]]], ids=["trace+", "trace-"])
+def test_zero_dalpha_plus_terms_skipped_with_the_same_bits(mat):
+    # on a cosymplectic chart d alpha is a stored-constant zero, so dalpha+
+    # is one too and neither g^-1 dalpha nor the EL cross term is formed;
+    # the results have the bits of the formulas with g^-1 @ 0 spelled out
+    model = ck.build_hyperbolic_model(mat, tau=0.7, area=2.0)
+    grid = Grid(8, 8, model.matrix)
+    chart = va.deformation_chart(model, grid)
+    contact = ck.contact_t3_testbed(1, Grid(8, 8))[1]
+    assert any(ck.d_alpha_plus(contact).data.strides[:3])
+    for metric in (chart.metric, va.deform(chart, va.random_deformation(grid, 3, 0.2))):
+        dap = ck.d_alpha_plus(metric).data
+        assert not any(dap.strides[:3])
+        zero_plus = metric.ginv @ np.zeros(grid.shape + (3, 3))
+        assert np.broadcast_to(dap, zero_plus.shape).tobytes() == zero_plus.tobytes()
+        lg, skipped, nabla_r = va._reeb_connection(metric)
+        assert skipped is None
+        nabla_ref = 0.5 * (metric.ginv @ lg.data - zero_plus)
+        assert nabla_r.tobytes() == nabla_ref.tobytes()
+        el_ref = covariant_derivative(lg, metric.structure.reeb, nabla_ref).data
+        el_ref -= lg.data @ zero_plus
+        assert va.euler_lagrange_residual(metric).data.tobytes() == el_ref.tobytes()
 
 
 # -- tangent space -----------------------------------------------------------------
@@ -627,16 +651,53 @@ def _reference_minimize(initial, mu, structure, steps, step0=1e-2):
     return history, u, r, n_done, converged
 
 
+def _torus_varying_start(grid: Grid, seed: int) -> va.Deformation:
+    """random_deformation plus a torus part that is constant on each orbit of L.
+
+    L permutes the N x N torus points, so f(p, t + 1) = f(Lp, t) still
+    holds at every grid point, while no t-slab is constant.
+    """
+    n = grid.n_torus
+    pi, pj = _torus_permutation(n, grid.monodromy)
+    orbit = np.full((n, n), -1)
+    for label, p in enumerate(np.ndindex(n, n)):
+        while orbit[p] < 0:     # label the cycle of the permutation through p
+            orbit[p] = label
+            p = (pi[p], pj[p])
+    assert len(np.unique(orbit)) > 1
+    rng = np.random.default_rng(seed)
+    d = va.random_deformation(grid, seed, amplitude=0.3)
+    for field in (d.u, d.r):
+        field += 0.05 * rng.standard_normal(n * n)[orbit]
+    return d
+
+
+def _with_negative_zero(grid: Grid, seed: int) -> va.Deformation:
+    """random_deformation whose r has one +0.0 t-slab holding one -0.0."""
+    d = va.random_deformation(grid, seed, amplitude=0.3)
+    d.r[7] = 0.0
+    d.r[7, 3, 2] = -0.0
+    return d
+
+
+def _start(grid: Grid, seed) -> va.Deformation:
+    return seed(grid, 34) if callable(seed) else va.random_deformation(grid, seed, amplitude=0.3)
+
+
+# the random_deformation starts descend on their t-column, the others at
+# full shape; every one must give the reference's bits
 @pytest.mark.parametrize("mat, seed, steps", [
     ([[2, 1], [1, 1]], 31, 150),
     ([[-2, 1], [1, -1]], 32, 150),
     ([[3, 1], [2, 1]], 33, 150),
-], ids=["L0", "L1", "L2"])
+    ([[-2, 1], [1, -1]], _torus_varying_start, 150),
+    ([[2, 1], [1, 1]], _with_negative_zero, 60),
+], ids=["L0", "L1", "L2", "L1-torus-varying", "L0-negative-zero"])
 def test_minimize_bit_identical_to_unfused_reference(mat, seed, steps):
     model = ck.build_hyperbolic_model(mat, tau=0.7, area=2.0)
     grid = Grid(8, 256, model.matrix)
     structure = ck.suspension_structure(model, grid)
-    d0 = va.random_deformation(grid, seed, amplitude=0.3)
+    d0 = _start(grid, seed)
     res = va.minimize_energy(d0, model.mu, structure, steps=steps)
     history, u, r, n_done, converged = _reference_minimize(d0, model.mu, structure, steps)
     assert res.gap_history == history
@@ -646,6 +707,47 @@ def test_minimize_bit_identical_to_unfused_reference(mat, seed, steps):
     assert res.converged == converged
     assert res.final_sup_r == sup(r)
     assert res.final_sup_ru == sup(va.reeb_derivative(u, structure))
+
+
+def _recorded_stencil_shapes(monkeypatch):
+    shapes = []
+
+    def recording(data, *args):
+        shapes.append(data.shape)
+        return partial_derivative(data, *args)
+    monkeypatch.setattr(va, "partial_derivative", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("mat", [[[2, 1], [1, 1]], [[-2, 1], [1, -1]]], ids=["trace+", "trace-"])
+def test_descent_stencils_the_t_column(monkeypatch, mat):
+    model = ck.build_hyperbolic_model(mat, tau=0.7, area=2.0)
+    grid = Grid(8, 256, model.matrix)
+    structure = ck.suspension_structure(model, grid)
+    shapes = _recorded_stencil_shapes(monkeypatch)
+    for seed in (1, 2):
+        d0 = va.random_deformation(grid, seed, amplitude=0.3)
+        va.minimize_energy(d0, model.mu, structure, steps=20)
+        va.energy_gap(d0, model.mu, structure)
+    assert len(shapes) > 40 and set(shapes) == {(256, 1, 1, 2)}
+    shapes.clear()
+    for start in (_torus_varying_start, _with_negative_zero):
+        va.minimize_energy(start(grid, 3), model.mu, structure, steps=2)
+    assert shapes and set(shapes) == {(256, 8, 8, 2)}
+
+
+def test_energy_gap_same_bits_on_column_and_full_copy(monkeypatch, fiber_chart):
+    structure, mu = fiber_chart.structure, fiber_chart.mu
+    starts = [va.random_deformation(fiber_chart.grid, seed, amplitude=0.3) for seed in range(4)]
+    column = [va.energy_gap(d, mu, structure) for d in starts]
+    monkeypatch.setattr(va, "_state", lambda d, components: np.stack((d.u, d.r), axis=-1))
+    shapes = _recorded_stencil_shapes(monkeypatch)
+    full = [va.energy_gap(d, mu, structure) for d in starts]
+    assert set(shapes) == {fiber_chart.grid.shape + (2,)}
+    for a, b in zip(column, full):
+        assert np.float64(a.gap).tobytes() == np.float64(b.gap).tobytes()
+        assert (np.float64(a.divergence_residual).tobytes()
+                == np.float64(b.divergence_residual).tobytes())
 
 
 def test_reeb_derivative_follows_rotating_reeb_field():
