@@ -16,9 +16,11 @@ not pass through the certifier.
 A certified metric holds g, the read-only g^{-1} its certifier formed,
 and the certificate; phi, the one derived field kept, is formed from
 that g^{-1} on first use.  g and g^{-1} are one snapshot, so g.data
-must not be mutated after certification.  The models enforce this: they
-pass g at the axes it varies along, so TensorField stores it as a
-read-only broadcast view and a write raises ValueError.
+must not be mutated after certification.  A metric constant over the
+torus, as every critical metric is, is stored as its t-column: g, g^{-1}
+and phi are read-only views with zero torus strides, a write raises
+ValueError, and the tensor layer computes on the column (see
+grids._columns).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tensors
-from .grids import Grid, _stored_constant, integrate
+from .grids import Grid, _column_of, _columns, _stored, _stored_constant, integrate
 from .tensors import TensorField, exterior_derivative, hodge_star, inverse_metric, \
     lie_derivative
 
@@ -56,14 +58,19 @@ class Structure:
 
     @property
     def volume_density(self) -> np.ndarray:
-        """(alpha ^ beta)(d_t, d_x, d_y); its sign fixes the orientation."""
-        a, b = self.alpha.data, self.beta.data
-        return (a[..., 0] * b[..., 1, 2] + a[..., 1] * b[..., 2, 0]
-                + a[..., 2] * b[..., 0, 1])
+        """(alpha ^ beta)(d_t, d_x, d_y); its sign fixes the orientation.
+
+        Formed at the axes alpha and beta vary along (grids._stored) and
+        returned as a read-only view of grid shape: for the constant
+        suspension forms, one value stored once.
+        """
+        a, b = _stored(self.alpha.data), _stored(self.beta.data)
+        dens = a[..., 0] * b[..., 1, 2] + a[..., 1] * b[..., 2, 0] + a[..., 2] * b[..., 0, 1]
+        return np.broadcast_to(dens, self.grid.shape)
 
     @property
     def orientation(self) -> float:
-        dens = self.volume_density
+        dens = _stored(self.volume_density)
         if dens.max() > 0 > dens.min() or np.any(dens == 0):
             raise StructureError("alpha ^ beta is not a volume form on this chart")
         return 1.0 if dens.flat[0] > 0 else -1.0
@@ -97,7 +104,8 @@ class CompatibleMetric:
 
     g^{-1} is the read-only inverse that certify_compatible formed; phi =
     g^{-1} beta, the one derived field kept, is formed from it on first
-    use.  g and g^{-1} are one snapshot: do not mutate g.data after
+    use, on the t-column where g^{-1} and beta are constant over the
+    torus.  g and g^{-1} are one snapshot: do not mutate g.data after
     certification.
     """
 
@@ -116,12 +124,13 @@ class CompatibleMetric:
 
     @cached_property
     def phi(self) -> TensorField:
-        return TensorField(self.grid, self.ginv @ self.structure.beta.data, "ud")
+        ginv, beta = _columns(self.ginv, self.structure.beta.data)
+        return TensorField(self.grid, ginv @ beta, "ud")
 
     def h_tensor(self) -> TensorField:
         """h = (1/2) L_R phi; symmetric, anticommutes with phi, kills R."""
-        lphi = lie_derivative(self.phi, self.structure.reeb)
-        return TensorField(self.grid, 0.5 * lphi.data, "ud")
+        lphi, = _columns(lie_derivative(self.phi, self.structure.reeb).data)
+        return TensorField(self.grid, 0.5 * lphi, "ud")
 
     def max_residual(self, keys=None) -> float:
         keys = keys or self.certificate.keys()
@@ -138,24 +147,35 @@ ALGEBRAIC_CERT_KEYS = (
 def certify_compatible(structure: Structure, g: TensorField) -> CompatibleMetric:
     """Derive phi from g and evaluate every compatibility identity.
 
-    Returns the metric packaged with its g^{-1} (made read-only) and a
+    Returns the metric packaged with its g^{-1} (a read-only view) and a
     certificate mapping identity names to sup-norm residuals.  Raises
     only for structurally unusable input (g not symmetric positive
     definite); interpretation of the residuals is left to the caller.
+
+    A g whose every t-slab holds the same bits at each torus point
+    (grids._column_of: zero torus strides, or a bitwise comparison that
+    rejects a varying metric after one t-slab) is stored as its t-column,
+    a read-only view with zero torus strides.  Then, with a structure
+    constant over the torus, the factor, g^{-1}, the star and every
+    identity are formed on the column: each is pointwise and each
+    residual a maximum, so the certificate has the bits of the full grid.
     """
-    chol = tensors.check_positive_definite(g.data)
-    if _sup(g.data - np.swapaxes(g.data, -1, -2)) > 1e-12 * max(1.0, _sup(g.data)):
+    column = _column_of(g.data)
+    if column is not None:
+        g = TensorField(g.grid, column, "dd")
+    gd, alpha, beta, reeb = _columns(g.data, structure.alpha.data, structure.beta.data,
+                                     structure.reeb.data)
+    chol = tensors.check_positive_definite(gd)
+    if _sup(gd - np.swapaxes(gd, -1, -2)) > 1e-12 * max(1.0, _sup(gd)):
         raise StructureError("metric is not symmetric")
-    gd = g.data
-    beta = structure.beta.data
     # alpha as a row vector, R as a column vector
-    alpha, reeb = structure.alpha.data[..., None, :], structure.reeb.data[..., :, None]
+    alpha, reeb = alpha[..., None, :], reeb[..., :, None]
     ginv = inverse_metric(gd)
-    ginv.flags.writeable = False
     # the star reads sqrt(det g) off the factor, which is dropped before
     # the other identities allocate
-    hodge = _sup(hodge_star(structure.alpha, chol, structure.orientation, ginv=ginv).data - beta)
-    del chol
+    star, = _columns(hodge_star(structure.alpha, chol, structure.orientation, ginv=ginv).data)
+    hodge = _sup(star - beta)
+    del chol, star
     phi = ginv @ beta
     phi_t = np.swapaxes(phi, -1, -2)
     r_low = (gd @ reeb)[..., 0]
@@ -174,7 +194,7 @@ def certify_compatible(structure: Structure, g: TensorField) -> CompatibleMetric
     if structure.flavor != "cosymplectic":
         dalpha = exterior_derivative(structure.alpha).data
         cert["d_alpha_phi_antisymmetry"] = _sup(phi_t @ dalpha + dalpha @ phi)
-    return CompatibleMetric(structure, g, cert, ginv)
+    return CompatibleMetric(structure, g, cert, np.broadcast_to(ginv, g.data.shape))
 
 
 def d_alpha_plus(metric: CompatibleMetric) -> TensorField:

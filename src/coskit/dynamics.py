@@ -7,6 +7,12 @@ chart coordinates is therefore the identity between crossings and
 A = diag(1, L) at each crossing; no ODE integration is involved, so the
 cocycle is exact (crossing counts and matrix powers are computed in
 integer arithmetic).
+
+On a metric constant over the torus, certified as its t-column, the
+splitting stages run their bodies on the (M, 1, 1) t-columns
+(grids._columns) and on the full grid otherwise; maxima are exact on a
+column and each mean is one full-grid sum (_grid_mean), so both give
+the same bits.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cosymplectic import CompatibleMetric
-from .grids import Grid, _int_det, _int_matmul, _int_matpow, _lift, _transported
+from .grids import Grid, _columns, _grid_sum, _int_det, _int_matmul, _int_matpow, _lift, \
+    _transported
 from .models import HyperbolicModel, sol_frame
 from .tensors import TensorField, lie_bracket, sqrtm_spd, symmetric_eigen, tensor_norm2
 
@@ -141,7 +148,10 @@ class SplittingFrame:
     v_plus, and nabla R = h phi stretches unstable directions, which
     anosov_splitting's growth test checks.  The pair is global only up
     to an overall sign flip.  hphi_stable_eig and hphi_unstable_eig are
-    the h.phi eigenvalues on v_plus and v_minus (-mu and mu).
+    the h.phi eigenvalues on v_plus and v_minus (-mu and mu).  On a metric
+    certified as its t-column the four fields are t-column fields too
+    (read-only views with zero torus strides), each backed by its own
+    M x 3 array.
     """
 
     mu: float
@@ -157,6 +167,11 @@ class SplittingFrame:
 _TORSION_THRESHOLD = 1e-8
 
 
+def _grid_mean(a: np.ndarray, grid: Grid) -> float:
+    """Mean of a over the grid: np.mean of the full-grid array, bit for bit, also from a column."""
+    return float(_grid_sum(a, grid.shape) / math.prod(grid.shape))
+
+
 def anosov_splitting(metric: CompatibleMetric) -> SplittingFrame:
     """Extract the hyperbolic splitting from h = (1/2) L_R phi.
 
@@ -170,33 +185,33 @@ def anosov_splitting(metric: CompatibleMetric) -> SplittingFrame:
     grid = metric.grid
     h = metric.h_tensor()
     evals, evecs, _ = symmetric_eigen(h, metric.g.data, metric.ginv)
+    evals, evecs, g, phi, h = _columns(evals, evecs, metric.g.data, metric.phi.data, h.data)
     torsion_min = 8.0 * float(np.min(evals[..., 0])) ** 2
     if torsion_min < _TORSION_THRESHOLD:
         raise NotHyperbolicTorsionError(f"torsion minimum {torsion_min:.3e} below threshold")
-    mu = float(np.mean(evals[..., 0]))
+    mu = _grid_mean(evals[..., 0], grid)
     u_plus = np.ascontiguousarray(evecs[..., :, 0])   # not a view pinning all of evecs
-    u_minus = np.einsum("...ij,...j->...i", metric.phi.data, u_plus)
+    u_minus = np.einsum("...ij,...j->...i", phi, u_plus)
     v_plus = (u_plus + u_minus) / np.sqrt(2.0)
     v_minus = (u_plus - u_minus) / np.sqrt(2.0)
 
     # check that v_plus contracts and v_minus expands under the one-period
     # pushforward: |A v(p)| in g(Lp) is |v(p)| in the pulled-back metric A^T g(Lp) A
-    g = metric.g.data
     g_pulled = _transported(g, "dd", grid, -1)
 
     def growth(v):
-        return float(np.mean(np.sqrt(_gdot(g_pulled, v, v) / _gdot(g, v, v))))
+        return _grid_mean(np.sqrt(_gdot(g_pulled, v, v) / _gdot(g, v, v)), grid)
 
     gp, gm = growth(v_plus), growth(v_minus)
     if not gp < 1.0:
         raise NotHyperbolicTorsionError(f"v_plus does not contract (growth {gp:.6g})")
     if not gm > 1.0:
         raise NotHyperbolicTorsionError(f"v_minus does not expand (growth {gm:.6g})")
-    hphi = h.data @ metric.phi.data
+    hphi = h @ phi
 
     def hphi_eig(v):
         hv = np.einsum("...ij,...j->...i", hphi, v)
-        return float(np.mean(_gdot(g, hv, v) / _gdot(g, v, v)))
+        return _grid_mean(_gdot(g, hv, v) / _gdot(g, v, v), grid)
 
     tf = lambda d: TensorField(grid, d, "u")
     return SplittingFrame(mu, tf(v_plus), tf(v_minus), tf(u_plus), tf(u_minus),
@@ -245,7 +260,7 @@ def refine_splitting(frame: SplittingFrame, metric: CompatibleMetric,
     behavior are preserved.
     """
     grid = metric.grid
-    g = metric.g.data
+    g, seed_plus, seed_minus = _columns(metric.g.data, frame.v_plus.data, frame.v_minus.data)
 
     def normalize(v):
         return v / np.sqrt(_gdot(g, v, v))[..., None]
@@ -253,7 +268,7 @@ def refine_splitting(frame: SplittingFrame, metric: CompatibleMetric,
     trace = abs(int(np.trace(grid.monodromy)))
     lam = 0.5 * (trace + math.sqrt(max(trace * trace - 4, 0)))
     block = max(1, int(256 * math.log(2) / math.log(lam))) if lam > 1.0 else iterations
-    v_plus, v_minus = frame.v_plus.data, frame.v_minus.data
+    v_plus, v_minus = seed_plus, seed_minus
     done = 0
     while done < iterations:
         k = min(block, iterations - done)
@@ -264,8 +279,8 @@ def refine_splitting(frame: SplittingFrame, metric: CompatibleMetric,
     def resign(new, seed):
         return new * np.sign(_gdot(g, new, seed))[..., None]
 
-    v_plus = resign(v_plus, frame.v_plus.data)
-    v_minus = resign(v_minus, frame.v_minus.data)
+    v_plus = resign(v_plus, seed_plus)
+    v_minus = resign(v_minus, seed_minus)
     u_plus = normalize((v_plus + v_minus) / np.sqrt(2.0))
     u_minus = normalize((v_plus - v_minus) / np.sqrt(2.0))
     tf = lambda d: TensorField(grid, d, "u")
@@ -284,12 +299,12 @@ def splitting_invariance_residual(frame: SplittingFrame, metric: CompatibleMetri
     roundoff by the squared multiplier to the n and would mask the
     actual misalignment.
     """
-    grid, g = metric.grid, metric.g.data
+    grid = metric.grid
+    g, v_minus, v_plus = _columns(metric.g.data, frame.v_minus.data, frame.v_plus.data)
     worst = 0.0
-    for field, sgn in ((frame.v_minus, 1), (frame.v_plus, -1)):
+    for v, sgn in ((v_minus, 1), (v_plus, -1)):
         # evaluated at the image points q: u(q) = A v(Phi^{-n tau} q) against
         # v(q) in g(q), so only v is gathered and g v is formed once
-        v = field.data
         gv = np.einsum("...ij,...j->...i", g, v)
         nv2 = np.einsum("...i,...i->...", gv, v)
         for n in range(1, n_periods + 1):
@@ -306,12 +321,12 @@ def contraction_law_residual(frame: SplittingFrame, metric: CompatibleMetric,
     model's exact log|lambda| / tau; each field is transported in its
     conditioned time direction (see splitting_invariance_residual).
     """
-    grid, g = metric.grid, metric.g.data
+    grid = metric.grid
+    g, v_plus, v_minus = _columns(metric.g.data, frame.v_plus.data, frame.v_minus.data)
     mu = model.mu
     worst = 0.0
     # v_plus is stable (forward-contracting): push backward; v_minus forward.
-    for field, sgn in ((frame.v_plus, -1), (frame.v_minus, 1)):
-        v = field.data
+    for v, sgn in ((v_plus, -1), (v_minus, 1)):
         n0 = np.sqrt(_gdot(g, v, v))
         for n in range(1, n_periods + 1):
             # at the image points q: |A^n v(Phi^{-n tau} q)|_g(q) / |v(Phi^{-n tau} q)|
@@ -335,24 +350,25 @@ def bracket_residuals(metric: CompatibleMetric, frame: SplittingFrame) -> dict[s
     if np.trace(metric.grid.monodromy) < 0:
         raise ValueError("out of scope: lambda < 0 flips the sign of v_pm across the seam; "
                          "bracket residuals need the double-cover gluing")
-    structure = metric.structure
-    g, ginv = metric.g.data, metric.ginv
+    reeb = metric.structure.reeb
     mu = frame.mu
 
-    def norm_sup(data):
-        return float(np.sqrt(np.max(tensor_norm2(data, "u", g, ginv))))
+    def norm_sup(x, y, rate=None, z=None):
+        """sup norm of [x, y] - rate z, or of [x, y] without rate and z."""
+        if z is None:
+            r, g, ginv = _columns(lie_bracket(x, y).data, metric.g.data, metric.ginv)
+        else:
+            r, zd, g, ginv = _columns(lie_bracket(x, y).data, z.data, metric.g.data,
+                                      metric.ginv)
+            r = r - rate * zd
+        return float(np.sqrt(np.max(tensor_norm2(r, "u", g, ginv))))
 
-    r_vp = lie_bracket(structure.reeb, frame.v_plus).data - mu * frame.v_plus.data
-    r_vm = lie_bracket(structure.reeb, frame.v_minus).data + mu * frame.v_minus.data
-    r_comm = lie_bracket(frame.v_plus, frame.v_minus).data
-    r_up = lie_bracket(structure.reeb, frame.u_plus).data - mu * frame.u_minus.data
-    r_um = lie_bracket(structure.reeb, frame.u_minus).data - mu * frame.u_plus.data
     return {
-        "reeb_v_plus": norm_sup(r_vp),
-        "reeb_v_minus": norm_sup(r_vm),
-        "v_plus_v_minus": norm_sup(r_comm),
-        "reeb_u_plus": norm_sup(r_up),
-        "reeb_u_minus": norm_sup(r_um),
+        "reeb_v_plus": norm_sup(reeb, frame.v_plus, mu, frame.v_plus),
+        "reeb_v_minus": norm_sup(reeb, frame.v_minus, -mu, frame.v_minus),
+        "v_plus_v_minus": norm_sup(frame.v_plus, frame.v_minus),
+        "reeb_u_plus": norm_sup(reeb, frame.u_plus, mu, frame.u_minus),
+        "reeb_u_minus": norm_sup(reeb, frame.u_minus, mu, frame.u_plus),
     }
 
 

@@ -224,6 +224,40 @@ def _stored_constant(data: np.ndarray) -> bool:
     return not any(data.strides[:3])
 
 
+def _stored(data: np.ndarray) -> np.ndarray:
+    """data at the grid axes it varies along: each zero-stride grid axis cut to length 1."""
+    return data[tuple(slice(None) if s else slice(0, 1) for s in data.strides[:3])]
+
+
+def _columns(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (M, 1, 1) t-columns of the arrays when each is one by layout, else the arrays.
+
+    An array is its t-column when its torus axes have size 1 or stride 0
+    (see _stored).  Pointwise algebra, stencils and torus maxima of the
+    columns give the bits of the full grid; mixed input stays full.
+    """
+    if all(_stored(a).shape[1:3] == (1, 1) for a in arrays):
+        return tuple(a[:, :1, :1] for a in arrays)
+    return arrays
+
+
+def _column_of(data: np.ndarray) -> np.ndarray | None:
+    """data's (M, 1, 1) t-column when each t-slab holds one value at every torus point, else None.
+
+    A column by layout (see _columns) is returned with no comparison.  Otherwise
+    the bits are compared (int64 views, so -0.0 and +0.0 differ), the
+    first t-slab before the rest, so data that varies over the torus is
+    rejected after 1/M of the work; a passing column is copied out.
+    """
+    column = data[:, :1, :1]
+    if _stored(data).shape[1:3] == (1, 1):
+        return column
+    bits, column_bits = data.view(np.int64), column.view(np.int64)
+    if np.any(bits[:1] != column_bits[:1]) or np.any(bits != column_bits):
+        return None
+    return column.copy()
+
+
 def _contract_slots(data: np.ndarray, index_sig: str, mat: np.ndarray,
                     mat_inv: np.ndarray) -> np.ndarray:
     """Apply ``mat`` to each ``'u'`` slot and ``mat_inv.T`` to each ``'d'`` slot.
@@ -283,13 +317,18 @@ def _padded(data: np.ndarray, index_sig: str, grid: Grid, axis: int,
     ``v(p, t+1) = A^{-1} v(Lp, t)`` per contravariant slot (``A^T`` per
     covariant slot), so the ghost slabs past t = 1 are the first slabs
     pushed forward by -1 period, and those before t = 0 the last slabs
-    pushed forward by +1 period (:func:`_transported`).
+    pushed forward by +1 period (:func:`_transported`).  A torus axis of
+    size 1 (a field constant along it, stored once) is padded with copies
+    of itself, so each paired stencil difference is x - x, as on the
+    full grid.
     """
     if axis not in (0, 1, 2):
         raise GridError(f"axis out of range: {axis}")
     if axis == 0 and grid.open_t:
         raise GridError("open t-axis has no wrap; use partial_derivative")
     m = data.shape[axis]
+    if axis and m == 1:
+        return np.repeat(data, 2 * width + 1, axis=axis)
     if width > m:
         raise GridError(f"ghost width {width} exceeds the {m} points of axis {axis}")
     low = data[_along(axis, slice(m - width, m))]
@@ -355,11 +394,12 @@ def _field_components(x: np.ndarray) -> tuple[tuple[int, float | np.ndarray], ..
     """(c, X^c) for each component of the vector field data x that is not identically zero.
 
     In axis order; X^c is a Python float where the component is constant
-    on the grid, and the component array where it is not.
+    on the grid, and the component array at the axes it varies along
+    (see _stored) where it is not.
     """
     out = []
     for c in range(3):
-        comp = x[..., c]
+        comp = _stored(x[..., c])
         v = float(comp.flat[0])
         if np.any(comp != v):
             out.append((c, comp))
@@ -385,6 +425,19 @@ def _sum_along(components, term, shape: tuple) -> np.ndarray:
 
 
 # -- quadrature ---------------------------------------------------------
+
+def _grid_sum(a: np.ndarray, shape: tuple) -> np.float64:
+    """Sum of a over the grid, a broadcast into a new contiguous array of ``shape``.
+
+    A t-column and its full-grid copy give the same bits: the sum runs
+    over the same array in the same order.  Summing the column with a
+    multiplicity would round differently.  Divided by the point count it
+    is np.mean of the full-grid array, bit for bit.
+    """
+    full = np.empty(shape)
+    full[...] = a
+    return np.sum(full)
+
 
 def integrate(values: np.ndarray, density: np.ndarray, grid: Grid) -> float:
     """Integral of a scalar against a top form given by its (t,x,y)-density.

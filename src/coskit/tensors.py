@@ -14,13 +14,18 @@ A field is stored at the axes it varies along: a ``TensorField`` built
 from fewer grid axes than the chart keeps a read-only broadcast view, so
 its strides are zero on the axes it does not vary along (the suspension
 forms tau dt and V dx^dy and its Reeb field tau^{-1} d_t on all three,
-the critical metric on x and y).  Only exact zeros are skipped, and a
-skip changes no bit.  The stencil's paired differences of a field that
-is finite, stored constant (zero strides on all three grid axes) and, on
-a closed chart, equal to its own push-forward by one period are +0.0
-wherever they are read; ``gradient`` and ``exterior_derivative`` return
-those zeros without stencilling, and ``lie_derivative`` forms no
-gradient of such a direction.  A full-shape array is never skipped: its
+the critical metric on x and y).  Where every input of
+``lie_derivative``, ``covariant_derivative``, ``hodge_star`` or
+``symmetric_eigen`` is constant over the torus, it computes on the
+(M, 1, 1) t-columns (``grids._columns``) and returns t-column fields with
+the full grid's bits; mixed input is computed at full shape.  Only exact
+zeros are skipped, and a skip changes no bit.  The stencil's paired
+differences of a field that is finite, stored constant (zero strides on
+all three grid axes) and, on a closed chart, equal to its own
+push-forward by one period are +0.0 wherever they are read;
+``gradient`` and ``exterior_derivative`` return those zeros without
+stencilling, and ``lie_derivative`` forms no gradient of such a
+direction.  A full-shape array is never skipped: its
 stencil gives the same zeros at full cost.  The open t-axis of a box
 chart is never skipped: its one-sided rows need not cancel exactly.
 
@@ -36,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, _field_components, _on_slot, _stored_constant, _sum_along, \
-    _transported, partial_derivative
+from .grids import Grid, _columns, _field_components, _on_slot, _stored_constant, \
+    _sum_along, _transported, partial_derivative
 
 _EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -78,9 +83,9 @@ def _stencil_is_zero(data: np.ndarray, sig: str, grid: Grid) -> bool:
 
     So it is when data is float64, stored constant (zero strides on all
     three grid axes, as TensorField keeps a constant), finite and on a
-    closed chart, and when on a twisted chart one t-slab (all slabs are
-    the same memory) pushed forward by +1 and -1 period equals it bit for
-    bit (-0.0 and +0.0 differ): then each paired difference of
+    closed chart, and when on a twisted chart its one point (all points
+    are the same memory) pushed forward by +1 and -1 period equals it bit
+    for bit (-0.0 and +0.0 differ): then each paired difference of
     grids._centered is x - x = +0.0.  A full-shape array is never
     skipped, whatever it holds.
     """
@@ -91,7 +96,7 @@ def _stencil_is_zero(data: np.ndarray, sig: str, grid: Grid) -> bool:
         return False
     bits = first.view(np.int64)
     return grid.is_flat or all(
-        np.all(_transported(data[:1], sig, grid, periods).view(np.int64) == bits)
+        np.all(_transported(data[:1, :1, :1], sig, grid, periods).view(np.int64) == bits)
         for periods in (1, -1))
 
 
@@ -274,17 +279,22 @@ def lie_derivative(t: TensorField, x: TensorField) -> TensorField:
     carried to itself across the seam, such as the suspension Reeb field
     (1/tau) d_t, that gradient is not formed at all (see
     _stencil_is_zero).  The result is the full sum bit for bit.
+
+    When T and X are both constant over the torus (grids._columns), the
+    sum runs on their t-columns and the result is a t-column field: a
+    read-only view with zero torus strides, the bits of the full grid.
     """
     if x.sig != "u":
         raise TensorCalculusError("Lie derivative direction must be a vector field")
     grid = t.grid
-    out = _sum_along(_field_components(x.data),
-                     lambda c: partial_derivative(t.data, t.sig, grid, c), t.data.shape)
+    data, xdata = _columns(t.data, x.data)
+    out = _sum_along(_field_components(xdata),
+                     lambda c: partial_derivative(data, t.sig, grid, c), data.shape)
     # no zeros array for a field whose stencil gradient is exactly zero
-    if not _stencil_is_zero(x.data, x.sig, grid):
-        grad_x = gradient(x.data, x.sig, grid)      # [c, a] = d_c X^a
+    if not _stencil_is_zero(xdata, x.sig, grid):
+        grad_x = gradient(xdata, x.sig, grid)       # [c, a] = d_c X^a
         if np.any(grad_x):
-            out -= _derivation(t.data, t.sig, np.swapaxes(grad_x, -1, -2))
+            out -= _derivation(data, t.sig, np.swapaxes(grad_x, -1, -2))
     return TensorField(grid, out, t.sig)
 
 
@@ -317,9 +327,13 @@ def covariant_derivative(t: TensorField, x: TensorField, nabla_x: np.ndarray) ->
     """nabla_X T = L_X T + D_m T for the torsion-free nabla, D_m the derivation of m = nabla_x.
 
     m[a, c] = nabla_c X^a is the caller's (see _derivation); no Gamma is formed.
+    The Lie term may be a read-only t-column field, so the sum is taken
+    into the fresh derivation term (IEEE addition commutes: same bits).
     """
-    out = lie_derivative(t, x).data
-    out += _derivation(t.data, t.sig, nabla_x)
+    lie = lie_derivative(t, x).data
+    lie, data, m = _columns(lie, t.data, nabla_x)
+    out = _derivation(data, t.sig, m)
+    out += lie
     return TensorField(t.grid, out, t.sig)
 
 
@@ -337,8 +351,9 @@ def hodge_star(omega: TensorField, chol: np.ndarray, orientation: float = 1.0, *
     """
     if omega.sig != "d":
         raise TensorCalculusError("hodge_star takes a 1-form")
+    data, chol, ginv = _columns(omega.data, chol, ginv)
     sqg = orientation * chol[..., 0, 0] * chol[..., 1, 1] * chol[..., 2, 2]
-    wup = _on_slot(omega.data, 0, ginv)
+    wup = _on_slot(data, 0, ginv)
     star = (wup @ _EPS3.reshape(3, 9)).reshape(wup.shape + (3,)) * sqg[..., None, None]
     return TensorField(omega.grid, star, "dd")
 
@@ -388,14 +403,17 @@ def symmetric_eigen(a: TensorField, g: np.ndarray, ginv: np.ndarray):
     operator is similar to the symmetric B = C^T a C^{-T}, and B u = w u
     gives the eigenvectors C^{-T} u.  C^{-T} = g^{-1} C, with ginv =
     g^{-1}, needs no triangular solve.  Self-adjointness is checked on B.
+    On t-columns (grids._columns) the eigen-data are t-column views.
     """
     if a.sig != "ud":
         raise TensorCalculusError("symmetric_eigen expects an operator (1,1) field")
+    shape = a.data.shape[:3]
+    data, g, ginv = _columns(a.data, g, ginv)
     c = _cholesky3(g)
     if c is None:
         raise TensorCalculusError("matrix field is not positive definite")
     c_inv_t = ginv @ c
-    b = np.swapaxes(c, -1, -2) @ a.data @ c_inv_t
+    b = np.swapaxes(c, -1, -2) @ data @ c_inv_t
     asym = np.max(np.abs(b - np.swapaxes(b, -1, -2)))
     scale = max(1.0, float(np.max(np.abs(b))))
     if asym > _SELF_ADJOINT_TOL * scale:
@@ -412,4 +430,7 @@ def symmetric_eigen(a: TensorField, g: np.ndarray, ginv: np.ndarray):
     if aligned:
         for idx in range(3):
             vecs[..., idx] = _align_eigenvector_field(vecs[..., :, idx])
+    if w.shape[:3] != shape:
+        w = np.broadcast_to(w, shape + w.shape[3:])
+        vecs = np.broadcast_to(vecs, shape + vecs.shape[3:])
     return w, vecs, aligned

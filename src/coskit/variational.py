@@ -32,7 +32,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .cosymplectic import CompatibleMetric, Structure, certify_compatible, d_alpha_plus
-from .grids import Grid, _field_components, _stored_constant, _sum_along, partial_derivative
+from .grids import Grid, _column_of, _field_components, _grid_sum, _stored, _stored_constant, \
+    _sum_along, partial_derivative
 from .models import HyperbolicModel, critical_frame
 from .tensors import TensorField, check_positive_definite, covariant_derivative, \
     lie_derivative, tensor_norm2
@@ -255,8 +256,9 @@ def first_variation(metric: CompatibleMetric, h_field: TensorField) -> float:
     """
     reeb, ginv = metric.structure.reeb, metric.ginv
     t_up = ginv @ lie_derivative(metric.g, reeb).data         # g^-1 T
-    m = lie_derivative(h_field, reeb).data
-    m -= np.swapaxes(t_up, -1, -2) @ h_field.data             # L_R H - T g^-1 H
+    m = lie_derivative(h_field, reeb).data                    # read-only on a t-column H
+    m = np.subtract(m, np.swapaxes(t_up, -1, -2) @ h_field.data,
+                    out=m if m.flags.writeable else None)      # L_R H - T g^-1 H
     return 2.0 * metric.structure.integrate(np.sum((t_up @ ginv) * m, axis=(-2, -1)))
 
 
@@ -452,18 +454,6 @@ class OptimizationResult:
     grad_norm2: list[float] = dc_field(default_factory=list)
 
 
-def _grid_sum(a: np.ndarray, shape: tuple) -> float:
-    """Sum of a over the grid, a broadcast into a new contiguous array of ``shape``.
-
-    A t-column and its full-grid copy give the same bits: the sum runs
-    over the same array in the same order.  Summing the column with a
-    multiplicity would round differently.
-    """
-    full = np.empty(shape)
-    full[...] = a
-    return np.sum(full)
-
-
 def _dot(a: np.ndarray, b: np.ndarray, shape: tuple) -> float:
     """Grid sum of a b over both stacked components, summed per component in order."""
     return float(_grid_sum(a[..., 0] * b[..., 0], shape)
@@ -485,7 +475,7 @@ def _gap_setup(structure: Structure):
     a constant-coefficient sum of stencils, whose adjoint is its negative
     (shifts are grid bijections), which makes the gap's gradient exact.
     """
-    dens = structure.volume_density
+    dens = _stored(structure.volume_density)
     if structure.grid.open_t or np.max(dens) - np.min(dens) > 1e-12 * np.max(np.abs(dens)):
         raise ValueError("the energy gap assumes a closed chart and a constant alpha^beta density")
     components = _field_components(structure.reeb.data)
@@ -504,10 +494,8 @@ def _state(d: Deformation, components) -> np.ndarray:
     random_global_scalar is.  Any other state is kept at full shape.
     """
     x = np.stack((d.u, d.r), axis=-1)
-    col = x[:, :1, :1]
-    if any(c != 0 for c, _ in components) or np.any(x.view(np.int64) != col.view(np.int64)):
-        return x
-    return col.copy()
+    col = None if any(c != 0 for c, _ in components) else _column_of(x)
+    return x if col is None else col
 
 
 def _gap_and_gradient(x, mu, components, grid, weight):

@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from coskit.grids import _on_slot, partial_derivative
+from coskit.grids import _on_slot, _torus_permutation, partial_derivative
 from coskit.tensors import TensorField, _derivation, gradient
-from coskit.variational import reeb_derivative
+from coskit.variational import Deformation, random_deformation, reeb_derivative
 
 
 def torsion_closed_forms(d, mu, structure):
@@ -52,3 +52,33 @@ def covariant_reference(t, gamma, x):
     out = covariant_gradient(t, gamma).data
     gax, slots = [0, 1, 2], list(range(4, 4 + len(t.sig)))
     return np.einsum(out, gax + [3] + slots, x.data, gax + [3], gax + slots)
+
+
+def orbit_field(grid, rng: np.random.Generator) -> np.ndarray:
+    """A random (N, N) torus field constant on each orbit of L.
+
+    L permutes the N x N torus points, so a field f(p, t) plus this part
+    still satisfies f(p, t + 1) = f(Lp, t) at every grid point.
+    """
+    n = grid.n_torus
+    pi, pj = _torus_permutation(n, grid.monodromy)
+    orbit = np.full((n, n), -1)
+    for label, p in enumerate(np.ndindex(n, n)):
+        while orbit[p] < 0:     # label the cycle of the permutation through p
+            orbit[p] = label
+            p = (pi[p], pj[p])
+    assert len(np.unique(orbit)) > 1
+    return rng.standard_normal(n * n)[orbit]
+
+
+def torus_varying_deformation(grid, seed: int) -> Deformation:
+    """random_deformation plus a torus part that is constant on each orbit of L.
+
+    The seam identity still holds at every grid point, while no t-slab
+    is constant.
+    """
+    rng = np.random.default_rng(seed)
+    d = random_deformation(grid, seed, amplitude=0.3)
+    for field in (d.u, d.r):
+        field += 0.05 * orbit_field(grid, rng)
+    return d

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import coskit as ck
-from coskit import dynamics as dy, tensors, variational
+from coskit import cosymplectic, dynamics as dy, tensors, variational
 from coskit.grids import Grid, _torus_permutation
 from coskit.tensors import TensorField, lie_bracket, symmetric_eigen
+from references import orbit_field
 
 
 def sup(a):
@@ -218,13 +219,20 @@ def test_bracket_relations_fourth_order(model, crit32, crit64):
     assert r32["v_plus_v_minus"] < 1e-12
 
 
-def test_splitting_frame_owns_contiguous_u_plus(model):
+def _owner(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def test_splitting_frame_pins_no_eigenvector_field(model):
     # u_+ is copied out of the eigenvector field, so a frame does not keep
-    # the whole (n, n, n, 3, 3) field alive; its values are unchanged
+    # the whole (n, n, n, 3, 3) field alive: on the t-column metric each
+    # frame field is backed by M x 3 floats; its values are unchanged
     _, metric = ck.critical_metric(model, Grid(16, 16, model.matrix))
     frame = dy.anosov_splitting(metric)
-    assert frame.u_plus.data.flags.c_contiguous
-    assert frame.u_plus.data.base is None
+    for name in ("u_plus", "u_minus", "v_plus", "v_minus"):
+        assert _owner(getattr(frame, name).data).size == 16 * 3
     _, evecs, _ = symmetric_eigen(metric.h_tensor(), metric.g.data, ginv=metric.ginv)
     u_plus = evecs[..., :, 0]
     u_minus = np.einsum("...ij,...j->...i", metric.phi.data, u_plus)
@@ -232,6 +240,72 @@ def test_splitting_frame_owns_contiguous_u_plus(model):
     assert np.array_equal(frame.u_minus.data, u_minus)
     assert np.array_equal(frame.v_plus.data, (u_plus + u_minus) / np.sqrt(2.0))
     assert np.array_equal(frame.v_minus.data, (u_plus - u_minus) / np.sqrt(2.0))
+
+
+def _splitting_stages(metric, model) -> dict:
+    """The frame stages of the splitting benchmark: both frames and every residual."""
+    frame = dy.anosov_splitting(metric)
+    refined = dy.refine_splitting(frame, metric)
+    out = {"frame": frame, "refined": refined,
+           "invariance": dy.splitting_invariance_residual(refined, metric, n_periods=10),
+           "contraction": dy.contraction_law_residual(refined, metric, model, n_periods=10)}
+    if model.lam > 0:
+        out["brackets"] = dy.bracket_residuals(metric, frame)
+    return out
+
+
+def _bits(o):
+    """The exact bytes of a nested output, at grid shape."""
+    if isinstance(o, dict):
+        return {k: _bits(v) for k, v in o.items()}
+    if isinstance(o, TensorField):
+        o = o.data
+    elif dataclasses.is_dataclass(o):
+        return [_bits(getattr(o, f.name)) for f in dataclasses.fields(o)]
+    return np.ascontiguousarray(o, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("mat", [[[2, 1], [1, 1]], [[-2, 1], [1, -1]], [[3, 1], [2, 1]]],
+                         ids=["2,1,1,1", "-2,1,1,-1", "3,1,2,1"])
+def test_splitting_same_bits_on_column_and_full_path(monkeypatch, mat):
+    # the critical metric is certified as its t-column and the splitting runs
+    # on columns; with the column test off, a full copy of g takes the full
+    # path; every frame field, residual and certified field has the same bytes
+    model = ck.build_hyperbolic_model(mat, tau=0.7, area=2.0)
+    grid = Grid(16, 16, model.matrix)
+    structure, metric = ck.critical_metric(model, grid)
+    column = _splitting_stages(metric, model)
+    monkeypatch.setattr(cosymplectic, "_column_of", lambda data: None)
+    full_metric = ck.certify_compatible(structure, TensorField(grid, metric.g.data.copy(), "dd"))
+    full = _splitting_stages(full_metric, model)
+    assert not any(column["refined"].v_plus.data.strides[1:3])
+    assert all(full["refined"].v_plus.data.strides[1:3])
+    assert _bits(column) == _bits(full)
+    assert metric.certificate == full_metric.certificate
+    for a, b in ((metric.ginv, full_metric.ginv), (metric.phi, full_metric.phi),
+                 (metric.g, full_metric.g)):
+        assert _bits(a) == _bits(b)
+
+
+def test_splitting_stencils_the_t_column(monkeypatch):
+    # every stencil of the splitting stages reads a t-column on the critical
+    # metric, and the full grid on a metric whose u varies over the torus
+    # (constant in t, where h stays self-adjoint)
+    model = ck.build_hyperbolic_model([[2, 1], [1, 1]], tau=0.7, area=2.0)
+    grid = Grid(16, 16, model.matrix)
+    _, critical = ck.critical_metric(model, grid)
+    chart = variational.deformation_chart(model, grid)
+    u = 0.05 * orbit_field(grid, np.random.default_rng(5))
+    deformed = variational.deform(chart, variational.Deformation(grid, u, 0.0))
+    shapes = []
+    real = tensors.partial_derivative
+    monkeypatch.setattr(tensors, "partial_derivative",
+                        lambda data, *args: shapes.append(data.shape) or real(data, *args))
+    _splitting_stages(critical, model)
+    assert shapes and {s[1:3] for s in shapes} == {(1, 1)}
+    shapes.clear()
+    _splitting_stages(deformed, model)
+    assert shapes and {s[1:3] for s in shapes} == {(16, 16)}
 
 
 def test_bracket_perturbation_sensitivity(model, crit32):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import coskit as ck
-from coskit.grids import Grid, GridError, _period_pair, _torus_permutation, _transported, \
+from coskit.grids import Grid, GridError, _grid_sum, _period_pair, _torus_permutation, \
+    _transported, \
     integrate, partial_derivative, seam_transport, shift
 
 
@@ -320,6 +321,40 @@ def test_transported_column_is_its_own_gather(mat, sig):
             expected = _transported(full, sig, grid, n)
             assert moved.shape == column.shape
             assert np.broadcast_to(moved, expected.shape).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("mat", GLUINGS[:2], ids=GLUING_IDS[:2])
+@pytest.mark.parametrize("sig", ["", "u", "dd"])
+def test_partial_derivative_of_t_column_is_the_full_grid(mat, sig):
+    # a size-1 torus axis is padded with copies of itself, so every axis of
+    # a (M, 1, 1) t-column gives the bytes of its broadcast full field; NaN
+    # and inf propagate as they do on the full grid
+    grid = Grid(8, 16, np.array(mat))
+    rng = np.random.default_rng(11)
+    column = rng.standard_normal((16, 1, 1) + (3,) * len(sig))
+    column[3, 0, 0] = np.nan
+    column[9, 0, 0] = np.inf
+    full = np.broadcast_to(column, grid.shape + column.shape[3:]).copy()
+    with np.errstate(invalid="ignore"):
+        for axis in range(3):
+            derivative = partial_derivative(column, sig, grid, axis)
+            expected = partial_derivative(full, sig, grid, axis)
+            assert derivative.shape == column.shape
+            assert np.broadcast_to(derivative, expected.shape).tobytes() == expected.tobytes()
+        assert np.isnan(partial_derivative(column, sig, grid, 1)[3]).all()
+
+
+@pytest.mark.parametrize("n", [16, 32, 40])
+def test_grid_sum_of_t_column_is_the_full_grid_mean(n):
+    # mu and the growth test average a strided field; from its t-column
+    # the full-grid sum over the point count gives np.mean's bits
+    rng = np.random.default_rng(n)
+    for scale in (1e-3, 1.0, 1e3):
+        column = scale * rng.standard_normal((n, 1, 1, 3))
+        full = np.broadcast_to(column, (n, n, n, 3)).copy()
+        expected = np.mean(full[..., 0])
+        got = _grid_sum(column[..., 0], (n, n, n)) / full[..., 0].size
+        assert np.float64(got).tobytes() == expected.tobytes()
 
 
 def test_discrete_divergence_theorem(model, grid32):

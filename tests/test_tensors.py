@@ -288,12 +288,13 @@ def test_reeb_kernels_stencil_only_nonzero_axes(monkeypatch, chart, calls):
         seen.append(data)
         return ck.partial_derivative(data, *args)
 
+    # the stencil may read the field's t-column, a view of its memory
     monkeypatch.setattr(tensors, "partial_derivative", counting)
     lie_derivative(metric.g, reeb)
-    assert sum(d is metric.g.data for d in seen) == calls
+    assert sum(np.shares_memory(d, metric.g.data) for d in seen) == calls
     seen.clear()
     covariant_derivative(lg, reeb, nabla_r)
-    assert sum(d is lg.data for d in seen) == calls
+    assert sum(np.shares_memory(d, lg.data) for d in seen) == calls
 
 
 # -- the Reeb covariant derivatives against the Christoffel form -----------------

@@ -5,9 +5,10 @@ import coskit as ck
 from coskit import cosymplectic, tensors
 from coskit.cosymplectic import ALGEBRAIC_CERT_KEYS, polar_compatible_metric
 from coskit.grids import Grid, _torus_permutation, partial_derivative
-from coskit.tensors import TensorField, covariant_derivative, symmetric_eigen
+from coskit.tensors import TensorField, covariant_derivative, lie_derivative, \
+    symmetric_eigen
 from coskit import variational as va
-from references import torsion_closed_forms
+from references import torsion_closed_forms, torus_varying_deformation
 
 
 def sup(a):
@@ -194,6 +195,19 @@ def test_first_variation_zero_at_critical(crit32, model):
     for _ in range(3):
         h = va.random_tangent(metric, rng, 0.2, model=model)
         assert abs(va.first_variation(metric, h)) < 1e-6 * e0
+
+
+def test_first_variation_of_t_column_tangent(model):
+    # L_R H of a tangent stored as its t-column is a read-only t-column
+    # field; first_variation raises nothing and gives the full copy's bits
+    grid = Grid(16, 16, model.matrix)
+    _, metric = ck.critical_metric(model, grid)
+    h = va.random_tangent(metric, np.random.default_rng(9), 0.2, model=model)
+    column = TensorField(grid, h.data[:, :1, :1].copy(), "dd")
+    assert np.array_equal(column.data, h.data)
+    assert not lie_derivative(column, metric.structure.reeb).data.flags.writeable
+    fv = va.first_variation(metric, column)
+    assert np.float64(fv).tobytes() == np.float64(va.first_variation(metric, h)).tobytes()
 
 
 def test_first_variation_negative_along_residual(model):
@@ -651,27 +665,6 @@ def _reference_minimize(initial, mu, structure, steps, step0=1e-2):
     return history, u, r, n_done, converged
 
 
-def _torus_varying_start(grid: Grid, seed: int) -> va.Deformation:
-    """random_deformation plus a torus part that is constant on each orbit of L.
-
-    L permutes the N x N torus points, so f(p, t + 1) = f(Lp, t) still
-    holds at every grid point, while no t-slab is constant.
-    """
-    n = grid.n_torus
-    pi, pj = _torus_permutation(n, grid.monodromy)
-    orbit = np.full((n, n), -1)
-    for label, p in enumerate(np.ndindex(n, n)):
-        while orbit[p] < 0:     # label the cycle of the permutation through p
-            orbit[p] = label
-            p = (pi[p], pj[p])
-    assert len(np.unique(orbit)) > 1
-    rng = np.random.default_rng(seed)
-    d = va.random_deformation(grid, seed, amplitude=0.3)
-    for field in (d.u, d.r):
-        field += 0.05 * rng.standard_normal(n * n)[orbit]
-    return d
-
-
 def _with_negative_zero(grid: Grid, seed: int) -> va.Deformation:
     """random_deformation whose r has one +0.0 t-slab holding one -0.0."""
     d = va.random_deformation(grid, seed, amplitude=0.3)
@@ -690,7 +683,7 @@ def _start(grid: Grid, seed) -> va.Deformation:
     ([[2, 1], [1, 1]], 31, 150),
     ([[-2, 1], [1, -1]], 32, 150),
     ([[3, 1], [2, 1]], 33, 150),
-    ([[-2, 1], [1, -1]], _torus_varying_start, 150),
+    ([[-2, 1], [1, -1]], torus_varying_deformation, 150),
     ([[2, 1], [1, 1]], _with_negative_zero, 60),
 ], ids=["L0", "L1", "L2", "L1-torus-varying", "L0-negative-zero"])
 def test_minimize_bit_identical_to_unfused_reference(mat, seed, steps):
@@ -731,7 +724,7 @@ def test_descent_stencils_the_t_column(monkeypatch, mat):
         va.energy_gap(d0, model.mu, structure)
     assert len(shapes) > 40 and set(shapes) == {(256, 1, 1, 2)}
     shapes.clear()
-    for start in (_torus_varying_start, _with_negative_zero):
+    for start in (torus_varying_deformation, _with_negative_zero):
         va.minimize_energy(start(grid, 3), model.mu, structure, steps=2)
     assert shapes and set(shapes) == {(256, 8, 8, 2)}
 
