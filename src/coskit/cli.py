@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dynamics, topology, variational
 from .cosymplectic import ALGEBRAIC_CERT_KEYS
-from .grids import Grid
+from .grids import Grid, _sup
 from .models import build_hyperbolic_model, contact_t3_testbed, critical_metric, \
     flat_cokahler, sol_box_grid, sol_model
 
@@ -71,9 +71,9 @@ def _roundoff_scale(metric) -> float:
     Carried in runner bodies for the convergence sweep's floor; run()
     leaves it out of report.json.
     """
-    reeb = np.max(np.abs(metric.structure.reeb.data))
-    return float(np.finfo(float).eps * np.max(np.abs(metric.g.data))
-                 * np.max(np.abs(metric.ginv)) * reeb ** 2 / min(metric.grid.spacing) ** 2)
+    reeb = _sup(metric.structure.reeb.data)
+    return float(np.finfo(float).eps * _sup(metric.g.data) * _sup(metric.ginv) * reeb ** 2
+                 / min(metric.grid.spacing) ** 2)
 
 
 
@@ -90,12 +90,12 @@ _FD_SCALE = 10.0
 def _run_verify(p):
     kind, model, structure, metric = _build(p)
     h = structure.grid.spacing[0]
-    ginv_max = np.max(np.abs(metric.ginv))
+    ginv_max = _sup(metric.ginv)
     # the pointwise identities multiply g, g^-1 and g again: their roundoff
     # grows like eps max|g|^2 max|g^-1| and on an ill-conditioned metric
     # exceeds an absolute _EXACT_TOL
     tol_cert = max(_EXACT_TOL, _CERT_FACTOR * np.finfo(float).eps
-                   * np.max(np.abs(metric.g.data)) ** 2 * ginv_max)
+                   * _sup(metric.g.data) ** 2 * ginv_max)
     residuals = dict(metric.certificate)
     residuals.update({f"structure.{k}": v for k, v in structure.residuals().items()})
     scalars = {}

@@ -19,8 +19,8 @@ that g^{-1} on first use.  g and g^{-1} are one snapshot, so g.data
 must not be mutated after certification.  A metric constant over the
 torus, as every critical metric is, is stored as its t-column: g, g^{-1}
 and phi are read-only views with zero torus strides, a write raises
-ValueError, and the tensor layer computes on the column (see
-grids._columns).
+ValueError, and the tensor layer, d_alpha_plus and the structure's
+residuals compute on the column (see grids._columns).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tensors
-from .grids import Grid, _column_of, _columns, _stored, _stored_constant, integrate
+from .grids import Grid, _column_of, _columns, _stored, _sup, integrate
 from .tensors import TensorField, exterior_derivative, hodge_star, inverse_metric, \
     lie_derivative
 
@@ -79,11 +79,16 @@ class Structure:
         return integrate(scalar, self.volume_density, self.grid)
 
     def residuals(self) -> dict[str, float]:
-        """Sup-norm residuals of the structure's defining identities."""
+        """Sup-norm residuals of the structure's defining identities.
+
+        Formed on the t-columns where alpha, beta and R are constant over
+        the torus (grids._columns): each is pointwise, each residual a
+        maximum, so the bits are those of the full grid.
+        """
+        alpha, beta, reeb = _columns(self.alpha.data, self.beta.data, self.reeb.data)
         out = {
-            "alpha_of_reeb": float(np.max(np.abs(
-                np.einsum("...i,...i->...", self.alpha.data, self.reeb.data) - 1.0))),
-            "reeb_in_kernel_of_beta": _sup(self.reeb.data[..., None, :] @ self.beta.data),
+            "alpha_of_reeb": _sup(np.einsum("...i,...i->...", alpha, reeb) - 1.0),
+            "reeb_in_kernel_of_beta": _sup(reeb[..., None, :] @ beta),
         }
         if self.flavor == "cosymplectic":
             out["d_alpha"] = _sup(exterior_derivative(self.alpha).data)
@@ -92,10 +97,6 @@ class Structure:
             out["lie_reeb_alpha"] = _sup(lie_derivative(self.alpha, self.reeb).data)
             out["lie_reeb_beta"] = _sup(lie_derivative(self.beta, self.reeb).data)
         return out
-
-
-def _sup(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a)))
 
 
 @dataclass
@@ -192,7 +193,7 @@ def certify_compatible(structure: Structure, g: TensorField) -> CompatibleMetric
         "hodge_alpha_beta": hodge,
     }
     if structure.flavor != "cosymplectic":
-        dalpha = exterior_derivative(structure.alpha).data
+        dalpha, phi, phi_t = _columns(exterior_derivative(structure.alpha).data, phi, phi_t)
         cert["d_alpha_phi_antisymmetry"] = _sup(phi_t @ dalpha + dalpha @ phi)
     return CompatibleMetric(structure, g, cert, np.broadcast_to(ginv, g.data.shape))
 
@@ -201,15 +202,11 @@ def d_alpha_plus(metric: CompatibleMetric) -> TensorField:
     """(1,1) metric dual of d alpha: g(., dalpha+ .) = d alpha.
 
     Vanishes on cosymplectic charts and equals phi on contact charts.
-    Where exterior_derivative returns d alpha as its stored-constant
-    zero, dalpha+ is that zero too, with no g^-1 product: g^-1 0 is +0.0
-    at every point, since each row of a positive definite g^-1 has a
-    positive diagonal entry.
+    Formed on the t-columns where g^-1 and d alpha are constant over the
+    torus (grids._columns).
     """
-    dalpha = exterior_derivative(metric.structure.alpha)
-    if _stored_constant(dalpha.data):
-        return TensorField(metric.grid, dalpha.data[0, 0, 0], "ud")
-    return TensorField(metric.grid, metric.ginv @ dalpha.data, "ud")
+    ginv, dalpha = _columns(metric.ginv, exterior_derivative(metric.structure.alpha).data)
+    return TensorField(metric.grid, ginv @ dalpha, "ud")
 
 
 # -- polar-decomposition metric builder -----------------------------------

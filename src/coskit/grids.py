@@ -219,14 +219,14 @@ def _transported(data: np.ndarray, index_sig: str, grid: Grid, n: int) -> np.nda
     return _contract_slots(data, index_sig, a, a_inv)
 
 
-def _stored_constant(data: np.ndarray) -> bool:
-    """True when data has zero strides on all three grid axes: one value, stored once."""
-    return not any(data.strides[:3])
-
-
 def _stored(data: np.ndarray) -> np.ndarray:
     """data at the grid axes it varies along: each zero-stride grid axis cut to length 1."""
     return data[tuple(slice(None) if s else slice(0, 1) for s in data.strides[:3])]
+
+
+def _sup(a: np.ndarray) -> float:
+    """The largest |a|, read at the axes a varies along (see _stored): a maximum is exact."""
+    return float(np.max(np.abs(_stored(a))))
 
 
 def _columns(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

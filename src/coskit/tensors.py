@@ -15,19 +15,14 @@ from fewer grid axes than the chart keeps a read-only broadcast view, so
 its strides are zero on the axes it does not vary along (the suspension
 forms tau dt and V dx^dy and its Reeb field tau^{-1} d_t on all three,
 the critical metric on x and y).  Where every input of
-``lie_derivative``, ``covariant_derivative``, ``hodge_star`` or
-``symmetric_eigen`` is constant over the torus, it computes on the
-(M, 1, 1) t-columns (``grids._columns``) and returns t-column fields with
-the full grid's bits; mixed input is computed at full shape.  Only exact
-zeros are skipped, and a skip changes no bit.  The stencil's paired
-differences of a field that is finite, stored constant (zero strides on
-all three grid axes) and, on a closed chart, equal to its own
-push-forward by one period are +0.0 wherever they are read;
-``gradient`` and ``exterior_derivative`` return those zeros without
-stencilling, and ``lie_derivative`` forms no gradient of such a
-direction.  A full-shape array is never skipped: its
-stencil gives the same zeros at full cost.  The open t-axis of a box
-chart is never skipped: its one-sided rows need not cancel exactly.
+``exterior_derivative``, ``lie_derivative``, ``covariant_derivative``,
+``hodge_star`` or ``symmetric_eigen`` is constant over the torus, it
+computes on the (M, 1, 1) t-columns (``grids._columns``) and returns
+t-column fields with the full grid's bits; mixed input is computed at
+full shape, except that ``lie_derivative`` forms the gradient of its
+direction on the direction's own column.  This is the one fast path:
+the t-derivative of a constant form carried to itself across the seam
+is M stencilled zeros, with the bits of the full grid.
 
 Inner products of tensors use full index contraction with g and its
 inverse: one factor of g per contravariant slot pair, one factor of
@@ -41,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, _columns, _field_components, _on_slot, _stored_constant, \
-    _sum_along, _transported, partial_derivative
+from .grids import Grid, _columns, _field_components, _on_slot, _sum_along, _sup, \
+    partial_derivative
 
 _EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -64,8 +59,8 @@ class TensorField:
     Input with fewer grid axes (a constant (3,)*rank array, or a
     (M, 1, 1) + (3,)*rank field of t alone) is kept as a read-only
     np.broadcast_to view, with zero strides on the axes it does not
-    vary along: no memory per grid point, and the exact-zero skip reads
-    constancy off the strides (see _stencil_is_zero).
+    vary along: no memory per grid point, and the tensor layer reads
+    constancy over the torus off the strides (see grids._columns).
     """
 
     grid: Grid
@@ -78,38 +73,9 @@ class TensorField:
         self.data = data if data.shape == expected else np.broadcast_to(data, expected)
 
 
-def _stencil_is_zero(data: np.ndarray, sig: str, grid: Grid) -> bool:
-    """True when every stencil difference of data is exactly +0.0.
-
-    So it is when data is float64, stored constant (zero strides on all
-    three grid axes, as TensorField keeps a constant), finite and on a
-    closed chart, and when on a twisted chart its one point (all points
-    are the same memory) pushed forward by +1 and -1 period equals it bit
-    for bit (-0.0 and +0.0 differ): then each paired difference of
-    grids._centered is x - x = +0.0.  A full-shape array is never
-    skipped, whatever it holds.
-    """
-    if grid.open_t or data.dtype != np.float64 or not _stored_constant(data):
-        return False
-    first = data[0, 0, 0]
-    if not np.all(np.isfinite(first)):
-        return False
-    bits = first.view(np.int64)
-    return grid.is_flat or all(
-        np.all(_transported(data[:1, :1, :1], sig, grid, periods).view(np.int64) == bits)
-        for periods in (1, -1))
-
-
 def gradient(data: np.ndarray, sig: str, grid: Grid) -> np.ndarray:
-    """All three partials, stacked into a new leading derivative slot.
-
-    Zeros, with no stencil, where the stencil would return exact zeros
-    (see _stencil_is_zero): the same bits.
-    """
-    out_shape = data.shape[:3] + (3,) + data.shape[3:]
-    if _stencil_is_zero(data, sig, grid):
-        return np.zeros(out_shape)
-    out = np.empty(out_shape)
+    """All three partials, stacked into a new leading derivative slot."""
+    out = np.empty(data.shape[:3] + (3,) + data.shape[3:])
     for ax in range(3):
         out[:, :, :, ax] = partial_derivative(data, sig, grid, ax)
     return out
@@ -211,43 +177,32 @@ _ANTISYMMETRY_TOL = 1e-9
 
 
 def _check_antisymmetric(data: np.ndarray, k: int):
-    """TensorCalculusError unless a 2-form is antisymmetric to _ANTISYMMETRY_TOL.
-
-    A stored constant (zero strides on all three grid axes) is checked
-    at one point, which holds every value the field has.
-    """
+    """TensorCalculusError unless a 2-form is antisymmetric to _ANTISYMMETRY_TOL."""
     if k != 2:
         return
-    if _stored_constant(data):
-        data = data[:1, :1, :1]
-    if np.max(np.abs(data + np.swapaxes(data, 3, 4))) \
-            > _ANTISYMMETRY_TOL * max(1.0, np.max(np.abs(data))):
+    if _sup(data + np.swapaxes(data, 3, 4)) > _ANTISYMMETRY_TOL * max(1.0, _sup(data)):
         raise TensorCalculusError("input form is not antisymmetric")
 
 
 def exterior_derivative(omega: TensorField) -> TensorField:
     """d on 0-, 1- and 2-forms; centered stencils give d(d .) = 0 to roundoff.
 
-    A form whose stencil gradient is exactly zero (stored constant and
-    carried to itself across the seam, such as the suspension's tau dt
-    and V dx^dy) gets the zero (k+1)-form directly, stored constant, the
-    same bits as the stencilled sum.
+    A form constant over the torus is checked and stencilled on its
+    t-column (grids._columns), and d of it is a t-column field.
     """
     k = len(omega.sig)
     if omega.sig != "d" * k:
         raise TensorCalculusError("exterior derivative expects a covariant form")
     if k > 2:
         raise TensorCalculusError(f"no {k}-forms beyond top degree in dimension 3")
-    _check_antisymmetric(omega.data, k)
-    grid, sig = omega.grid, "d" * (k + 1)
-    if _stencil_is_zero(omega.data, omega.sig, grid):
-        return TensorField(grid, np.zeros((3,) * (k + 1)), sig)
-    grad = gradient(omega.data, omega.sig, grid)
+    data, = _columns(omega.data)
+    _check_antisymmetric(data, k)
+    grad = gradient(data, omega.sig, omega.grid)
     if k == 1:
         grad = grad - np.swapaxes(grad, 3, 4)
     elif k == 2:
         grad = grad - np.swapaxes(grad, 3, 4) + np.moveaxis(grad, 3, 5)
-    return TensorField(grid, grad, sig)
+    return TensorField(omega.grid, grad, "d" * (k + 1))
 
 
 # -- Lie derivative -------------------------------------------------------
@@ -275,14 +230,16 @@ def lie_derivative(t: TensorField, x: TensorField) -> TensorField:
 
     Only exact zeros are skipped: T is stenciled only along the axes c
     where X^c is nonzero somewhere, and the d X terms are dropped when
-    the stencil gradient of X is exactly zero.  For a stored-constant X
-    carried to itself across the seam, such as the suspension Reeb field
-    (1/tau) d_t, that gradient is not formed at all (see
-    _stencil_is_zero).  The result is the full sum bit for bit.
+    the stencil gradient of X is exactly zero.  The result is the full
+    sum bit for bit.
 
     When T and X are both constant over the torus (grids._columns), the
     sum runs on their t-columns and the result is a t-column field: a
     read-only view with zero torus strides, the bits of the full grid.
+    The gradient of X is formed on X's own column whatever T's shape (the
+    suspension Reeb field (1/tau) d_t costs three M-point stencils), and
+    broadcast to T's grid shape for the derivation, whose slot products
+    then have the batch shape of the full sum.
     """
     if x.sig != "u":
         raise TensorCalculusError("Lie derivative direction must be a vector field")
@@ -290,11 +247,11 @@ def lie_derivative(t: TensorField, x: TensorField) -> TensorField:
     data, xdata = _columns(t.data, x.data)
     out = _sum_along(_field_components(xdata),
                      lambda c: partial_derivative(data, t.sig, grid, c), data.shape)
-    # no zeros array for a field whose stencil gradient is exactly zero
-    if not _stencil_is_zero(xdata, x.sig, grid):
-        grad_x = gradient(xdata, x.sig, grid)       # [c, a] = d_c X^a
-        if np.any(grad_x):
-            out -= _derivation(data, t.sig, np.swapaxes(grad_x, -1, -2))
+    x_column, = _columns(x.data)
+    grad_x = gradient(x_column, x.sig, grid)        # [c, a] = d_c X^a
+    if np.any(grad_x):
+        m = np.broadcast_to(np.swapaxes(grad_x, -1, -2), data.shape[:3] + (3, 3))
+        out -= _derivation(data, t.sig, m)
     return TensorField(grid, out, t.sig)
 
 

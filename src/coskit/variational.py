@@ -21,7 +21,10 @@ along the Reeb field by the kernel of :mod:`coskit.grids`
 (``_field_components``, ``_sum_along``), the one that the Lie and
 covariant derivatives use.  A (u, r) state constant over the torus is
 evaluated and descended on its t-column, with every sum taken over the
-full grid, so it gives the bits of the full-grid computation.
+full grid, so it gives the bits of the full-grid computation.  Likewise
+the energy, the torsion report, the Euler-Lagrange residual and
+nabla_r_h_residual read a certified metric constant over the torus on
+its t-column (grids._columns).
 """
 
 from __future__ import annotations
@@ -32,15 +35,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .cosymplectic import CompatibleMetric, Structure, certify_compatible, d_alpha_plus
-from .grids import Grid, _column_of, _field_components, _grid_sum, _stored, _stored_constant, \
-    _sum_along, partial_derivative
+from .grids import Grid, _column_of, _columns, _field_components, _grid_sum, _stored, _sum_along, \
+    _sup, partial_derivative
 from .models import HyperbolicModel, critical_frame
 from .tensors import TensorField, check_positive_definite, covariant_derivative, \
     lie_derivative, tensor_norm2
-
-
-def _sup(a) -> float:
-    return float(np.max(np.abs(a)))
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -71,17 +70,28 @@ class TorsionReport:
         return float(np.std(self.torsion_field) / mean) if mean > 0 else 0.0
 
 
+def _norm2(data: np.ndarray, sig: str, metric: CompatibleMetric) -> np.ndarray:
+    """tensor_norm2 of data in the metric, on the t-columns where all three are columns."""
+    data, g, ginv = _columns(data, metric.g.data, metric.ginv)
+    return tensor_norm2(data, sig, g, ginv)
+
+
 def _torsion(metric: CompatibleMetric) -> np.ndarray:
-    """|L_R g|^2 pointwise, unclamped."""
-    return tensor_norm2(lie_derivative(metric.g, metric.structure.reeb).data, "dd",
-                        metric.g.data, metric.ginv)
+    """|L_R g|^2 pointwise, unclamped; the (M, 1, 1) t-column on a metric constant over the torus."""
+    return _norm2(lie_derivative(metric.g, metric.structure.reeb).data, "dd", metric)
 
 
 def torsion_report(metric: CompatibleMetric) -> TorsionReport:
+    """The torsion field, its energy and the sup of its Reeb derivative.
+
+    The energy and the Reeb derivative are formed on the t-column where the
+    torsion is one; the field is returned at grid shape, a contiguous
+    array, as np.mean and np.std read it.
+    """
     structure = metric.structure
     torsion = np.maximum(_torsion(metric), 0.0)
     return TorsionReport(
-        torsion_field=torsion,
+        torsion_field=np.broadcast_to(torsion, metric.grid.shape).copy(),
         energy=structure.integrate(torsion),
         first_integral_residual=_sup(reeb_derivative(torsion, structure)),
     )
@@ -94,14 +104,13 @@ def energy(metric: CompatibleMetric) -> float:
 def _reeb_connection(metric: CompatibleMetric):
     """T = L_R g, dalpha+ and nabla R = (g^-1 T - dalpha+) / 2; see euler_lagrange_residual.
 
-    dalpha+ is None where d_alpha_plus returns it as a stored-constant
-    zero (cosymplectic charts): subtracting its +0.0 changes no bit.
+    nabla R is formed on the t-columns where T, g^-1 and dalpha+ are
+    constant over the torus (grids._columns).
     """
     t = lie_derivative(metric.g, metric.structure.reeb)
     dap = d_alpha_plus(metric).data
-    if _stored_constant(dap):
-        return t, None, 0.5 * (metric.ginv @ t.data)
-    return t, dap, 0.5 * (metric.ginv @ t.data - dap)
+    ginv, td, dapc = _columns(metric.ginv, t.data, dap)
+    return t, dap, 0.5 * (ginv @ td - dapc)
 
 
 def euler_lagrange_residual(metric: CompatibleMetric) -> TensorField:
@@ -118,9 +127,8 @@ def euler_lagrange_residual(metric: CompatibleMetric) -> TensorField:
     suspension's critical metrics the whole residual cancels to roundoff.
     It is no test of criticality on its own: on the contact_t3 testbed it
     is tangent, of sup norm sqrt(2), and the energy falls along it.  On
-    cosymplectic charts dalpha+ vanishes (exactly where d alpha is a
-    stored-constant zero, and then its terms are not formed) and the
-    residual reduces to nabla_R L_R g.  The cross term carries
+    cosymplectic charts dalpha+ vanishes and the residual reduces to
+    nabla_R L_R g.  The cross term carries
     coefficient 1 here because this package uses the determinant
     convention for the exterior derivative ((da)(X,Y) = X a(Y) - Y a(X)
     on coordinate fields); almost-contact sources that normalize d with
@@ -128,24 +136,25 @@ def euler_lagrange_residual(metric: CompatibleMetric) -> TensorField:
     coefficient is pinned by a convergence fit: on closed charts
     -2 <EL, H> approaches first_variation, the exact derivative of the
     discrete energy, at 4th order.
+
+    Formed on the t-columns where the metric and structure are constant
+    over the torus, out of place (column results are read-only views).
     """
     lg, dap, nabla_r = _reeb_connection(metric)
-    el = covariant_derivative(lg, metric.structure.reeb, nabla_r).data
-    if dap is not None:
-        el -= lg.data @ dap
-    return TensorField(metric.grid, el, "dd")
+    el, t, dap = _columns(covariant_derivative(lg, metric.structure.reeb, nabla_r).data,
+                          lg.data, dap)
+    return TensorField(metric.grid, el - t @ dap, "dd")
 
 
 def euler_lagrange_supnorm(metric: CompatibleMetric) -> float:
-    el = euler_lagrange_residual(metric)
-    return float(np.sqrt(np.max(tensor_norm2(el.data, "dd", metric.g.data, metric.ginv))))
+    return float(np.sqrt(np.max(_norm2(euler_lagrange_residual(metric).data, "dd", metric))))
 
 
 def nabla_r_h_residual(metric: CompatibleMetric) -> float:
     """sup |nabla_R h|; vanishes iff the metric is critical (cosymplectic case)."""
     nh = covariant_derivative(metric.h_tensor(), metric.structure.reeb,
                               _reeb_connection(metric)[2])
-    return float(np.sqrt(np.max(tensor_norm2(nh.data, "ud", metric.g.data, metric.ginv))))
+    return float(np.sqrt(np.max(_norm2(nh.data, "ud", metric))))
 
 
 # -- tangent space of compatible metrics --------------------------------------
@@ -343,7 +352,7 @@ def energy_gap(d: Deformation, mu: float, structure: Structure) -> GapReport:
     the discrete divergence theorem.
     """
     components, weight = _gap_setup(structure)
-    gap, ru, _ = _gap_and_gradient(_state(d, components), mu, components,
+    gap, ru, _ = _gap_and_gradient(_state(d), mu, components,
                                    structure.grid, weight)
     return GapReport(gap=gap, divergence_residual=structure.integrate(8.0 * mu * ru))
 
@@ -485,16 +494,18 @@ def _gap_setup(structure: Structure):
     return components, abs(float(dens.flat[0])) * ht * hx * hy
 
 
-def _state(d: Deformation, components) -> np.ndarray:
+def _state(d: Deformation) -> np.ndarray:
     """The stacked state x = (u, r), as its (M, 1, 1, 2) t-column when it is one.
 
     That is when every torus point of each t-slab holds the same bits
-    (-0.0 and +0.0 differ) and R has only a t-component, so that R(x) is
-    constant over the torus too; every state built from
-    random_global_scalar is.  Any other state is kept at full shape.
+    (-0.0 and +0.0 differ); every state built from random_global_scalar
+    is.  _gap_setup requires constant Reeb components, and the stencils
+    of a column give the full grid's bits along every axis, so R(x) on
+    the column is the full-grid R(x).  Any other state is kept at full
+    shape.
     """
     x = np.stack((d.u, d.r), axis=-1)
-    col = None if any(c != 0 for c, _ in components) else _column_of(x)
+    col = _column_of(x)
     return x if col is None else col
 
 
@@ -558,7 +569,7 @@ def minimize_energy(initial: Deformation, mu: float, structure: Structure,
     final = Deformation(grid, initial.u, initial.r)
     components, weight = _gap_setup(structure)
 
-    x = _state(initial, components)
+    x = _state(initial)
     gap, ru, gradient = _gap_and_gradient(x, mu, components, grid, weight)
     history, step_sizes, backtracks, grad_norm2 = [gap], [], [], []
     step = _STEP0

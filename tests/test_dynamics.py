@@ -289,23 +289,27 @@ def test_splitting_same_bits_on_column_and_full_path(monkeypatch, mat):
 
 def test_splitting_stencils_the_t_column(monkeypatch):
     # every stencil of the splitting stages reads a t-column on the critical
-    # metric, and the full grid on a metric whose u varies over the torus
-    # (constant in t, where h stays self-adjoint)
+    # metric; on a metric whose u varies over the torus (constant in t, where
+    # h stays self-adjoint) the torus-varying fields are stencilled on the
+    # full grid, and the Reeb field only as its column
     model = ck.build_hyperbolic_model([[2, 1], [1, 1]], tau=0.7, area=2.0)
     grid = Grid(16, 16, model.matrix)
     _, critical = ck.critical_metric(model, grid)
     chart = variational.deformation_chart(model, grid)
     u = 0.05 * orbit_field(grid, np.random.default_rng(5))
     deformed = variational.deform(chart, variational.Deformation(grid, u, 0.0))
-    shapes = []
+    stenciled = []
     real = tensors.partial_derivative
     monkeypatch.setattr(tensors, "partial_derivative",
-                        lambda data, *args: shapes.append(data.shape) or real(data, *args))
+                        lambda data, *args: stenciled.append(data) or real(data, *args))
     _splitting_stages(critical, model)
-    assert shapes and {s[1:3] for s in shapes} == {(1, 1)}
-    shapes.clear()
+    assert stenciled and {d.shape[1:3] for d in stenciled} == {(1, 1)}
+    stenciled.clear()
     _splitting_stages(deformed, model)
-    assert shapes and {s[1:3] for s in shapes} == {(16, 16)}
+    reeb = deformed.structure.reeb.data
+    columns = [d for d in stenciled if d.shape[1:3] == (1, 1)]
+    assert columns and all(np.shares_memory(d, reeb) for d in columns)
+    assert {d.shape[1:3] for d in stenciled if not np.shares_memory(d, reeb)} == {(16, 16)}
 
 
 def test_bracket_perturbation_sensitivity(model, crit32):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 import coskit as ck
-from coskit.grids import Grid, GridError, _grid_sum, _period_pair, _torus_permutation, \
-    _transported, \
-    integrate, partial_derivative, seam_transport, shift
+from coskit.grids import Grid, GridError, _grid_sum, _period_pair, _sup, _torus_permutation, \
+    _transported, integrate, partial_derivative, seam_transport, shift
 
 
 def test_grid_validation():
@@ -354,6 +353,26 @@ def test_grid_sum_of_t_column_is_the_full_grid_mean(n):
         full = np.broadcast_to(column, (n, n, n, 3)).copy()
         expected = np.mean(full[..., 0])
         got = _grid_sum(column[..., 0], (n, n, n)) / full[..., 0].size
+        assert np.float64(got).tobytes() == expected.tobytes()
+
+
+def test_sup_reads_the_stored_values():
+    # a constant, a t-column and a full field, each as a zero-stride view and
+    # as a contiguous array, with -0.0, inf and NaN among the values
+    rng = np.random.default_rng(3)
+    shape = (8, 6, 6, 3)
+    column = rng.standard_normal((8, 1, 1, 3))
+    column[2, 0, 0, 1] = -0.0
+    cases = [np.broadcast_to(np.array([-2.5, 1.0, -0.0]), shape),
+             np.broadcast_to(column, shape), rng.standard_normal(shape)]
+    for bad in (-np.inf, np.nan):
+        c = column.copy()
+        c[5, 0, 0, 2] = bad
+        cases.append(np.broadcast_to(c, shape))
+    for a in cases + [np.array(a) for a in cases] + [column, -column[..., 0]]:
+        expected = np.max(np.abs(np.array(a)))
+        got = _sup(a)
+        assert type(got) is float
         assert np.float64(got).tobytes() == expected.tobytes()
 
 

@@ -380,17 +380,22 @@ def test_fewer_grid_axes_stored_as_zero_stride_view(data, strides):
         f.data += 1.0
 
 
-def unskipped(monkeypatch, fn, *args):
-    """fn(*args) with the exact-zero skip turned off: the stencilled result."""
-    with monkeypatch.context() as m:
-        m.setattr(tensors, "_stencil_is_zero", lambda *a: False)
-        return fn(*args)
+def full_copy(f):
+    """f as a contiguous full-shape field, which the tensor layer computes at full shape."""
+    return TensorField(f.grid, np.array(f.data), f.sig)
 
 
-def refuse_stencils(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("stencil run on an exact-zero field")
-    monkeypatch.setattr(tensors, "partial_derivative", refuse)
+def recording_stencils(monkeypatch):
+    """The list of arrays that tensors' stencil reads, filled as it runs."""
+    stenciled = []
+    real = tensors.partial_derivative
+
+    def recording(data, *args):
+        stenciled.append(data)
+        return real(data, *args)
+
+    monkeypatch.setattr(tensors, "partial_derivative", recording)
+    return stenciled
 
 
 SUSPENSIONS = [(matrix, tau, area) for matrix in ([[2, 1], [1, 1]], [[-2, 1], [1, -1]])
@@ -417,51 +422,50 @@ def constant_structure(request):
 
 
 def test_exact_zero_forms_skip_bit_identical(constant_structure, monkeypatch):
+    # the constant forms are stencilled on their t-column; their gradient
+    # and d have the bytes of the full-shape copies' stencils, all +0.0
     grid = constant_structure.grid
     scalar = TensorField(grid, 2.5, "")
     fields = (scalar, constant_structure.alpha, constant_structure.beta)
-    grads = [unskipped(monkeypatch, tensors.gradient, f.data, f.sig, grid) for f in fields]
-    ds = [unskipped(monkeypatch, exterior_derivative, f).data for f in fields]
+    grads = [tensors.gradient(f.data, f.sig, grid) for f in fields]
+    ds = [exterior_derivative(full_copy(f)).data for f in fields]
     for f, grad in zip(fields, grads):
         assert grad.tobytes() == stencil_gradient(f.data, f.sig, grid).tobytes()
-    # the same scalar as a full array is stencilled, to the same bytes
+    # the same scalar as a full array, to the same bytes
     full = TensorField(grid, np.full(grid.shape, 2.5), "")
-    assert not tensors._stencil_is_zero(full.data, full.sig, grid)
     assert tensors.gradient(full.data, full.sig, grid).tobytes() == grads[0].tobytes()
     assert exterior_derivative(full).data.tobytes() == ds[0].tobytes()
-    refuse_stencils(monkeypatch)
-    for f, grad, d in zip(fields, grads, ds):
-        assert tensors._stencil_is_zero(f.data, f.sig, grid)
-        assert tensors.gradient(f.data, f.sig, grid).tobytes() == grad.tobytes()
+    stenciled = recording_stencils(monkeypatch)
+    for f, d in zip(fields, ds):
         out = exterior_derivative(f)
         assert out.sig == "d" * (len(f.sig) + 1)
         assert out.data.tobytes() == d.tobytes()
+        assert not np.any(d) and not np.any(np.signbit(d))
+    assert stenciled and all(a.shape[1:3] == (1, 1) for a in stenciled)
 
 
 @pytest.mark.parametrize("case", SUSPENSIONS, ids=suspension_id)
 def test_lie_along_suspension_reeb_skip_bit_identical(case, monkeypatch):
+    # L_R on the t-columns has the bytes of L_R on full-shape copies, and
+    # the Reeb field is stencilled only as its column
     structure, metric = critical8(*case)
     reeb = structure.reeb
     fields = (metric.g, metric.phi, structure.alpha, structure.beta)
-    refs = [unskipped(monkeypatch, lie_derivative, f, reeb).data for f in fields]
-    stenciled = []
-    real = tensors.partial_derivative
-
-    def recording(data, *args):
-        stenciled.append(data)
-        return real(data, *args)
-
-    monkeypatch.setattr(tensors, "partial_derivative", recording)
+    refs = [lie_derivative(full_copy(f), full_copy(reeb)).data for f in fields]
+    stenciled = recording_stencils(monkeypatch)
     for f, ref in zip(fields, refs):
         assert lie_derivative(f, reeb).data.tobytes() == ref.tobytes()
-    assert not any(d is reeb.data for d in stenciled)
+    reeb_reads = [d for d in stenciled if np.shares_memory(d, reeb.data)]
+    assert reeb_reads and all(d.shape[1:3] == (1, 1) for d in reeb_reads)
 
 
-def test_christoffel_flat_cokahler_skip_bit_identical(flat8, monkeypatch):
+def test_christoffel_flat_cokahler_skip_bit_identical(flat8):
+    # Gamma of the constant flat metric, stored as its t-column, has the
+    # bytes of Gamma of a full-shape copy: +0.0 everywhere
     _, metric = flat8
-    ref = unskipped(monkeypatch, christoffel, metric.g, metric.ginv)
-    refuse_stencils(monkeypatch)
+    ref = christoffel(full_copy(metric.g), np.array(metric.ginv))
     assert christoffel(metric.g, metric.ginv).tobytes() == ref.tobytes()
+    assert not np.any(ref) and not np.any(np.signbit(ref))
 
 
 def seam_moved(grid, sig, stored):
@@ -477,38 +481,39 @@ def seam_moved(grid, sig, stored):
 @pytest.mark.parametrize("sig", ["d", "u"])
 def test_no_skip_on_constant_field_the_seam_moves(matrix, sig):
     # dx and d_x are constant on the chart, but the gluing carries them to
-    # other constants, so their t-derivative is nonzero at the seam; the
-    # stored constant passes the stride test and is refused by the seam check
+    # other constants, so their t-derivative is nonzero at the seam, on the
+    # stored constant's t-column as on the full array
     grid = Grid(8, 8, matrix)
     for stored in (True, False):
         f = seam_moved(grid, sig, stored)
-        assert not any(f.data.strides[:3]) if stored else all(f.data.strides[:3])
-        assert not tensors._stencil_is_zero(f.data, sig, grid)
         grad = tensors.gradient(f.data, sig, grid)
         assert grad.tobytes() == stencil_gradient(f.data, sig, grid).tobytes()
         assert np.any(grad[[0, 1, -2, -1], :, :, 0])
         assert not np.any(grad[2:-2])
         if sig == "d":
             d = exterior_derivative(f).data
+            assert d.tobytes() == exterior_derivative(full_copy(f)).data.tobytes()
             assert np.any(d[0]) and not np.any(d[2:-2])
 
 
 def test_no_skip_on_open_box():
+    # the one-sided rows of the open t-axis, on the t-column and the full grid
     structure, metric = ck.sol_model(1.0, ck.sol_box_grid(8, 16))
     grid = structure.grid
     for f in (structure.alpha, structure.beta, structure.reeb):
-        assert not tensors._stencil_is_zero(f.data, f.sig, grid)
         assert tensors.gradient(f.data, f.sig, grid).tobytes() \
+            == stencil_gradient(f.data, f.sig, grid).tobytes()
+        column = tensors.gradient(f.data[:, :1, :1], f.sig, grid)
+        assert np.broadcast_to(column, grid.shape + column.shape[3:]).tobytes() \
             == stencil_gradient(f.data, f.sig, grid).tobytes()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_no_skip_on_nonfinite_constant(value):
-    # the stored constant passes the stride test and is refused as not finite
+    # a non-finite constant, stored or full, is stencilled to NaN
     for grid in (Grid(8, 8), Grid(8, 8, [[2, 1], [1, 1]])):
         for data in (np.full(grid.shape + (3,), value),
                      TensorField(grid, np.full(3, value), "d").data):
-            assert not tensors._stencil_is_zero(data, "d", grid)
             with np.errstate(invalid="ignore"):
                 grad = tensors.gradient(data, "d", grid)
                 d = exterior_derivative(TensorField(grid, data, "d")).data
@@ -516,20 +521,17 @@ def test_no_skip_on_nonfinite_constant(value):
 
 
 def test_no_skip_on_full_arrays():
-    # a full-shape array is never skipped: a constant one is stencilled to
-    # the same zeros, and one point breaks constancy, as does one -0.0
-    # among +0.0, whose stencil gradient holds -0.0 entries
+    # a constant full-shape array is stencilled to the zeros of the stored
+    # constant, and one point breaks constancy, as does one -0.0 among
+    # +0.0, whose stencil gradient holds -0.0 entries
     grid = Grid(8, 8, [[2, 1], [1, 1]])
     d_t = TensorField(grid, [1.0, 0.0, 0.0], "u").data
     constant = np.array(d_t)
-    assert tensors._stencil_is_zero(d_t, "u", grid)
-    assert not tensors._stencil_is_zero(constant, "u", grid)
     assert tensors.gradient(constant, "u", grid).tobytes() \
         == tensors.gradient(d_t, "u", grid).tobytes()
     for value in (1.0 + 2.0 ** -52, -0.0):
         data = np.zeros(grid.shape + (3,)) if value == 0.0 else np.ones(grid.shape + (3,))
         data[3, 2, 5, 1] = value
-        assert not tensors._stencil_is_zero(data, "u", grid)
         grad = tensors.gradient(data, "u", grid)
         assert grad.tobytes() == stencil_gradient(data, "u", grid).tobytes()
         assert np.any(np.signbit(grad)) if value == 0.0 else np.any(grad)

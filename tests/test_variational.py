@@ -18,6 +18,40 @@ def sup(a):
 # -- torsion report ------------------------------------------------------------
 
 
+def _reader_bits(metric) -> list[bytes]:
+    """The bytes of every variational reader of a certified metric, at grid shape."""
+    rep = va.torsion_report(metric)
+    assert rep.torsion_field.shape == metric.grid.shape
+    assert rep.torsion_field.flags.c_contiguous
+    scalars = [va.energy(metric), rep.energy, rep.first_integral_residual, rep.constancy,
+               va.euler_lagrange_supnorm(metric), va.nabla_r_h_residual(metric),
+               *metric.structure.residuals().values()]
+    fields = [rep.torsion_field, va.euler_lagrange_residual(metric).data,
+              ck.d_alpha_plus(metric).data]
+    return ([np.float64(v).tobytes() for v in scalars]
+            + [np.ascontiguousarray(f).tobytes() for f in fields])
+
+
+@pytest.mark.parametrize("mat", [[[2, 1], [1, 1]], [[-2, 1], [1, -1]], [[3, 1], [2, 1]]],
+                         ids=["2,1,1,1", "-2,1,1,-1", "3,1,2,1"])
+def test_readers_same_bits_on_column_and_full_path(monkeypatch, mat):
+    # the critical metric is certified as its t-column and the readers run
+    # on columns; with the column test off, full copies of g and of the
+    # structure's fields take the full path, to the same bytes
+    model = ck.build_hyperbolic_model(mat, tau=0.7, area=2.0)
+    grid = Grid(16, 16, model.matrix)
+    structure, metric = ck.critical_metric(model, grid)
+    column = _reader_bits(metric)
+    monkeypatch.setattr(cosymplectic, "_column_of", lambda data: None)
+    full_structure = ck.Structure(grid, *(TensorField(grid, np.array(f.data), f.sig)
+                                          for f in (structure.alpha, structure.beta,
+                                                    structure.reeb)))
+    full = ck.certify_compatible(full_structure, TensorField(grid, np.array(metric.g.data), "dd"))
+    assert not any(metric.g.data.strides[1:3]) and all(full.g.data.strides[1:3])
+    assert list(structure.residuals()) == list(full_structure.residuals())
+    assert column == _reader_bits(full)
+
+
 def test_torsion_report_critical(crit32, model):
     _, metric = crit32
     rep = va.torsion_report(metric)
@@ -95,23 +129,19 @@ def test_el_vs_nabla_r_h_ratio(model):
 
 @pytest.mark.parametrize("mat", [[[2, 1], [1, 1]], [[-2, 1], [1, -1]]], ids=["trace+", "trace-"])
 def test_zero_dalpha_plus_terms_skipped_with_the_same_bits(mat):
-    # on a cosymplectic chart d alpha is a stored-constant zero, so dalpha+
-    # is one too and neither g^-1 dalpha nor the EL cross term is formed;
-    # the results have the bits of the formulas with g^-1 @ 0 spelled out
+    # on a cosymplectic chart d alpha is zero, and dalpha+, nabla R and the
+    # EL residual, formed on the t-columns, have the bits of the formulas
+    # with g^-1 @ 0 spelled out at full shape
     model = ck.build_hyperbolic_model(mat, tau=0.7, area=2.0)
     grid = Grid(8, 8, model.matrix)
     chart = va.deformation_chart(model, grid)
-    contact = ck.contact_t3_testbed(1, Grid(8, 8))[1]
-    assert any(ck.d_alpha_plus(contact).data.strides[:3])
     for metric in (chart.metric, va.deform(chart, va.random_deformation(grid, 3, 0.2))):
         dap = ck.d_alpha_plus(metric).data
-        assert not any(dap.strides[:3])
         zero_plus = metric.ginv @ np.zeros(grid.shape + (3, 3))
         assert np.broadcast_to(dap, zero_plus.shape).tobytes() == zero_plus.tobytes()
-        lg, skipped, nabla_r = va._reeb_connection(metric)
-        assert skipped is None
+        lg, _, nabla_r = va._reeb_connection(metric)
         nabla_ref = 0.5 * (metric.ginv @ lg.data - zero_plus)
-        assert nabla_r.tobytes() == nabla_ref.tobytes()
+        assert np.broadcast_to(nabla_r, nabla_ref.shape).tobytes() == nabla_ref.tobytes()
         el_ref = covariant_derivative(lg, metric.structure.reeb, nabla_ref).data
         el_ref -= lg.data @ zero_plus
         assert va.euler_lagrange_residual(metric).data.tobytes() == el_ref.tobytes()
@@ -677,21 +707,38 @@ def _start(grid: Grid, seed) -> va.Deformation:
     return seed(grid, 34) if callable(seed) else va.random_deformation(grid, seed, amplitude=0.3)
 
 
+def _x_reeb_structure(grid: Grid) -> ck.Structure:
+    """A closed flat chart whose Reeb field 0.7 d_x has no t-component."""
+    return ck.Structure(grid, TensorField(grid, [0.0, 1.0 / 0.7, 0.0], "d"),
+                        TensorField(grid, [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+                                    "dd"),
+                        TensorField(grid, [0.0, 0.7, 0.0], "u"))
+
+
 # the random_deformation starts descend on their t-column, the others at
-# full shape; every one must give the reference's bits
+# full shape; every one must give the reference's bits, also where R has
+# no t-component (None: the flat chart of _x_reeb_structure)
 @pytest.mark.parametrize("mat, seed, steps", [
     ([[2, 1], [1, 1]], 31, 150),
     ([[-2, 1], [1, -1]], 32, 150),
     ([[3, 1], [2, 1]], 33, 150),
     ([[-2, 1], [1, -1]], torus_varying_deformation, 150),
     ([[2, 1], [1, 1]], _with_negative_zero, 60),
-], ids=["L0", "L1", "L2", "L1-torus-varying", "L0-negative-zero"])
-def test_minimize_bit_identical_to_unfused_reference(mat, seed, steps):
-    model = ck.build_hyperbolic_model(mat, tau=0.7, area=2.0)
-    grid = Grid(8, 256, model.matrix)
-    structure = ck.suspension_structure(model, grid)
+    (None, 35, 40),
+], ids=["L0", "L1", "L2", "L1-torus-varying", "L0-negative-zero", "flat-reeb-0.7dx"])
+def test_minimize_bit_identical_to_unfused_reference(monkeypatch, mat, seed, steps):
+    model = ck.build_hyperbolic_model(mat or [[2, 1], [1, 1]], tau=0.7, area=2.0)
+    if mat is None:
+        grid = Grid(8, 256)
+        structure = _x_reeb_structure(grid)
+    else:
+        grid = Grid(8, 256, model.matrix)
+        structure = ck.suspension_structure(model, grid)
     d0 = _start(grid, seed)
+    shapes = _recorded_stencil_shapes(monkeypatch)
     res = va.minimize_energy(d0, model.mu, structure, steps=steps)
+    on_column = isinstance(seed, int)
+    assert set(shapes) == {(256, 1, 1, 2) if on_column else (256, 8, 8, 2)}
     history, u, r, n_done, converged = _reference_minimize(d0, model.mu, structure, steps)
     assert res.gap_history == history
     assert np.array_equal(res.deformation.u, u)
@@ -733,7 +780,7 @@ def test_energy_gap_same_bits_on_column_and_full_copy(monkeypatch, fiber_chart):
     structure, mu = fiber_chart.structure, fiber_chart.mu
     starts = [va.random_deformation(fiber_chart.grid, seed, amplitude=0.3) for seed in range(4)]
     column = [va.energy_gap(d, mu, structure) for d in starts]
-    monkeypatch.setattr(va, "_state", lambda d, components: np.stack((d.u, d.r), axis=-1))
+    monkeypatch.setattr(va, "_state", lambda d: np.stack((d.u, d.r), axis=-1))
     shapes = _recorded_stencil_shapes(monkeypatch)
     full = [va.energy_gap(d, mu, structure) for d in starts]
     assert set(shapes) == {fiber_chart.grid.shape + (2,)}
