@@ -24,7 +24,11 @@ evaluated and descended on its t-column, with every sum taken over the
 full grid, so it gives the bits of the full-grid computation.  Likewise
 the energy, the torsion report, the Euler-Lagrange residual and
 nabla_r_h_residual read a certified metric constant over the torus on
-its t-column (grids._columns).
+its t-column (grids._columns), and so does the variation path:
+random_tangent builds a suspension tangent as its t-column, and
+tangent_project, exponential_curve, first_variation, deformation_chart
+and deform compute on the columns when every input is one.  Mixed or
+torus-varying input takes the full path, with the same bits.
 """
 
 from __future__ import annotations
@@ -166,11 +170,13 @@ def tangent_project(h_raw: TensorField, metric: CompatibleMetric) -> TensorField
     Removes the Reeb component, then the phi-antisymmetric part via
     H -> (H - H(phi., phi.)) / 2; tangent vectors are exactly the
     symmetric fields with iota_R H = 0 and H(phi., .) = H(., phi.).
-    Idempotent on tangent input.
+    Idempotent on tangent input.  Formed on the t-columns where H, alpha,
+    R and phi are constant over the torus (grids._columns); such a result
+    is a read-only view with zero torus strides.
     """
-    h = 0.5 * (h_raw.data + np.swapaxes(h_raw.data, -1, -2))
-    alpha, reeb, phi = (metric.structure.alpha.data, metric.structure.reeb.data,
-                        metric.phi.data)
+    h, alpha, reeb, phi = _columns(h_raw.data, metric.structure.alpha.data,
+                                   metric.structure.reeb.data, metric.phi.data)
+    h = 0.5 * (h + np.swapaxes(h, -1, -2))
     omega = (reeb[..., None, :] @ h)[..., 0, :]
     c = np.einsum("...i,...i->...", omega, reeb)
     h1 = (h - _outer(alpha, omega) - _outer(omega, alpha)
@@ -205,14 +211,20 @@ def exponential_curve(metric: CompatibleMetric, h_field: TensorField,
     sqrt(3) raises OverflowError.  The guard accepts every |sB|_2 <= 200,
     and an accepted curve stretches by at most e^{346} ~ 1e150, far from
     overflow.
+
+    Where g0, g0^{-1} and H are constant over the torus, every step runs
+    on their t-columns (grids._columns): each is pointwise and theta a
+    maximum, so g(s) has the full grid's bits, and it is certified as
+    its column with no bitwise scan.
     """
     if not np.isfinite(s):
         raise ValueError(f"curve parameter s is not finite: {s}")
-    if not np.all(np.isfinite(h_field.data)):
+    g, ginv, h = _columns(metric.g.data, metric.ginv, h_field.data)
+    if not np.all(np.isfinite(h)):
         raise ValueError("tangent field is not finite")
-    c = check_positive_definite(metric.g.data)
-    c_inv = np.swapaxes(c, -1, -2) @ metric.ginv
-    b = c_inv @ h_field.data @ np.swapaxes(c_inv, -1, -2)
+    c = check_positive_definite(g)
+    c_inv = np.swapaxes(c, -1, -2) @ ginv
+    b = c_inv @ h @ np.swapaxes(c_inv, -1, -2)
     b = (0.5 * s) * (b + np.swapaxes(b, -1, -2))
     theta = float(np.sqrt(np.max(np.sum(b * b, axis=(-2, -1)))))
     if not theta <= _EXP_THETA_MAX:
@@ -261,13 +273,16 @@ def first_variation(metric: CompatibleMetric, h_field: TensorField) -> float:
     So it is exact to roundoff on every chart, the open Sol box
     included, with no integration by parts.  The continuum pairing
     -2 <EL residual, H> (see euler_lagrange_residual) agrees with it
-    on closed charts up to the stencil error, O(h^4).
+    on closed charts up to the stencil error, O(h^4).  g^-1, T, L_R H and
+    H are taken on their t-columns when all four are constant over the
+    torus; the integral is one sum over the full grid, with its bits.
     """
-    reeb, ginv = metric.structure.reeb, metric.ginv
-    t_up = ginv @ lie_derivative(metric.g, reeb).data         # g^-1 T
-    m = lie_derivative(h_field, reeb).data                    # read-only on a t-column H
-    m = np.subtract(m, np.swapaxes(t_up, -1, -2) @ h_field.data,
-                    out=m if m.flags.writeable else None)      # L_R H - T g^-1 H
+    reeb = metric.structure.reeb
+    ginv, t, m, h = _columns(metric.ginv, lie_derivative(metric.g, reeb).data,
+                             lie_derivative(h_field, reeb).data, h_field.data)
+    t_up = ginv @ t                                           # g^-1 T
+    # L_R H - T g^-1 H, in place unless L_R H is a read-only t-column
+    m = np.subtract(m, np.swapaxes(t_up, -1, -2) @ h, out=m if m.flags.writeable else None)
     return 2.0 * metric.structure.integrate(np.sum((t_up @ ginv) * m, axis=(-2, -1)))
 
 
@@ -315,18 +330,30 @@ class DeformationChart:
 
 
 def deformation_chart(model: HyperbolicModel, grid: Grid) -> DeformationChart:
+    """The critical metric and its lowered bracket frame, formed on the t-column.
+
+    vp_flat and vm_flat are read-only views of grid shape with zero torus
+    strides.
+    """
     from .models import critical_metric
     structure, metric = critical_metric(model, grid)
     v_plus, v_minus, _, _ = critical_frame(model, grid)
-    lower = lambda v: (metric.g.data @ v.data[..., None])[..., 0]
-    return DeformationChart(model, structure, metric, lower(v_plus), lower(v_minus))
+    g, vp, vm = _columns(metric.g.data, v_plus.data, v_minus.data)
+    lower = lambda v: np.broadcast_to((g @ v[..., None])[..., 0], grid.shape + (3,))
+    return DeformationChart(model, structure, metric, lower(vp), lower(vm))
 
 
 def deform(chart: DeformationChart, d: Deformation) -> CompatibleMetric:
-    """Assemble and certify g~ from (u, r) over the critical metric."""
-    p, q, r = d.p, d.q, d.r
-    alpha = chart.structure.alpha.data
-    vp, vm = chart.vp_flat, chart.vm_flat
+    """Assemble and certify g~ from (u, r) over the critical metric.
+
+    Assembled pointwise, on the t-column where the (u, r) state (see
+    _state) and the frame are constant over the torus: such a g~ has the
+    full grid's bits and is certified as its column with no bitwise scan.
+    """
+    alpha, vp, vm, x = _columns(chart.structure.alpha.data, chart.vp_flat, chart.vm_flat,
+                                _state(d))
+    u, r = x[..., 0], x[..., 1]
+    p, q = np.exp(u), (1.0 + r ** 2) * np.exp(-u)
     g = (_outer(alpha, alpha)
          + q[..., None, None] * _outer(vp, vp)
          + r[..., None, None] * (_outer(vp, vm) + _outer(vm, vp))
@@ -378,10 +405,18 @@ def random_global_scalar(grid: Grid, rng: np.random.Generator, amplitude: float,
     Fields on a twisted chart must satisfy f(x, 1) = f(L x, 0); the
     t-only truncated series does so for any monodromy.  Coefficients
     fall off like m^{-4} so stencil truncation error stays resolvable;
-    the sup norm is scaled to the requested amplitude.
+    the sup norm is scaled to the requested amplitude.  The series is
+    evaluated on the (M, 1, 1) t-column and broadcast into a new array
+    of grid shape.
     """
+    return np.broadcast_to(_t_series(grid, rng, amplitude, max_mode), grid.shape).copy()
+
+
+def _t_series(grid: Grid, rng: np.random.Generator, amplitude: float,
+              max_mode: int) -> np.ndarray:
+    """random_global_scalar's series on its (M, 1, 1) t-column, pointwise, so with its bits."""
     t = grid.t
-    out = np.zeros(grid.shape)
+    out = np.zeros(t.shape)
     for m in range(1, max_mode + 1):
         coeff = rng.standard_normal() * m ** (-_DECAY)
         phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -407,7 +442,10 @@ def random_tangent(metric: CompatibleMetric, rng: np.random.Generator,
     on twisted charts it is built from quadratics of the critical
     coframe (alpha, lowered frame covectors) with t-only random
     coefficients, which keeps it single-valued on the quotient.  The
-    result is tangent-projected and scaled to the requested sup norm.
+    result is tangent-projected and scaled to the requested sup norm, out
+    of place.  The twisted field depends on t alone, and at a metric
+    constant over the torus it is returned as its t-column, a read-only
+    view with zero torus strides; the flat field is a contiguous array.
     """
     grid = metric.grid
     if model is None:
@@ -424,24 +462,23 @@ def random_tangent(metric: CompatibleMetric, rng: np.random.Generator,
                 raw[..., i, j] = f
                 raw[..., j, i] = f
     else:
-        t = np.broadcast_to(grid.t, grid.shape)
         theta = model.dual_basis
-        lamt = np.abs(model.lam) ** t
-        covs = [metric.structure.alpha.data]
+        lamt = np.abs(model.lam) ** grid.t
+        covs = [_columns(metric.structure.alpha.data)[0]]
         for vec, sign in ((theta[0] * 1.0, 1.0), (theta[1] * 1.0, -1.0)):
-            c = np.zeros(grid.shape + (3,))
+            c = np.zeros(grid.t.shape + (3,))
             c[..., 1:] = np.einsum("...,i->...i", lamt ** sign, vec)
             covs.append(c)
-        raw = np.zeros(grid.shape + (3, 3))
+        raw = np.zeros(grid.t.shape + (3, 3))
         for a in range(3):
             for b in range(a, 3):
-                s = random_global_scalar(grid, rng, 1.0, _TANGENT_MAX_MODE)
+                s = _t_series(grid, rng, 1.0, _TANGENT_MAX_MODE)
                 term = _outer(covs[a], covs[b])
-                raw += s[..., None, None] * (term + np.swapaxes(term, -1, -2))
+                raw = raw + s[..., None, None] * (term + np.swapaxes(term, -1, -2))
     h = tangent_project(TensorField(grid, raw, "dd"), metric)
     sup = _sup(h.data)
     if sup > 0:
-        h.data *= amplitude / sup
+        h = TensorField(grid, _stored(h.data) * (amplitude / sup), "dd")
     return h
 
 

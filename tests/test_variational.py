@@ -228,16 +228,86 @@ def test_first_variation_zero_at_critical(crit32, model):
 
 
 def test_first_variation_of_t_column_tangent(model):
-    # L_R H of a tangent stored as its t-column is a read-only t-column
-    # field; first_variation raises nothing and gives the full copy's bits
+    # random_tangent returns a read-only t-column tangent; L_R H of it is a
+    # read-only t-column field, and first_variation raises nothing and gives
+    # the bits of a full contiguous copy of H, which takes the full path
     grid = Grid(16, 16, model.matrix)
     _, metric = ck.critical_metric(model, grid)
-    h = va.random_tangent(metric, np.random.default_rng(9), 0.2, model=model)
-    column = TensorField(grid, h.data[:, :1, :1].copy(), "dd")
-    assert np.array_equal(column.data, h.data)
+    column = va.random_tangent(metric, np.random.default_rng(9), 0.2, model=model)
+    full = TensorField(grid, np.array(column.data), "dd")
+    assert not any(column.data.strides[1:3]) and all(full.data.strides[1:3])
+    assert np.array_equal(column.data, full.data)
     assert not lie_derivative(column, metric.structure.reeb).data.flags.writeable
     fv = va.first_variation(metric, column)
-    assert np.float64(fv).tobytes() == np.float64(va.first_variation(metric, h)).tobytes()
+    assert np.float64(fv).tobytes() == np.float64(va.first_variation(metric, full)).tobytes()
+
+
+def _variation_bits(base, h, chart, d) -> list[bytes]:
+    """The bytes of the variation path at a base metric along a tangent, and of deform(d)."""
+    fields = [va.tangent_project(h, base).data]
+    scalars = [va.first_variation(base, h)]
+    for s in (2e-3, -2e-3, 1.0):
+        curve = va.exponential_curve(base, h, s)
+        fields += [curve.g.data, curve.ginv, curve.phi.data]
+        scalars += [*curve.certificate.values(), va.first_variation(curve, h), va.energy(curve)]
+    deformed = va.deform(chart, d)
+    fields += [deformed.g.data, deformed.ginv]
+    scalars += deformed.certificate.values()
+    return ([np.ascontiguousarray(f).tobytes() for f in fields]
+            + [np.float64(v).tobytes() for v in scalars])
+
+
+def _is_column(data) -> bool:
+    return not data.flags.writeable and not any(data.strides[1:3])
+
+
+@pytest.mark.parametrize("mat", [[[2, 1], [1, 1]], [[-2, 1], [1, -1]], [[3, 1], [2, 1]]],
+                         ids=["2,1,1,1", "-2,1,1,-1", "3,1,2,1"])
+def test_variation_path_same_bits_on_column_and_full_path(monkeypatch, mat):
+    # the tangent, the (u, r)-deformed base and every curve metric are t-columns;
+    # full contiguous copies of the tangent, the base, the structure and the
+    # frame, with the column tests off, take the full path to the same bytes
+    model = ck.build_hyperbolic_model(mat, tau=0.7, area=2.0)
+    grid = Grid(16, 16, model.matrix)
+    chart = va.deformation_chart(model, grid)
+    d = va.random_deformation(grid, 4, amplitude=0.25)
+    base = va.deform(chart, d)
+    h = va.random_tangent(base, np.random.default_rng(7), 0.1, model=model)
+    assert _is_column(base.g.data) and _is_column(h.data)
+    assert _is_column(va.exponential_curve(base, h, 1.0).g.data)
+    flat = va.random_tangent(ck.flat_cokahler(Grid(8, 8))[1], np.random.default_rng(7), 0.1)
+    assert flat.data.flags.c_contiguous and flat.data.shape == (8, 8, 8, 3, 3)
+    column = _variation_bits(base, h, chart, d)
+
+    monkeypatch.setattr(cosymplectic, "_column_of", lambda data: None)
+    monkeypatch.setattr(va, "_state", lambda d: np.stack((d.u, d.r), axis=-1))
+    structure = ck.Structure(grid, *(TensorField(grid, np.array(f.data), f.sig)
+                                     for f in (chart.structure.alpha, chart.structure.beta,
+                                               chart.structure.reeb)))
+    full_chart = va.DeformationChart(model, structure, chart.metric,
+                                     np.array(chart.vp_flat), np.array(chart.vm_flat))
+    full_base = ck.certify_compatible(structure, TensorField(grid, np.array(base.g.data), "dd"))
+    full_h = TensorField(grid, np.array(h.data), "dd")
+    assert all(full_base.g.data.strides[1:3]) and all(full_h.data.strides[1:3])
+    assert all(va.exponential_curve(full_base, full_h, 1.0).g.data.strides[1:3])
+    assert all(va.deform(full_chart, d).g.data.strides[1:3])
+    assert column == _variation_bits(full_base, full_h, full_chart, d)
+
+
+def test_variation_stencils_the_t_column(monkeypatch, model):
+    # at the critical metric, along random_tangent's column tangent, every
+    # stencil of first_variation and exponential_curve reads a t-column
+    grid = Grid(16, 16, model.matrix)
+    _, metric = ck.critical_metric(model, grid)
+    h = va.random_tangent(metric, np.random.default_rng(3), 0.1, model=model)
+    stenciled = []
+    real = tensors.partial_derivative
+    monkeypatch.setattr(tensors, "partial_derivative",
+                        lambda data, *args: stenciled.append(data) or real(data, *args))
+    va.first_variation(metric, h)
+    for s in (2e-3, -2e-3):
+        va.first_variation(va.exponential_curve(metric, h, s), h)
+    assert stenciled and {data.shape[1:3] for data in stenciled} == {(1, 1)}
 
 
 def test_first_variation_negative_along_residual(model):
