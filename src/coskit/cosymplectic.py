@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tensors
-from .grids import Grid, _column_of, _columns, _stored, _sup, integrate
+from .grids import Grid, _columns, _stored, _sup, integrate
 from .tensors import TensorField, exterior_derivative, hodge_star, inverse_metric, \
     lie_derivative
 
@@ -145,6 +145,24 @@ ALGEBRAIC_CERT_KEYS = (
 )
 
 
+def _column_of(data: np.ndarray) -> np.ndarray | None:
+    """data's (M, 1, 1) t-column when each t-slab holds one value at every torus point, else None.
+
+    A column by layout (see grids._columns) is returned as it is.  Otherwise the
+    bits are compared (int64 views, so -0.0 and +0.0 differ), the first t-slab
+    before the rest, so data varying over the torus is rejected after 1/M of the
+    work, and a passing column is copied out.  The one bitwise scan: metrics of
+    any layout enter here, and every other reader takes the layout as it is.
+    """
+    column = data[:, :1, :1]
+    if _stored(data).shape[1:3] == (1, 1):
+        return column
+    bits, column_bits = data.view(np.int64), column.view(np.int64)
+    if np.any(bits[:1] != column_bits[:1]) or np.any(bits != column_bits):
+        return None
+    return column.copy()
+
+
 def certify_compatible(structure: Structure, g: TensorField) -> CompatibleMetric:
     """Derive phi from g and evaluate every compatibility identity.
 
@@ -154,7 +172,7 @@ def certify_compatible(structure: Structure, g: TensorField) -> CompatibleMetric
     definite); interpretation of the residuals is left to the caller.
 
     A g whose every t-slab holds the same bits at each torus point
-    (grids._column_of: zero torus strides, or a bitwise comparison that
+    (_column_of: zero torus strides, or a bitwise comparison that
     rejects a varying metric after one t-slab) is stored as its t-column,
     a read-only view with zero torus strides.  Then, with a structure
     constant over the torus, the factor, g^{-1}, the star and every

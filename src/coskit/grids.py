@@ -219,6 +219,13 @@ def _transported(data: np.ndarray, index_sig: str, grid: Grid, n: int) -> np.nda
     return _contract_slots(data, index_sig, a, a_inv)
 
 
+def _as_field(data, shape: tuple) -> np.ndarray:
+    """data as floats of shape: kept as given when it has that shape, with no copy, else a
+    read-only np.broadcast_to view with zero strides on the axes it does not vary along."""
+    data = np.asarray(data, dtype=float)
+    return data if data.shape == shape else np.broadcast_to(data, shape)
+
+
 def _stored(data: np.ndarray) -> np.ndarray:
     """data at the grid axes it varies along: each zero-stride grid axis cut to length 1."""
     return data[tuple(slice(None) if s else slice(0, 1) for s in data.strides[:3])]
@@ -239,23 +246,6 @@ def _columns(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     if all(_stored(a).shape[1:3] == (1, 1) for a in arrays):
         return tuple(a[:, :1, :1] for a in arrays)
     return arrays
-
-
-def _column_of(data: np.ndarray) -> np.ndarray | None:
-    """data's (M, 1, 1) t-column when each t-slab holds one value at every torus point, else None.
-
-    A column by layout (see _columns) is returned with no comparison.  Otherwise
-    the bits are compared (int64 views, so -0.0 and +0.0 differ), the
-    first t-slab before the rest, so data that varies over the torus is
-    rejected after 1/M of the work; a passing column is copied out.
-    """
-    column = data[:, :1, :1]
-    if _stored(data).shape[1:3] == (1, 1):
-        return column
-    bits, column_bits = data.view(np.int64), column.view(np.int64)
-    if np.any(bits[:1] != column_bits[:1]) or np.any(bits != column_bits):
-        return None
-    return column.copy()
 
 
 def _contract_slots(data: np.ndarray, index_sig: str, mat: np.ndarray,
@@ -446,10 +436,9 @@ def integrate(values: np.ndarray, density: np.ndarray, grid: Grid) -> float:
     the plain sum of ``values * |density|`` times the coordinate cell
     volume.  On smooth periodic data this trapezoid-type rule is
     spectrally accurate.  Raises if the density vanishes or changes sign
-    anywhere.
+    anywhere; both are read at their stored axes and summed by _grid_sum.
     """
-    dens = np.broadcast_to(np.asarray(density, dtype=float), grid.shape)
-    vals = np.broadcast_to(np.asarray(values, dtype=float), grid.shape)
+    dens, vals = _stored(_as_field(density, grid.shape)), _stored(_as_field(values, grid.shape))
     if np.any(dens == 0.0):
         raise GridError("volume density vanishes at a grid point")
     if dens.max() > 0 > dens.min():
@@ -459,6 +448,5 @@ def integrate(values: np.ndarray, density: np.ndarray, grid: Grid) -> float:
     if grid.open_t:
         wt = np.ones(grid.n_fiber)
         wt[0] = wt[-1] = 0.5
-        return float(np.sum(weighted * wt.reshape(-1, 1, 1)) * ht * hx * hy)
-    return float(np.sum(weighted) * ht * hx * hy)
-
+        weighted = weighted * wt.reshape(-1, 1, 1)
+    return float(_grid_sum(weighted, grid.shape) * ht * hx * hy)

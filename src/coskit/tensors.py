@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, _columns, _field_components, _on_slot, _sum_along, _sup, \
+from .grids import Grid, _as_field, _columns, _field_components, _on_slot, _sum_along, _sup, \
     partial_derivative
 
 _EPS3 = np.zeros((3, 3, 3))
@@ -58,9 +58,9 @@ class TensorField:
     (t, x, y).  Input of that shape is kept as given, with no copy.
     Input with fewer grid axes (a constant (3,)*rank array, or a
     (M, 1, 1) + (3,)*rank field of t alone) is kept as a read-only
-    np.broadcast_to view, with zero strides on the axes it does not
-    vary along: no memory per grid point, and the tensor layer reads
-    constancy over the torus off the strides (see grids._columns).
+    np.broadcast_to view (grids._as_field), with zero strides on the axes
+    it does not vary along: no memory per grid point, and the tensor
+    layer reads constancy over the torus off the strides (grids._columns).
     """
 
     grid: Grid
@@ -68,9 +68,7 @@ class TensorField:
     sig: str
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        expected = self.grid.shape + (3,) * len(self.sig)
-        self.data = data if data.shape == expected else np.broadcast_to(data, expected)
+        self.data = _as_field(self.data, self.grid.shape + (3,) * len(self.sig))
 
 
 def gradient(data: np.ndarray, sig: str, grid: Grid) -> np.ndarray:

@@ -19,16 +19,17 @@ pipeline; the family's closed-form torsion is checked against
 torsion_report in the test suite.  Every Reeb derivative here is a sum
 along the Reeb field by the kernel of :mod:`coskit.grids`
 (``_field_components``, ``_sum_along``), the one that the Lie and
-covariant derivatives use.  A (u, r) state constant over the torus is
-evaluated and descended on its t-column, with every sum taken over the
-full grid, so it gives the bits of the full-grid computation.  Likewise
-the energy, the torsion report, the Euler-Lagrange residual and
-nabla_r_h_residual read a certified metric constant over the torus on
-its t-column (grids._columns), and so does the variation path:
-random_tangent builds a suspension tangent as its t-column, and
-tangent_project, exponential_curve, first_variation, deformation_chart
-and deform compute on the columns when every input is one.  Mixed or
-torus-varying input takes the full path, with the same bits.
+covariant derivatives use.  A (u, r) of t alone is stored as its
+t-column (a view with zero torus strides), and is evaluated and
+descended on that column with every sum taken over the full grid, so it
+gives the bits of the full-grid computation.  Likewise the energy, the
+torsion report, the Euler-Lagrange residual and nabla_r_h_residual read
+a certified metric constant over the torus on its t-column
+(grids._columns), and so does the variation path: random_tangent builds
+a suspension tangent as its t-column, and tangent_project,
+exponential_curve, first_variation, deformation_chart and deform compute
+on the columns when every input is one.  Mixed or torus-varying input
+takes the full path, with the same bits.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .cosymplectic import CompatibleMetric, Structure, certify_compatible, d_alpha_plus
-from .grids import Grid, _column_of, _columns, _field_components, _grid_sum, _stored, _sum_along, \
-    _sup, partial_derivative
+from .grids import Grid, _as_field, _columns, _field_components, _grid_sum, _stored, \
+    _sum_along, _sup, partial_derivative
 from .models import HyperbolicModel, critical_frame
 from .tensors import TensorField, check_positive_definite, covariant_derivative, \
     lie_derivative, tensor_norm2
@@ -291,15 +292,18 @@ def first_variation(metric: CompatibleMetric, h_field: TensorField) -> float:
 
 @dataclass
 class Deformation:
-    """Global scalar fields (u = log p, r) with p q - r^2 = 1 built in."""
+    """Global scalar fields (u = log p, r) with p q - r^2 = 1 built in.
+
+    Stored as TensorField stores its data (grids._as_field): a (u, r) of t
+    alone is a read-only view with zero torus strides, read as its t-column.
+    """
 
     grid: Grid
     u: np.ndarray
     r: np.ndarray
 
     def __post_init__(self):
-        self.u = np.broadcast_to(np.asarray(self.u, dtype=float), self.grid.shape).copy()
-        self.r = np.broadcast_to(np.asarray(self.r, dtype=float), self.grid.shape).copy()
+        self.u, self.r = (_as_field(f, self.grid.shape) for f in (self.u, self.r))
 
     @property
     def p(self) -> np.ndarray:
@@ -347,8 +351,8 @@ def deform(chart: DeformationChart, d: Deformation) -> CompatibleMetric:
     """Assemble and certify g~ from (u, r) over the critical metric.
 
     Assembled pointwise, on the t-column where the (u, r) state (see
-    _state) and the frame are constant over the torus: such a g~ has the
-    full grid's bits and is certified as its column with no bitwise scan.
+    _state) and the frame are stored as columns: such a g~ has the full
+    grid's bits and is certified as its column with no bitwise scan.
     """
     alpha, vp, vm, x = _columns(chart.structure.alpha.data, chart.vp_flat, chart.vm_flat,
                                 _state(d))
@@ -372,7 +376,7 @@ def energy_gap(d: Deformation, mu: float, structure: Structure) -> GapReport:
 
     The objective that minimize_energy descends (_gap_and_gradient), with
     its preconditions, on the same state: the (u, r) t-column where the
-    deformation is constant over the torus (see _state), with the bits of
+    deformation is stored as one (see _state), with the bits of
     the full-grid evaluation.  The discarded term 8 mu R(u) integrates to
     zero exactly on the twisted grid (stencil shifts are grid
     bijections); its quadrature residual is reported as a certificate of
@@ -406,15 +410,9 @@ def random_global_scalar(grid: Grid, rng: np.random.Generator, amplitude: float,
     t-only truncated series does so for any monodromy.  Coefficients
     fall off like m^{-4} so stencil truncation error stays resolvable;
     the sup norm is scaled to the requested amplitude.  The series is
-    evaluated on the (M, 1, 1) t-column and broadcast into a new array
-    of grid shape.
+    evaluated on the (M, 1, 1) t-column and returned as a read-only
+    np.broadcast_to view of grid shape, with zero torus strides.
     """
-    return np.broadcast_to(_t_series(grid, rng, amplitude, max_mode), grid.shape).copy()
-
-
-def _t_series(grid: Grid, rng: np.random.Generator, amplitude: float,
-              max_mode: int) -> np.ndarray:
-    """random_global_scalar's series on its (M, 1, 1) t-column, pointwise, so with its bits."""
     t = grid.t
     out = np.zeros(t.shape)
     for m in range(1, max_mode + 1):
@@ -422,9 +420,9 @@ def _t_series(grid: Grid, rng: np.random.Generator, amplitude: float,
         phase = rng.uniform(0.0, 2.0 * np.pi)
         out = out + coeff * np.cos(2.0 * np.pi * m * t + phase)
     sup = np.max(np.abs(out))
-    if sup == 0.0:
-        return out
-    return out * (amplitude / sup)
+    if sup != 0.0:
+        out = out * (amplitude / sup)
+    return np.broadcast_to(out, grid.shape)
 
 
 def random_deformation(grid: Grid, seed: int, amplitude: float = 0.3) -> Deformation:
@@ -472,7 +470,7 @@ def random_tangent(metric: CompatibleMetric, rng: np.random.Generator,
         raw = np.zeros(grid.t.shape + (3, 3))
         for a in range(3):
             for b in range(a, 3):
-                s = _t_series(grid, rng, 1.0, _TANGENT_MAX_MODE)
+                s = _stored(random_global_scalar(grid, rng, 1.0, _TANGENT_MAX_MODE))
                 term = _outer(covs[a], covs[b])
                 raw = raw + s[..., None, None] * (term + np.swapaxes(term, -1, -2))
     h = tangent_project(TensorField(grid, raw, "dd"), metric)
@@ -532,18 +530,15 @@ def _gap_setup(structure: Structure):
 
 
 def _state(d: Deformation) -> np.ndarray:
-    """The stacked state x = (u, r), as its (M, 1, 1, 2) t-column when it is one.
+    """The stacked state x = (u, r), as its (M, 1, 1, 2) t-column when u and r are columns.
 
-    That is when every torus point of each t-slab holds the same bits
-    (-0.0 and +0.0 differ); every state built from random_global_scalar
-    is.  _gap_setup requires constant Reeb components, and the stencils
-    of a column give the full grid's bits along every axis, so R(x) on
-    the column is the full-grid R(x).  Any other state is kept at full
-    shape.
+    That is read off their layout (grids._columns): zero torus strides,
+    as every random_deformation and every scalar (u, r) has.  _gap_setup
+    requires constant Reeb components, and the stencils of a column give
+    the full grid's bits along every axis, so R(x) on the column is the
+    full-grid R(x).  Any other state is stacked at full shape.
     """
-    x = np.stack((d.u, d.r), axis=-1)
-    col = _column_of(x)
-    return x if col is None else col
+    return np.stack(_columns(d.u, d.r), axis=-1)
 
 
 def _gap_and_gradient(x, mu, components, grid, weight):
@@ -592,18 +587,13 @@ def minimize_energy(initial: Deformation, mu: float, structure: Structure,
     making progress: it finds no Armijo step, or its accepted step
     leaves the gap unchanged in floating point.  The result records, per
     accepted step, the step size, the backtrack count and the squared
-    gradient norm.  A start constant over the torus descends on its
-    (M, 1, 1) t-column (see _state), every sum still taken over the full
-    grid, so the result has the bits of the full-grid descent.
+    gradient norm.  A start stored as its t-column (see _state) descends
+    on that column, every sum still taken over the full grid, so the
+    result has the bits of the full-grid descent and is a t-column too.
     """
     grid = structure.grid
     if initial.grid != grid:
         raise ValueError("initial deformation lives on a different grid than the structure")
-    # Array lifetimes are kept short on purpose: on 8x8x256 charts every array
-    # sits on the malloc heap, and the result allocated after the descent's
-    # temporaries, or temporaries kept alive into the line search, fragmented
-    # it enough to raise the descent benchmark's peak RSS by 5 %.
-    final = Deformation(grid, initial.u, initial.r)
     components, weight = _gap_setup(structure)
 
     x = _state(initial)
@@ -644,7 +634,6 @@ def minimize_energy(initial: Deformation, mu: float, structure: Structure,
         if stalled:
             converged = True
             break
-    final.u[...] = x[..., 0]
-    final.r[...] = x[..., 1]
-    return OptimizationResult(final, history, converged, n_done, _sup(x[..., 1]), _sup(ru),
-                              step_sizes, backtracks, grad_norm2)
+    return OptimizationResult(Deformation(grid, x[..., 0], x[..., 1]), history, converged,
+                              n_done, _sup(x[..., 1]), _sup(ru), step_sizes, backtracks,
+                              grad_norm2)

@@ -79,6 +79,5 @@ def torus_varying_deformation(grid, seed: int) -> Deformation:
     """
     rng = np.random.default_rng(seed)
     d = random_deformation(grid, seed, amplitude=0.3)
-    for field in (d.u, d.r):
-        field += 0.05 * orbit_field(grid, rng)
-    return d
+    u, r = (field + 0.05 * orbit_field(grid, rng) for field in (d.u, d.r))
+    return Deformation(grid, u, r)

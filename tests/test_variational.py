@@ -768,9 +768,10 @@ def _reference_minimize(initial, mu, structure, steps, step0=1e-2):
 def _with_negative_zero(grid: Grid, seed: int) -> va.Deformation:
     """random_deformation whose r has one +0.0 t-slab holding one -0.0."""
     d = va.random_deformation(grid, seed, amplitude=0.3)
-    d.r[7] = 0.0
-    d.r[7, 3, 2] = -0.0
-    return d
+    r = np.array(d.r)
+    r[7] = 0.0
+    r[7, 3, 2] = -0.0
+    return va.Deformation(grid, d.u, r)
 
 
 def _start(grid: Grid, seed) -> va.Deformation:
@@ -844,6 +845,29 @@ def test_descent_stencils_the_t_column(monkeypatch, mat):
     for start in (torus_varying_deformation, _with_negative_zero):
         va.minimize_energy(start(grid, 3), model.mu, structure, steps=2)
     assert shapes and set(shapes) == {(256, 8, 8, 2)}
+
+
+def test_descent_reads_its_column_from_the_deformation_layout(monkeypatch, fiber_chart):
+    # random_deformation stores (u, r) as read-only t-columns and the descent
+    # returns its result the same way; a contiguous full copy of the start is
+    # kept as given, descends at full shape and reaches the same bytes
+    grid, structure, mu = fiber_chart.grid, fiber_chart.structure, fiber_chart.mu
+    d0 = va.random_deformation(grid, seed=13, amplitude=0.3)
+    assert _is_column(d0.u) and _is_column(d0.r)
+    full_u, full_r = np.array(d0.u), np.array(d0.r)
+    full = va.Deformation(grid, full_u, full_r)
+    assert full.u is full_u and full.r is full_r
+    shapes = _recorded_stencil_shapes(monkeypatch)
+    res = va.minimize_energy(d0, mu, structure, steps=40)
+    assert set(shapes) == {(grid.n_fiber, 1, 1, 2)}
+    assert _is_column(res.deformation.u) and _is_column(res.deformation.r)
+    shapes.clear()
+    res_full = va.minimize_energy(full, mu, structure, steps=40)
+    assert set(shapes) == {grid.shape + (2,)}
+    assert np.array(res.gap_history).tobytes() == np.array(res_full.gap_history).tobytes()
+    for a, b in ((res.deformation.u, res_full.deformation.u),
+                 (res.deformation.r, res_full.deformation.r)):
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
 def test_energy_gap_same_bits_on_column_and_full_copy(monkeypatch, fiber_chart):
