@@ -11,7 +11,7 @@ from .tensors import TensorCalculusError, TensorField, christoffel, covariant_de
     exterior_derivative, hodge_star, lie_bracket, lie_derivative, symmetric_eigen, \
     tensor_norm2
 from .cosymplectic import CompatibleMetric, Structure, StructureError, \
-    certify_compatible, d_alpha_plus, polar_compatible_metric
+    certify_compatible, d_alpha_plus
 from .models import HyperbolicModel, NotHyperbolicError, NotSymplecticError, \
     SolModel, build_hyperbolic_model, contact_t3_testbed, critical_frame, \
     critical_metric, flat_cokahler, sol_box_grid, sol_frame, sol_model, \

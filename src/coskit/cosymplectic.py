@@ -30,10 +30,9 @@ from functools import cached_property
 
 import numpy as np
 
-from . import tensors
 from .grids import Grid, _columns, _stored, _sup, integrate
-from .tensors import TensorField, exterior_derivative, hodge_star, inverse_metric, \
-    lie_derivative
+from .tensors import TensorField, check_positive_definite, exterior_derivative, hodge_star, \
+    inverse_metric, lie_derivative
 
 FLAVORS = ("cosymplectic", "general_r_invariant")
 
@@ -184,7 +183,7 @@ def certify_compatible(structure: Structure, g: TensorField) -> CompatibleMetric
         g = TensorField(g.grid, column, "dd")
     gd, alpha, beta, reeb = _columns(g.data, structure.alpha.data, structure.beta.data,
                                      structure.reeb.data)
-    chol = tensors.check_positive_definite(gd)
+    chol = check_positive_definite(gd)
     if _sup(gd - np.swapaxes(gd, -1, -2)) > 1e-12 * max(1.0, _sup(gd)):
         raise StructureError("metric is not symmetric")
     # alpha as a row vector, R as a column vector
@@ -225,58 +224,3 @@ def d_alpha_plus(metric: CompatibleMetric) -> TensorField:
     """
     ginv, dalpha = _columns(metric.ginv, exterior_derivative(metric.structure.alpha).data)
     return TensorField(metric.grid, ginv @ dalpha, "ud")
-
-
-# -- polar-decomposition metric builder -----------------------------------
-
-_KEPT_AXES = np.array([[1, 2], [0, 2], [0, 1]])
-
-
-def polar_compatible_metric(structure: Structure, k: TensorField) -> CompatibleMetric:
-    """Compatible metric from an arbitrary metric by pointwise polar splitting.
-
-    On ker(alpha) the 2-form defines an operator A by beta = k(., A .);
-    A is k-antisymmetric, so S = (-A^2)^{1/2} is k-symmetric positive
-    and J = A S^{-1} is a complex structure.  The output restricts to
-    g = k(., S .) on ker(alpha) (the polar 'stretch' factor of A), is
-    alpha (x) alpha in the Reeb direction, and has phi = J on
-    ker(alpha).  The postcondition is that certification passes; when k
-    is already compatible, A = phi gives S = 1 and the metric returns
-    unchanged.
-    """
-    tensors.check_positive_definite(k.data)
-    grid = structure.grid
-    alpha, reeb = structure.alpha.data, structure.reeb.data
-
-    drop = np.argmax(np.abs(alpha), axis=-1)
-    kept = _KEPT_AXES[drop]                                    # (..., 2)
-    cand = np.eye(3) - reeb[..., :, None] * alpha[..., None, :]
-    idx = np.broadcast_to(kept[..., None, :], kept.shape[:-1] + (3, 2))
-    b = np.take_along_axis(cand, idx, axis=-1)                 # (..., 3, 2)
-
-    b_t = np.swapaxes(b, -1, -2)
-    k_hat = b_t @ k.data @ b
-    b_hat = b_t @ structure.beta.data @ b
-    w = b_hat[..., 0, 1]
-    if np.min(np.abs(w)) < 1e-14:
-        raise StructureError("beta degenerate on ker(alpha): polar operator singular")
-
-    a_op = np.linalg.inv(k_hat) @ b_hat
-    p = -(a_op @ a_op)
-    detp = p[..., 0, 0] * p[..., 1, 1] - p[..., 0, 1] * p[..., 1, 0]
-    sdet = np.sqrt(detp)
-    trp = p[..., 0, 0] + p[..., 1, 1]
-    denom = np.sqrt(trp + 2.0 * sdet)
-    s = (p + sdet[..., None, None] * np.eye(2)) / denom[..., None, None]
-
-    g_hat = k_hat @ s
-    g_hat = 0.5 * (g_hat + np.swapaxes(g_hat, -1, -2))
-
-    frame = np.concatenate([reeb[..., None], b], axis=-1)      # columns (R, b0, b1)
-    coframe = np.linalg.inv(frame)                             # rows dual to frame
-    block = np.zeros(grid.shape + (3, 3))
-    block[..., 0, 0] = 1.0
-    block[..., 1:, 1:] = g_hat
-    g = np.swapaxes(coframe, -1, -2) @ block @ coframe
-    g = 0.5 * (g + np.swapaxes(g, -1, -2))
-    return certify_compatible(structure, TensorField(grid, g, "dd"))

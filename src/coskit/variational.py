@@ -12,12 +12,13 @@ parametrization over a critical metric:
 
 with (vp, vm) the lowered bracket frame of the critical metric.  The
 deformation is parametrized by (u = log p, r) so the constraint and
-p > 0 hold unconditionally.  energy_gap evaluates the family's energy
-gap from (u, r) alone, by the one formula that minimize_energy
-descends, and energy_gap_direct the same gap through the full tensor
-pipeline; the family's closed-form torsion is checked against
-torsion_report in the test suite.  Every Reeb derivative here is a sum
-along the Reeb field by the kernel of :mod:`coskit.grids`
+p > 0 hold unconditionally, and the chart reaches every compatible
+metric of the suspension structure (see Deformation).  energy_gap
+evaluates the family's energy gap from (u, r) alone, by the one formula
+that minimize_energy descends, and energy_gap_direct the same gap
+through the full tensor pipeline; the family's closed-form torsion is
+checked against torsion_report in the test suite.  Every Reeb derivative
+here is a sum along the Reeb field by the kernel of :mod:`coskit.grids`
 (``_field_components``, ``_sum_along``), the one that the Lie and
 covariant derivatives use.  A (u, r) of t alone is stored as its
 t-column (a view with zero torus strides), and is evaluated and
@@ -294,6 +295,10 @@ def first_variation(metric: CompatibleMetric, h_field: TensorField) -> float:
 class Deformation:
     """Global scalar fields (u = log p, r) with p q - r^2 = 1 built in.
 
+    Through deform they reach every compatible metric g of the suspension
+    structure: g(R, .) = alpha, and beta = g(., phi .) makes g on ker(alpha)
+    a form [[q, r], [r, p]] of determinant 1 in the critical frame (v+, v-).
+
     Stored as TensorField stores its data (grids._as_field): a (u, r) of t
     alone is a read-only view with zero torus strides, read as its t-column.
     """
@@ -304,14 +309,6 @@ class Deformation:
 
     def __post_init__(self):
         self.u, self.r = (_as_field(f, self.grid.shape) for f in (self.u, self.r))
-
-    @property
-    def p(self) -> np.ndarray:
-        return np.exp(self.u)
-
-    @property
-    def q(self) -> np.ndarray:
-        return (1.0 + self.r ** 2) * np.exp(-self.u)
 
 
 @dataclass
@@ -444,8 +441,13 @@ def random_tangent(metric: CompatibleMetric, rng: np.random.Generator,
     of place.  The twisted field depends on t alone, and at a metric
     constant over the torus it is returned as its t-column, a read-only
     view with zero torus strides; the flat field is a contiguous array.
+    ValueError unless the model's gluing is the chart's (none: a flat chart).
     """
     grid = metric.grid
+    if model is None and not grid.is_flat:
+        raise ValueError("a random tangent on a twisted chart needs the chart's model")
+    if model is not None and not np.array_equal(grid.monodromy, model.matrix):
+        raise ValueError("grid monodromy does not match the model's gluing matrix")
     if model is None:
         raw = np.zeros(grid.shape + (3, 3))
         t, x, y = grid.coordinates()

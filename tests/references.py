@@ -3,8 +3,28 @@
 import numpy as np
 
 from coskit.grids import _on_slot, _torus_permutation, partial_derivative
+from coskit.models import critical_frame
 from coskit.tensors import TensorField, _derivation, gradient
 from coskit.variational import Deformation, random_deformation, reeb_derivative
+
+
+def coframe_coefficients(d):
+    """(p, q) = (e^u, (1 + r^2) e^-u), the coefficients that deform assembles from d = (u, r)."""
+    return np.exp(d.u), (1.0 + d.r ** 2) * np.exp(-d.u)
+
+
+def frame_block(chart, metric):
+    """(g(v+, v+), g(v-, v-), g(v+, v-)) in the chart's critical frame.
+
+    For deform(chart, d) these are (q, p, r) of d, so u = log g(v-, v-) and
+    r = g(v+, v-) read d back from a compatible metric.
+    """
+    v_plus, v_minus, _, _ = critical_frame(chart.model, chart.grid)
+
+    def pair(a, b):
+        return np.einsum("...i,...ij,...j->...", a.data, metric.g.data, b.data)
+
+    return pair(v_plus, v_plus), pair(v_minus, v_minus), pair(v_plus, v_minus)
 
 
 def torsion_closed_forms(d, mu, structure):
@@ -15,7 +35,7 @@ def torsion_closed_forms(d, mu, structure):
     the closed form 8 mu^2 + 2 (2 mu r + r R(u) - R(r))^2 + 2 R(u)^2
     + 8 mu R(u).  Returns (closed form, first expansion).
     """
-    p, q, r = d.p, d.q, d.r
+    (p, q), r = coframe_coefficients(d), d.r
     ru, rp, rq, rr = (reeb_derivative(f, structure) for f in (d.u, p, q, r))
     a = 2.0 * mu * r + r * ru - rr
     closed = 8.0 * mu ** 2 + 2.0 * a ** 2 + 2.0 * ru ** 2 + 8.0 * mu * ru

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 import coskit as ck
-from coskit.cosymplectic import ALGEBRAIC_CERT_KEYS, polar_compatible_metric
+from coskit.cosymplectic import ALGEBRAIC_CERT_KEYS
 from coskit.grids import Grid
 from coskit.tensors import TensorField, christoffel, symmetric_eigen
 from coskit import dynamics as dy
 from coskit import topology as tp
 from coskit import variational as va
-from references import covariant_reference, torsion_closed_forms
+from references import covariant_reference, torsion_closed_forms, torus_varying_deformation
 
 
 def sup(a):
@@ -230,14 +230,12 @@ def test_criterion_11_sol_equivalence(model, grid32):
 # -- 12. compatibility certification -------------------------------------------------------------
 
 
-def test_criterion_12_certification(crit32, flat16, model, fiber_chart):
+def test_criterion_12_certification(crit32, flat16, chart32, fiber_chart):
     charts = {"critical": crit32[1], "flat": flat16[1]}
     charts["contact"] = ck.contact_t3_testbed(1, Grid(32, 32))[1]
     charts["sol"] = ck.sol_model(1.0, ck.sol_box_grid(8, 48))[1]
-    structure, gcrit = crit32
-    from tests.test_cosymplectic import noisy_seed
-    seed, _ = noisy_seed(structure, model, 0.1, seed=12)
-    charts["polar"] = polar_compatible_metric(structure, seed)
+    # varies over the torus, so certification and nabla_R R run on the full grid
+    charts["torus_varying"] = va.deform(chart32, torus_varying_deformation(chart32.grid, 12))
     charts["deformed"] = va.deform(
         fiber_chart, va.random_deformation(fiber_chart.grid, seed=3, amplitude=0.3))
     worst_name, worst = None, 0.0

@@ -7,10 +7,9 @@ import coskit as ck
 from coskit import cosymplectic, tensors
 from coskit import dynamics as dy, variational as va
 from coskit.cosymplectic import ALGEBRAIC_CERT_KEYS, CompatibleMetric, StructureError, \
-    certify_compatible, polar_compatible_metric
+    certify_compatible
 from coskit.grids import Grid
 from coskit.tensors import TensorField, inverse_metric
-from coskit.variational import energy, random_global_scalar
 
 
 def sup(a):
@@ -59,75 +58,6 @@ def test_h_tensor_identities(crit32, model):
     lg = lie_derivative(metric.g, structure.reeb)
     two_ghphi = 2.0 * np.einsum("...ik,...kl,...lj->...ij", g, h.data, phi)
     assert sup(lg.data - two_ghphi) < 1e-11
-
-
-# -- polar decomposition metric builder ------------------------------------------
-
-
-def test_polar_idempotent_on_compatible(crit32):
-    structure, metric = crit32
-    out = polar_compatible_metric(structure, metric.g)
-    assert sup(out.g.data - metric.g.data) < 1e-12
-
-
-def test_polar_flat_seed_certifies(crit32):
-    structure, _ = crit32
-    seed = TensorField(structure.grid, np.broadcast_to(
-        np.eye(3), structure.grid.shape + (3, 3)).copy(), "dd")
-    out = polar_compatible_metric(structure, seed)
-    assert out.max_residual(ALGEBRAIC_CERT_KEYS) < 1e-8
-
-
-def noisy_seed(structure, model, amplitude, seed):
-    """g_crit + amplitude * symmetric noise restricted to ker(alpha)."""
-    grid = structure.grid
-    rng = np.random.default_rng(seed)
-    t = np.broadcast_to(grid.t, grid.shape)
-    lamt = np.abs(model.lam) ** t
-    theta = model.dual_basis
-    covs = []
-    for vec, sign in ((theta[0], 1.0), (theta[1], -1.0)):
-        c = np.zeros(grid.shape + (3,))
-        c[..., 1:] = np.einsum("...,i->...i", lamt ** sign, vec)
-        covs.append(c)
-    noise = np.zeros(grid.shape + (3, 3))
-    for a in range(2):
-        for b in range(a, 2):
-            s = random_global_scalar(grid, rng, amplitude)
-            term = np.einsum("...i,...j->...ij", covs[a], covs[b])
-            noise += s[..., None, None] * (term + np.swapaxes(term, -1, -2))
-    _, gcrit = ck.critical_metric(model, grid)
-    return TensorField(grid, gcrit.g.data + noise, "dd"), gcrit
-
-
-def test_polar_noisy_seed_certified_and_not_below_critical(crit32, model):
-    structure, metric = crit32
-    seed, gcrit = noisy_seed(structure, model, 0.1, seed=5)
-    out = polar_compatible_metric(structure, seed)
-    assert out.max_residual(ALGEBRAIC_CERT_KEYS) < 1e-8
-    # minimality: the polar-built compatible metric cannot undercut the
-    # critical energy
-    assert energy(out) >= energy(gcrit) - 1e-10
-
-
-def test_polar_contact_chart():
-    grid = Grid(32, 32)
-    structure, metric = ck.contact_t3_testbed(1, grid)
-    rng = np.random.default_rng(9)
-    bump = 1.0 + 0.2 * np.sin(2 * np.pi * np.broadcast_to(grid.t, grid.shape))
-    seed = TensorField(grid, bump[..., None, None] * np.broadcast_to(
-        np.eye(3), grid.shape + (3, 3)), "dd")
-    out = polar_compatible_metric(structure, seed)
-    assert out.max_residual(ALGEBRAIC_CERT_KEYS) < 1e-8
-
-
-def test_polar_degenerate_beta_raises(flat16):
-    structure, metric = flat16
-    tiny = TensorField(structure.grid, structure.beta.data * 1e-20, "dd")
-    bad_structure = ck.Structure(structure.grid, structure.alpha, tiny,
-                                 structure.reeb, "cosymplectic")
-    with pytest.raises(StructureError):
-        polar_compatible_metric(bad_structure, metric.g)
 
 
 # -- the certified metric's inverse ----------------------------------------------

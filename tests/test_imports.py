@@ -3,8 +3,9 @@
 ``grids`` owns the shared kernels (seam transport, slot products, exact
 integer matrix algebra) and is the one module whose private names its
 siblings may import; any other private helper stays in its module.  And
-the package holds what a run calls: every public function and class has
-a caller in the package or in the benchmark harness.
+the package holds what a run calls: every public function and class, and
+every public method and property of a class, has a caller in the package
+or in the benchmark harness.
 """
 
 import ast
@@ -15,12 +16,11 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "coskit"
 
 # public names with no caller in src or bench, each kept for a reason
+CRITERION_11 = "criterion 11: the Sol chart pulls back to the mapping torus exactly"
 UNCALLED = {
-    "polar_compatible_metric": "builds the compatible metrics outside the (u, r) family: "
-                               "criterion 12 certifies one, and the critical metric's "
-                               "energy is checked not to exceed theirs",
-    "sol_to_mapping_torus": "criterion 11: the Sol chart pulls back to the mapping "
-                            "torus exactly",
+    "sol_to_mapping_torus": CRITERION_11,
+    "SolMappingTorusMap.pullback_residuals": CRITERION_11,
+    "SolMappingTorusMap.roundtrip_residual": CRITERION_11,
 }
 
 
@@ -62,9 +62,16 @@ def names(tree, skip=None) -> set[str]:
     return found
 
 
+def attributes(tree) -> set[str]:
+    """Every attribute read or written in tree."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
 def uncalled_public_names():
     """Public module-level functions and classes of src/coskit, and the names
-    coskit/__init__ exports, that no other src code and no bench/*.py names."""
+    coskit/__init__ exports, that no other src code and no bench/*.py names;
+    and, as "Class.member", each public method and property of a src class
+    that no src or bench code reads as an attribute."""
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
     defined = {node.name: module for module, tree in trees.items() for node in tree.body
@@ -72,17 +79,22 @@ def uncalled_public_names():
                and not node.name.startswith("_")}
     exported = {alias.name for node in trees["__init__"].body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    bench = set()
+    bench, read = set(), set().union(*map(attributes, trees.values()))
     for path in (ROOT / "bench").glob("*.py"):
         tree = ast.parse(path.read_text(), filename=str(path))
-        bench |= names(tree)
         # the tracer names what it wraps in strings such as "CompatibleMetric.ginv"
-        bench |= {part for node in ast.walk(tree) if isinstance(node, ast.Constant)
+        traced = {part for node in ast.walk(tree) if isinstance(node, ast.Constant)
                   and isinstance(node.value, str) and re.fullmatch(r"[\w.]+", node.value)
                   for part in node.value.split(".")}
-    return sorted(name for name in set(defined) | exported if name not in bench
+        bench |= names(tree) | traced
+        read |= attributes(tree) | traced
+    members = {f"{cls.name}.{node.name}" for tree in trees.values() for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+               and node.name not in read}
+    return sorted(members | {name for name in set(defined) | exported if name not in bench
                   and not any(name in names(tree, name if defined.get(name) == module else None)
-                              for module, tree in trees.items() if module != "__init__"))
+                              for module, tree in trees.items() if module != "__init__")})
 
 
 def test_every_public_name_has_a_caller():

@@ -3,12 +3,13 @@ import pytest
 
 import coskit as ck
 from coskit import cosymplectic, tensors
-from coskit.cosymplectic import ALGEBRAIC_CERT_KEYS, polar_compatible_metric
+from coskit.cosymplectic import ALGEBRAIC_CERT_KEYS
 from coskit.grids import Grid, _torus_permutation, partial_derivative
 from coskit.tensors import TensorField, covariant_derivative, lie_derivative, \
     symmetric_eigen
 from coskit import variational as va
-from references import torsion_closed_forms, torus_varying_deformation
+from references import coframe_coefficients, frame_block, torsion_closed_forms, \
+    torus_varying_deformation
 
 
 def sup(a):
@@ -71,12 +72,23 @@ def test_torsion_report_flat(flat16):
     assert rep.constancy == 0.0
 
 
-def test_torsion_report_polar_not_below_critical(crit32, model):
-    from tests.test_cosymplectic import noisy_seed
-    structure, metric = crit32
-    seed, gcrit = noisy_seed(structure, model, 0.1, seed=3)
-    out = polar_compatible_metric(structure, seed)
-    assert va.energy(out) >= va.energy(gcrit) - 1e-10
+def curve_metrics(crit, model, seed):
+    """exponential_curve(crit, H, s) for s = +-1 along one random suspension tangent H."""
+    h = va.random_tangent(crit, np.random.default_rng(seed), 0.3, model=model)
+    return [va.exponential_curve(crit, h, s) for s in (1.0, -1.0)]
+
+
+def test_compatible_metrics_not_below_critical(crit16_gluing):
+    # minimality: no compatible metric undercuts the critical energy; checked
+    # on (u, r) deformations that vary over the torus and on metrics that
+    # exponential curves reach, each certified
+    model, crit = crit16_gluing
+    chart = va.deformation_chart(model, crit.grid)
+    metrics = [va.deform(chart, torus_varying_deformation(crit.grid, seed)) for seed in (3, 5)]
+    e0 = va.energy(crit)
+    for metric in metrics + curve_metrics(crit, model, seed=3):
+        assert metric.max_residual(ALGEBRAIC_CERT_KEYS) < 1e-8
+        assert va.energy(metric) >= e0 - 1e-10
 
 
 # -- Euler-Lagrange residual -----------------------------------------------------
@@ -308,6 +320,17 @@ def test_variation_stencils_the_t_column(monkeypatch, model):
     for s in (2e-3, -2e-3):
         va.first_variation(va.exponential_curve(metric, h, s), h)
     assert stenciled and {data.shape[1:3] for data in stenciled} == {(1, 1)}
+
+
+def test_random_tangent_refuses_a_model_that_is_not_the_gluing(model):
+    # with no model, or another gluing's, the twisted field would not be
+    # defined on the mapping torus
+    _, metric = ck.critical_metric(model, Grid(8, 8, model.matrix))
+    with pytest.raises(ValueError, match="twisted chart needs the chart's model"):
+        va.random_tangent(metric, np.random.default_rng(0), 0.1)
+    other = ck.build_hyperbolic_model([[3, 1], [2, 1]])
+    with pytest.raises(ValueError, match="does not match the model's gluing matrix"):
+        va.random_tangent(metric, np.random.default_rng(0), 0.1, model=other)
 
 
 def test_first_variation_negative_along_residual(model):
@@ -572,8 +595,25 @@ def test_deform_certifies_random(chart32):
 
 def test_deform_constraint_built_in(chart32):
     d = va.random_deformation(chart32.grid, seed=1, amplitude=0.3)
-    assert sup(d.p * d.q - d.r ** 2 - 1.0) < 1e-14
-    assert np.all(d.p > 0)
+    p, q = coframe_coefficients(d)
+    assert sup(p * q - d.r ** 2 - 1.0) < 1e-14
+    assert np.all(p > 0)
+    # deform places them in the critical frame: g(v+, v+) = q, g(v-, v-) = p,
+    # g(v+, v-) = r
+    for got, want in zip(frame_block(chart32, va.deform(chart32, d)), (q, p, d.r)):
+        assert sup(got - want) < 1e-13
+
+
+def test_deform_reaches_curve_metrics(crit16_gluing):
+    # every compatible metric of the suspension structure is deform(chart, d)
+    # with u = log g(v-, v-) and r = g(v+, v-): here the metrics that
+    # exponential curves reach from the critical one
+    model, crit = crit16_gluing
+    chart = va.deformation_chart(model, crit.grid)
+    for metric in curve_metrics(crit, model, seed=7):
+        _, p, r = frame_block(chart, metric)
+        g = va.deform(chart, va.Deformation(chart.grid, np.log(p), r)).g.data
+        assert sup(g - metric.g.data) < 16 * np.finfo(float).eps * sup(metric.g.data)
 
 
 def test_lie_matrix_q_form_matches_not_p_form(fiber_chart):
@@ -586,14 +626,15 @@ def test_lie_matrix_q_form_matches_not_p_form(fiber_chart):
     v_plus, v_minus, _, _ = ck.critical_frame(fiber_chart.model, fiber_chart.grid)
     f = np.stack([structure.reeb.data, v_minus.data, v_plus.data], axis=-1)
     m = np.swapaxes(f, -1, -2) @ lg @ f
-    rp, rq, rr = (va.reeb_derivative(x, structure) for x in (d.p, d.q, d.r))
+    p, q = coframe_coefficients(d)
+    rp, rq, rr = (va.reeb_derivative(x, structure) for x in (p, q, d.r))
     expected = np.zeros_like(m)
-    expected[..., 1, 1] = rp + 2.0 * mu * d.p
+    expected[..., 1, 1] = rp + 2.0 * mu * p
     expected[..., 1, 2] = rr
     expected[..., 2, 1] = rr
     variant = expected.copy()
-    expected[..., 2, 2] = rq - 2.0 * mu * d.q
-    variant[..., 2, 2] = rq - 2.0 * mu * d.p
+    expected[..., 2, 2] = rq - 2.0 * mu * q
+    variant[..., 2, 2] = rq - 2.0 * mu * p
     assert sup(m - expected) < 1e-4
     assert sup(m - variant) > 0.1
 
