@@ -10,6 +10,7 @@ from coskit.cosymplectic import ALGEBRAIC_CERT_KEYS, CompatibleMetric, Structure
     certify_compatible
 from coskit.grids import Grid
 from coskit.tensors import TensorField, inverse_metric
+from references import torus_varying_deformation
 
 
 def sup(a):
@@ -113,6 +114,15 @@ def test_certified_inverse_is_read_only(flat8):
     assert metric.ginv is metric.ginv
     with pytest.raises(ValueError):
         metric.ginv[0, 0, 0, 0, 0] = 2.0
+
+
+def test_polar_noisy_seed_certified_and_not_below_critical(crit32, chart32):
+    # a noisy compatible metric, now reached through the (u, r) chart, is
+    # certified and cannot undercut the critical energy
+    _, gcrit = crit32
+    out = va.deform(chart32, torus_varying_deformation(gcrit.grid, seed=5))
+    assert out.max_residual(ALGEBRAIC_CERT_KEYS) < 1e-8
+    assert va.energy(out) >= va.energy(gcrit) - 1e-10
 
 
 def test_compatible_metric_members_keep_their_kind():

@@ -72,6 +72,12 @@ def test_torsion_report_flat(flat16):
     assert rep.constancy == 0.0
 
 
+def test_torsion_report_polar_not_below_critical(crit32, chart32):
+    _, gcrit = crit32
+    out = va.deform(chart32, torus_varying_deformation(gcrit.grid, seed=3))
+    assert va.torsion_report(out).energy >= va.torsion_report(gcrit).energy - 1e-10
+
+
 def curve_metrics(crit, model, seed):
     """exponential_curve(crit, H, s) for s = +-1 along one random suspension tangent H."""
     h = va.random_tangent(crit, np.random.default_rng(seed), 0.3, model=model)
