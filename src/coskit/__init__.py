@@ -13,9 +13,9 @@ from .tensors import TensorCalculusError, TensorField, christoffel, covariant_de
 from .cosymplectic import CompatibleMetric, Structure, StructureError, \
     certify_compatible, d_alpha_plus
 from .models import HyperbolicModel, NotHyperbolicError, NotSymplecticError, \
-    SolModel, build_hyperbolic_model, contact_t3_testbed, critical_frame, \
-    critical_metric, flat_cokahler, sol_box_grid, sol_frame, sol_model, \
-    sol_to_mapping_torus, suspension_structure
+    SolModel, build_hyperbolic_model, contact_t3_testbed, critical_metric, \
+    flat_cokahler, sol_box_grid, sol_frame, sol_model, sol_to_mapping_torus, \
+    suspension_structure
 from .variational import Deformation, GapReport, OptimizationResult, TorsionReport, \
     deform, deformation_chart, energy, energy_gap, energy_gap_direct, \
     euler_lagrange_residual, euler_lagrange_supnorm, exponential_curve, first_variation, \

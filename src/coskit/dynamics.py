@@ -26,7 +26,7 @@ from .cosymplectic import CompatibleMetric
 from .grids import Grid, _columns, _grid_sum, _int_det, _int_matmul, _int_matpow, _lift, \
     _transported
 from .models import HyperbolicModel, sol_frame
-from .tensors import TensorField, lie_bracket, sqrtm_spd, symmetric_eigen, tensor_norm2
+from .tensors import TensorField, lie_bracket, symmetric_eigen, tensor_norm2
 
 
 class NotHyperbolicTorsionError(ValueError):
@@ -107,12 +107,13 @@ _QR_BURN_IN = 128
 def lyapunov_exponents(model: HyperbolicModel, point=None, *, horizon: float) -> np.ndarray:
     """QR growth rates of the flow differential over ``horizon``, in the critical metric.
 
-    One QR step per period: the transport A = diag(1, L) conjugated into
-    the orthonormal frame of the critical metric at the orbit point (g
-    depends only on t, so the frame map is the same at both endpoints
-    of a period).  _QR_BURN_IN steps align the QR frame with the
-    invariant splitting before rates accumulate, after which each step
-    is exact; returns the three exponents sorted descending.
+    One QR step per period: the transport A = diag(1, L) written in the
+    orthonormal frame of the critical metric at the orbit point, C A C^-1
+    with C the model's coframe there (C^T C = g, and g depends only on t,
+    so the frame map is the same at both endpoints of a period).
+    _QR_BURN_IN steps align the QR frame with the invariant splitting
+    before rates accumulate, after which each step is exact; returns the
+    three exponents sorted descending.
     """
     if point is None:
         point = np.array([0.0, 0.1234, 0.7531])
@@ -120,10 +121,8 @@ def lyapunov_exponents(model: HyperbolicModel, point=None, *, horizon: float) ->
     n_steps = int(round(horizon / model.tau))
     if n_steps < 1:
         raise ValueError("horizon too short: need at least one period tau")
-    g = model.metric_matrix(point[0])
-    gs, gis = sqrtm_spd(g[None, None, None])
-    gs, gis = gs[0, 0, 0], gis[0, 0, 0]
-    m = gs @ _lift(model.matrix) @ gis
+    c = model.coframe(point[0])
+    m = c @ _lift(model.matrix) @ np.linalg.inv(c)
 
     q = np.eye(3)
     for _ in range(_QR_BURN_IN):
@@ -320,8 +319,11 @@ def contraction_law_residual(frame: SplittingFrame, metric: CompatibleMetric,
     log |dPhi^t v_+| = -mu t and log |dPhi^t v_-| = +mu t, with mu the
     model's exact log|lambda| / tau; each field is transported in its
     conditioned time direction (see splitting_invariance_residual).
+    ValueError unless the model's gluing is the metric's.
     """
     grid = metric.grid
+    if not np.array_equal(grid.monodromy, model.matrix):
+        raise ValueError("grid monodromy does not match the model's gluing matrix")
     g, v_plus, v_minus = _columns(metric.g.data, frame.v_plus.data, frame.v_minus.data)
     mu = model.mu
     worst = 0.0

@@ -12,7 +12,8 @@ The hyperbolic model seeds everything: an SL(2,Z) matrix L with
 V > 0 for the structure (tau dt, V dx^dy).  The eigenvectors are
 normalized by (V dx^dy)(w_+, w_-) = 1 with w_+ of unit length and
 positive first nonzero component; the leftover scaling freedom is a
-t-translation of the metric, not a hidden choice.
+t-translation of the metric, not a hidden choice.  The critical metric,
+its frame and random tangents are all read off HyperbolicModel.coframe.
 """
 
 from __future__ import annotations
@@ -64,27 +65,19 @@ class HyperbolicModel:
         """Rows (theta_+, theta_-) dual to (w_+, w_-)."""
         return np.linalg.inv(self.eigenbasis)
 
-    # -- closed-form tensors on the universal cover --------------------
+    def coframe(self, t) -> np.ndarray:
+        """Rows (alpha, v+^flat, v-^flat) = (tau dt, |lam|^{-t} th_-, -|lam|^t th_+) at t.
 
-    def metric_matrix(self, t) -> np.ndarray:
-        """g(t) = tau^2 dt^2 + |lam|^{2t} th_+ (x) th_+ + |lam|^{-2t} th_- (x) th_-."""
-        t = np.asarray(t, dtype=float)
+        The orthonormal coframe of the critical metric, shape t.shape + (3, 3):
+        the one place where that metric is written down.
+        """
+        lamt = np.abs(self.lam) ** np.asarray(t, dtype=float)[..., None]
         tp, tm = self.dual_basis
-        lam2t = np.abs(self.lam) ** (2.0 * t)
-        block = (lam2t[..., None, None] * np.einsum("i,j->ij", tp, tp)
-                 + (1.0 / lam2t)[..., None, None] * np.einsum("i,j->ij", tm, tm))
-        g = np.zeros(t.shape + (3, 3))
-        g[..., 0, 0] = self.tau ** 2
-        g[..., 1:, 1:] = block
-        return g
-
-    def frame_vectors(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """Unit fields e_+ = |lam|^{-t} w_+ and e_- = |lam|^{t} w_- (torus part)."""
-        t = np.asarray(t, dtype=float)
-        lamt = np.abs(self.lam) ** t
-        ep = np.einsum("...,i->...i", 1.0 / lamt, self.w_plus)
-        em = np.einsum("...,i->...i", lamt, self.w_minus)
-        return ep, em
+        c = np.zeros(lamt.shape[:-1] + (3, 3))
+        c[..., 0, 0] = self.tau
+        c[..., 1, 1:] = (1.0 / lamt) * tm
+        c[..., 2, 1:] = -(lamt * tp)
+        return c
 
 
 def build_hyperbolic_model(matrix, tau: float = 1.0, area: float = 1.0) -> HyperbolicModel:
@@ -146,38 +139,14 @@ def suspension_structure(model: HyperbolicModel, grid: Grid) -> Structure:
 def critical_metric(model: HyperbolicModel, grid: Grid) -> tuple[Structure, CompatibleMetric]:
     """The suspension structure with its critical compatible metric.
 
-    The metric makes (tau^{-1} d_t, |lam|^{-t} w_+, |lam|^{t} w_-)
-    orthonormal; its components depend on t alone and satisfy the seam
-    identity exactly (exponential algebra, no discretization).
+    g is the sum of the squares of the rows of model.coframe, in the order
+    of deform's sum, so deform at (u, r) = (0, 0) gives its bits.  It
+    depends on t alone and satisfies the seam identity exactly.
     """
     structure = suspension_structure(model, grid)
-    g = TensorField(grid, model.metric_matrix(grid.t), "dd")
-    return structure, certify_compatible(structure, g)
-
-
-def critical_frame(model: HyperbolicModel, grid: Grid):
-    """Orthonormal eigenframe fields of the critical metric.
-
-    Returns (v_plus, v_minus, u_plus, u_minus) with the bracket
-    normalization [R, v_pm] = pm mu v_pm, [v_+, v_-] = 0 and
-    v_- = -phi v_+, u_pm the h-eigenfields (h u_pm = pm mu u_pm,
-    u_- = phi u_+).  v_+ spans the forward-contracting (stable) line
-    along w_-, v_- the expanding one along w_+.  The pair is global
-    only up to overall sign when lambda < 0; all quadratic
-    combinations are single-valued.
-    """
-    ep, em = model.frame_vectors(grid.t)
-
-    def torus_vec(xy):
-        data = np.zeros(xy.shape[:-1] + (3,))
-        data[..., 1:] = xy
-        return TensorField(grid, data, "u")
-
-    v_plus = torus_vec(em)
-    v_minus = torus_vec(-ep)
-    u_plus = torus_vec((em - ep) / np.sqrt(2.0))
-    u_minus = torus_vec((em + ep) / np.sqrt(2.0))
-    return v_plus, v_minus, u_plus, u_minus
+    c = model.coframe(grid.t)
+    g = sum(c[..., k, :, None] * c[..., k, None, :] for k in range(3))
+    return structure, certify_compatible(structure, TensorField(grid, g, "dd"))
 
 
 def flat_cokahler(grid: Grid) -> tuple[Structure, CompatibleMetric]:

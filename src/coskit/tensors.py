@@ -147,7 +147,7 @@ def check_positive_definite(g: np.ndarray) -> np.ndarray:
 
 
 def sqrtm_spd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched symmetric square root and inverse square root."""
+    """Batched symmetric square root and inverse square root (kept for the span tracer)."""
     w, v = np.linalg.eigh(m)
     if np.any(w <= 0):
         raise TensorCalculusError("matrix field is not positive definite")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grids import _int_det
+from .grids import _int_det, _int_matpow
 
 
 class TopologyError(ValueError):
@@ -131,21 +131,23 @@ def h1_torsion_invariants(mat) -> list[int]:
 
 @dataclass(frozen=True)
 class ObstructionVerdict:
-    verdict: str     # hyperbolic_candidate | b1_even_excludes_cokahler | inconclusive
+    # hyperbolic_candidate | finite_order_cokahler | b1_even_excludes_cokahler | nil_no_critical
+    verdict: str
     betti: tuple[int, int, int, int]
     trace: int
     note: str
 
 
 def critical_metric_obstruction(mat) -> ObstructionVerdict:
-    """Classify the gluing by the critical-metric existence dichotomy.
+    """Classify the gluing by the critical-metric existence dichotomy, in exact integers.
 
     Hyperbolic gluings (|trace| > 2) are the candidates carrying the
-    positive-torsion critical metrics.  Otherwise, an even b1 rules out
-    the zero-torsion branch as well (co-Kaehler 3-manifolds have odd
-    b1), so no cosymplectic structure on the manifold admits a critical
-    compatible metric; odd b1 is reported as inconclusive (the flat
-    3-torus shows the branch can be realized).
+    positive-torsion critical metrics.  A gluing of finite order (L^12 = I)
+    gives a flat co-Kaehler manifold, whose flat metric is critical with
+    zero torsion.  Every other gluing is parabolic of infinite order: a Nil
+    manifold, neither co-Kaehler (not virtually abelian) nor a hyperbolic
+    suspension, so no cosymplectic structure on it admits a critical
+    compatible metric; an even b1 already shows it is not co-Kaehler.
     """
     m = _check_gluing(mat)
     trace = m[0][0] + m[1][1]
@@ -154,12 +156,16 @@ def critical_metric_obstruction(mat) -> ObstructionVerdict:
         return ObstructionVerdict(
             "hyperbolic_candidate", betti, trace,
             "hyperbolic gluing: suspension structure carries a critical metric")
+    if _int_matpow(m, 12) == [[1, 0], [0, 1]]:
+        return ObstructionVerdict(
+            "finite_order_cokahler", betti, trace,
+            "gluing of finite order: flat co-Kaehler, the flat metric is critical")
     if betti[1] % 2 == 0:
         return ObstructionVerdict(
             "b1_even_excludes_cokahler", betti, trace,
             f"b1 = {betti[1]} even: not co-Kaehler, and not a hyperbolic "
             "suspension; no critical compatible metric for any cosymplectic structure")
     return ObstructionVerdict(
-        "inconclusive", betti, trace,
-        f"b1 = {betti[1]} odd and gluing not hyperbolic: "
-        "no obstruction from Betti numbers alone")
+        "nil_no_critical", betti, trace,
+        f"b1 = {betti[1]} odd, parabolic gluing of infinite order: a Nil manifold, not "
+        "co-Kaehler and not a hyperbolic suspension; no critical compatible metric")

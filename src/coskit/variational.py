@@ -10,10 +10,10 @@ parametrization over a critical metric:
     g~ = alpha (x) alpha + q vp (x) vp + r (vp (x) vm + vm (x) vp)
          + p vm (x) vm,        p q - r^2 = 1,
 
-with (vp, vm) the lowered bracket frame of the critical metric.  The
-deformation is parametrized by (u = log p, r) so the constraint and
-p > 0 hold unconditionally, and the chart reaches every compatible
-metric of the suspension structure (see Deformation).  energy_gap
+with (vp, vm) rows 1 and 2 of the critical coframe, HyperbolicModel.coframe.
+The deformation is parametrized by (u = log p, r) so the constraint and
+p > 0 hold unconditionally, and the chart reaches every compatible metric
+of the suspension structure (see Deformation).  energy_gap
 evaluates the family's energy gap from (u, r) alone, by the one formula
 that minimize_energy descends, and energy_gap_direct the same gap
 through the full tensor pipeline; the family's closed-form torsion is
@@ -43,7 +43,7 @@ import numpy as np
 from .cosymplectic import CompatibleMetric, Structure, certify_compatible, d_alpha_plus
 from .grids import Grid, _as_field, _columns, _field_components, _grid_sum, _stored, \
     _sum_along, _sup, partial_derivative
-from .models import HyperbolicModel, critical_frame
+from .models import HyperbolicModel
 from .tensors import TensorField, check_positive_definite, covariant_derivative, \
     lie_derivative, tensor_norm2
 
@@ -313,7 +313,7 @@ class Deformation:
 
 @dataclass
 class DeformationChart:
-    """A hyperbolic model's critical metric with its lowered bracket frame."""
+    """A hyperbolic model's critical metric with rows 1 and 2 of its coframe, (v+, v-) lowered."""
 
     model: HyperbolicModel
     structure: Structure
@@ -331,17 +331,16 @@ class DeformationChart:
 
 
 def deformation_chart(model: HyperbolicModel, grid: Grid) -> DeformationChart:
-    """The critical metric and its lowered bracket frame, formed on the t-column.
+    """The critical metric and the covectors (v+^flat, v-^flat) of the model's coframe.
 
     vp_flat and vm_flat are read-only views of grid shape with zero torus
-    strides.
+    strides, backed by the coframe's t-column.
     """
     from .models import critical_metric
     structure, metric = critical_metric(model, grid)
-    v_plus, v_minus, _, _ = critical_frame(model, grid)
-    g, vp, vm = _columns(metric.g.data, v_plus.data, v_minus.data)
-    lower = lambda v: np.broadcast_to((g @ v[..., None])[..., 0], grid.shape + (3,))
-    return DeformationChart(model, structure, metric, lower(vp), lower(vm))
+    c = model.coframe(grid.t)
+    row = lambda k: np.broadcast_to(c[..., k, :], grid.shape + (3,))
+    return DeformationChart(model, structure, metric, row(1), row(2))
 
 
 def deform(chart: DeformationChart, d: Deformation) -> CompatibleMetric:
@@ -434,8 +433,8 @@ def random_tangent(metric: CompatibleMetric, rng: np.random.Generator,
     """Random tangent deformation at a compatible metric.
 
     On flat charts the raw field is a periodic random symmetric tensor;
-    on twisted charts it is built from quadratics of the critical
-    coframe (alpha, lowered frame covectors) with t-only random
+    on twisted charts it is built from quadratics of the rows of the
+    critical coframe, HyperbolicModel.coframe, with t-only random
     coefficients, which keeps it single-valued on the quotient.  The
     result is tangent-projected and scaled to the requested sup norm, out
     of place.  The twisted field depends on t alone, and at a metric
@@ -462,13 +461,10 @@ def random_tangent(metric: CompatibleMetric, rng: np.random.Generator,
                 raw[..., i, j] = f
                 raw[..., j, i] = f
     else:
-        theta = model.dual_basis
-        lamt = np.abs(model.lam) ** grid.t
-        covs = [_columns(metric.structure.alpha.data)[0]]
-        for vec, sign in ((theta[0] * 1.0, 1.0), (theta[1] * 1.0, -1.0)):
-            c = np.zeros(grid.t.shape + (3,))
-            c[..., 1:] = np.einsum("...,i->...i", lamt ** sign, vec)
-            covs.append(c)
+        # the random scalars below pair with the quadratics of alpha,
+        # |lam|^t th_+ and |lam|^-t th_-, in this order
+        c = model.coframe(grid.t)
+        covs = (c[..., 0, :], -c[..., 2, :], c[..., 1, :])
         raw = np.zeros(grid.t.shape + (3, 3))
         for a in range(3):
             for b in range(a, 3):

@@ -3,9 +3,32 @@
 import numpy as np
 
 from coskit.grids import _on_slot, _torus_permutation, partial_derivative
-from coskit.models import critical_frame
 from coskit.tensors import TensorField, _derivation, gradient
 from coskit.variational import Deformation, random_deformation, reeb_derivative
+
+
+def critical_frame(model, grid):
+    """Orthonormal eigenframe fields of the critical metric, in closed form.
+
+    Returns (v_plus, v_minus, u_plus, u_minus): v_+ = |lam|^t w_- and
+    v_- = -|lam|^{-t} w_+, dual to rows 1 and 2 of model.coframe, with the
+    bracket normalization [R, v_pm] = pm mu v_pm, [v_+, v_-] = 0 and
+    v_- = -phi v_+, and u_pm the h-eigenfields (h u_pm = pm mu u_pm,
+    u_- = phi u_+).  v_+ spans the forward-contracting (stable) line
+    along w_-, v_- the expanding one along w_+.  The pair is global only
+    up to overall sign when lambda < 0; all quadratic combinations are
+    single-valued.  Each field is stored as its t-column.
+    """
+    lamt = np.abs(model.lam) ** grid.t[..., None]
+    ep, em = (1.0 / lamt) * model.w_plus, lamt * model.w_minus
+
+    def torus_vec(xy):
+        data = np.zeros(xy.shape[:-1] + (3,))
+        data[..., 1:] = xy
+        return TensorField(grid, data, "u")
+
+    return (torus_vec(em), torus_vec(-ep), torus_vec((em - ep) / np.sqrt(2.0)),
+            torus_vec((em + ep) / np.sqrt(2.0)))
 
 
 def coframe_coefficients(d):

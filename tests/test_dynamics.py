@@ -8,7 +8,7 @@ import coskit as ck
 from coskit import cosymplectic, dynamics as dy, tensors, variational
 from coskit.grids import Grid, _torus_permutation
 from coskit.tensors import TensorField, lie_bracket, symmetric_eigen
-from references import orbit_field
+from references import critical_frame, orbit_field
 
 
 def sup(a):
@@ -116,6 +116,14 @@ def test_splitting_invariance(frame32, crit32):
 def test_contraction_law(frame32, crit32, model):
     _, metric = crit32
     assert dy.contraction_law_residual(frame32, metric, model, n_periods=10) < 1e-9
+
+
+def test_contraction_law_refuses_a_model_that_is_not_the_gluing(frame32, crit32):
+    # another gluing's rate log|lambda| / tau is not the law of this flow
+    _, metric = crit32
+    other = ck.build_hyperbolic_model([[3, 1], [2, 1]])
+    with pytest.raises(ValueError, match="does not match the model's gluing matrix"):
+        dy.contraction_law_residual(frame32, metric, other)
 
 
 def _sweep_reference(frame, metric, iterations):
@@ -353,7 +361,7 @@ def test_lemma_frame_brackets_from_closed_form(model, grid32, crit32):
     # the closed-form critical frame satisfies the same relations the
     # splitting extractor is tested against
     structure, metric = crit32
-    v_plus, v_minus, u_plus, u_minus = ck.critical_frame(model, grid32)
+    v_plus, v_minus, u_plus, u_minus = critical_frame(model, grid32)
     mu = model.mu
     r1 = lie_bracket(structure.reeb, v_plus).data - mu * v_plus.data
     r2 = lie_bracket(structure.reeb, v_minus).data + mu * v_minus.data

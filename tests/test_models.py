@@ -11,7 +11,7 @@ from coskit.models import NotHyperbolicError, NotSymplecticError, \
 from coskit import variational as va
 from coskit.tensors import TensorField
 from coskit import dynamics as dy
-from references import nijenhuis
+from references import critical_frame, nijenhuis
 
 
 def sup(a):
@@ -85,31 +85,33 @@ def test_torsion_and_energy(crit32, model):
 
 
 def test_seam_identity_exact(model, grid32):
-    # F* g = g: transporting the metric once around the fiber loop
-    # reproduces it exactly (exponential algebra, no stencils)
+    # F* g = g: the coframe at t + 1 is the coframe at t pulled back by
+    # A = diag(1, L), up to the sign of lambda on the torus rows, so
+    # transporting the metric once around the fiber loop reproduces it
+    # exactly (exponential algebra, no stencils)
     _, metric = critical_metric(model, grid32)
     a = grid32.gluing_jacobian
-    g0 = model.metric_matrix(0.0)
-    g1 = model.metric_matrix(1.0)
-    assert sup(a.T @ g0 @ a - g1) < 1e-12
+    c0, c1 = model.coframe(0.0), model.coframe(1.0)
+    s = np.sign(model.lam)
+    assert sup(np.diag([1.0, s, s]) @ c0 @ a - c1) < 1e-12
+    g1 = c1.T @ c1
+    assert sup(a.T @ c0.T @ c0 @ a - g1) < 1e-12
     pi, pj = _torus_permutation(grid32.n_torus, grid32.monodromy)
     fetched = np.einsum("ai,xyab,bj->xyij", a, metric.g.data[0][pi, pj], a)
-    analytic_row = model.metric_matrix(1.0)
-    assert sup(fetched - analytic_row) < 1e-12
+    assert sup(fetched - g1) < 1e-12
 
 
-def test_rescaled_eigenvectors_is_time_translation(model, grid32):
-    # the (c w+, w-/c) freedom is a pure t-translation of the metric, by
-    # log(c) / log(lam): absorbing c^{-2} lam^{2t} forces lam^{2 delta} = c^2
+def test_rescaled_eigenvectors_is_time_translation(model):
+    # the (c w+, w-/c) freedom is a pure t-translation of the coframe, by
+    # log(c) / log(lam): absorbing c^{-1} lam^t forces lam^delta = c
     c = 1.7
     delta = np.log(c) / model.log_lambda
     t = np.linspace(0.0, 1.0, 13)
-    g_scaled = dataclasses.replace(model, w_plus=c * model.w_plus,
-                                   w_minus=model.w_minus / c).metric_matrix(t)
-    g_shifted = model.metric_matrix(t - delta)
-    assert sup(g_scaled - g_shifted) < 1e-12
+    c_scaled = dataclasses.replace(model, w_plus=c * model.w_plus,
+                                   w_minus=model.w_minus / c).coframe(t)
+    assert sup(c_scaled - model.coframe(t - delta)) < 1e-12
     # half that translation (a nearby candidate factor) does not absorb it
-    assert sup(g_scaled - model.metric_matrix(t - delta / 2.0)) > 0.1
+    assert sup(c_scaled - model.coframe(t - delta / 2.0)) > 0.1
 
 
 def test_suspension_structure_flavor_residuals(crit32, flat16, contact32):
@@ -147,7 +149,7 @@ def test_model_fields_stored_at_the_axes_they_vary_along(matrix):
         for part in ("alpha", "beta", "reeb"):
             fields[f"{name}.{part}"] = getattr(structure, part)
         fields[f"{name}.g"] = metric.g
-    for i, f in enumerate(ck.critical_frame(model, Grid(8, 8, model.matrix))):
+    for i, f in enumerate(critical_frame(model, Grid(8, 8, model.matrix))):
         fields[f"critical_frame[{i}]"] = f
     for i, f in enumerate(ck.sol_frame(box)):
         fields[f"sol_frame[{i}]"] = f

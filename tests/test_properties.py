@@ -41,6 +41,43 @@ def test_critical_energy_and_certificate_on_random_suspensions(matrix, tau, area
     assert metric.max_residual(ALGEBRAIC_CERT_KEYS) <= floor
 
 
+def _bits(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """The float64 bit patterns of a at the given shape, signed zeros told apart."""
+    return np.ascontiguousarray(np.broadcast_to(a, shape)).view(np.int64)
+
+
+@settings(max_examples=20, deadline=None)
+@given(matrix=st.sampled_from(HYPERBOLIC_SL2Z), tau=st.floats(0.5, 2.0),
+       area=st.floats(0.5, 2.0))
+@example(matrix=((2, 1), (1, 1)), tau=1.0, area=1.0)
+@example(matrix=((2, 1), (1, 1)), tau=0.7, area=2.0)
+@example(matrix=((-3, 1), (-1, 0)), tau=1.0, area=1.0)
+@example(matrix=((-3, 1), (-1, 0)), tau=0.7, area=2.0)
+@example(matrix=((5, 2), (2, 1)), tau=1.0, area=1.0)
+@example(matrix=((5, 2), (2, 1)), tau=0.7, area=2.0)
+def test_critical_coframe_on_random_suspensions(matrix, tau, area):
+    model = ck.build_hyperbolic_model(matrix, tau=tau, area=area)
+    grid = ck.Grid(8, 8, model.matrix)
+    # the seam identity C(t + 1) = diag(1, s, s) C(t) diag(1, L), s = sign lambda
+    # (observed: at most 1.09 eps of max|C| over all 72 gluings)
+    t = np.linspace(0.0, 1.0, 9)
+    c, c1 = model.coframe(t), model.coframe(t + 1.0)
+    s = np.sign(model.lam)
+    seam = np.diag([1.0, s, s]) @ c @ grid.gluing_jacobian
+    assert np.max(np.abs(seam - c1)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(c1))
+    # the metric it writes down is certified at roundoff, and deform at
+    # (u, r) = (0, 0), on a t-column and at full shape, gives its bits
+    _, metric = ck.critical_metric(model, grid)
+    floor = 128.0 * np.finfo(float).eps * np.max(np.abs(metric.g.data)) \
+        * np.max(np.abs(metric.ginv))
+    assert metric.max_residual(ALGEBRAIC_CERT_KEYS) <= floor
+    chart = va.deformation_chart(model, grid)
+    shape = grid.shape + (3, 3)
+    for zero in (np.zeros(grid.t.shape), np.zeros(grid.shape)):
+        g = va.deform(chart, va.Deformation(grid, zero, zero)).g.data
+        assert np.array_equal(_bits(g, shape), _bits(metric.g.data, shape))
+
+
 @settings(max_examples=16, deadline=None)
 @given(matrix=st.sampled_from(HYPERBOLIC_SL2Z), n=st.integers(12, 16),
        tau=st.floats(0.5, 2.0), area=st.floats(0.5, 2.0))

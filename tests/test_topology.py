@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from coskit import topology as tp
+from coskit.grids import _int_matpow
 
 
 def test_betti_hyperbolic_all_ones():
@@ -53,7 +55,31 @@ def test_obstruction_verdicts():
     v = tp.critical_metric_obstruction([[1, 1], [0, 1]])
     assert v.verdict == "b1_even_excludes_cokahler"
     assert v.betti[1] == 2
-    assert tp.critical_metric_obstruction([[1, 0], [0, 1]]).verdict == "inconclusive"
+    # finite order (L^12 = I): the identity, -I and the three elliptic
+    # classes; infinite order with |trace| = 2 and odd b1: a Nil manifold
+    for mat in ([[1, 0], [0, 1]], [[-1, 0], [0, -1]], [[0, -1], [1, 0]],
+                [[0, -1], [1, -1]], [[1, -1], [1, 0]]):
+        assert tp.critical_metric_obstruction(mat).verdict == "finite_order_cokahler"
+    v = tp.critical_metric_obstruction([[-1, 1], [0, -1]])
+    assert (v.verdict, v.betti[1]) == ("nil_no_critical", 1)
+
+
+def test_every_gluing_gets_a_decisive_verdict():
+    # over SL(2,Z) with entries in [-4, 4] the verdict follows the trace
+    # and the exact order, and none is "inconclusive"
+    for a, b, c, d in itertools.product(range(-4, 5), repeat=4):
+        if a * d - b * c != 1:
+            continue
+        v = tp.critical_metric_obstruction([[a, b], [c, d]])
+        finite = _int_matpow([[a, b], [c, d]], 12) == [[1, 0], [0, 1]]
+        if abs(a + d) > 2:
+            expected = "hyperbolic_candidate"
+        elif finite:
+            expected = "finite_order_cokahler"
+        else:
+            expected = "b1_even_excludes_cokahler" if a + d == 2 else "nil_no_critical"
+        assert v.verdict == expected, (a, b, c, d)
+        assert finite == (abs(a + d) < 2 or (b, c) == (0, 0)), (a, b, c, d)
 
 
 def test_smith_normal_form_properties():

@@ -8,8 +8,8 @@ from coskit.grids import Grid, _torus_permutation, partial_derivative
 from coskit.tensors import TensorField, covariant_derivative, lie_derivative, \
     symmetric_eigen
 from coskit import variational as va
-from references import coframe_coefficients, frame_block, torsion_closed_forms, \
-    torus_varying_deformation
+from references import coframe_coefficients, critical_frame, frame_block, \
+    torsion_closed_forms, torus_varying_deformation
 
 
 def sup(a):
@@ -629,7 +629,7 @@ def test_lie_matrix_q_form_matches_not_p_form(fiber_chart):
     structure, mu = fiber_chart.structure, fiber_chart.mu
     d = va.random_deformation(fiber_chart.grid, seed=2, amplitude=0.3)
     lg = tensors.lie_derivative(va.deform(fiber_chart, d).g, structure.reeb).data
-    v_plus, v_minus, _, _ = ck.critical_frame(fiber_chart.model, fiber_chart.grid)
+    v_plus, v_minus, _, _ = critical_frame(fiber_chart.model, fiber_chart.grid)
     f = np.stack([structure.reeb.data, v_minus.data, v_plus.data], axis=-1)
     m = np.swapaxes(f, -1, -2) @ lg @ f
     p, q = coframe_coefficients(d)
